@@ -8,7 +8,6 @@ log s_n = n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma, and the
 exponent psi with psi(n) = -log s_n.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -16,8 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedError
-from .measures import (AtomicMeasure, DensityMeasure, MomentSequence,
-                       moment)
+from .measures import AtomicMeasure, DensityMeasure, MomentSequence
 from .quadrature import integrate, integrate_exp_decay
 
 
@@ -301,23 +299,9 @@ def sigma_of(f, alpha, beta, tol=1e-14):
 
 
 def log_moment_via_rep(f, alpha, beta, n, tol=1e-11):
-    """log s_n computed from the sigma-representation.
-
-    Returns n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma; the
-    integrand vanishes to second order at x = 1.
-    """
-    sigma = sigma_of(f, alpha, beta)
-    head = n * math.log(f(alpha))
-    if n == 0:
-        return 0.0
-    if isinstance(sigma, AtomicMeasure):
-        total = sum(wt * float(_stable_centered_power(u, n))
-                    for u, wt in sigma.atoms)
-        return head + total
-    value, _ = integrate(
-        lambda u: _stable_centered_power(u, n) * sigma.density(u),
-        0.0, 1.0, tol=tol)
-    return head + value
+    """log s_n computed from the sigma-representation:
+    n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma."""
+    return lk_log_moment(lk_rep_of(f, alpha, beta), n, tol)
 
 
 def psi(f, alpha, beta, z, tol=1e-11):
@@ -395,15 +379,3 @@ def lk_log_moment(rep, n, tol=1e-11):
         value, _ = integrate_exp_decay(integrand, tol=tol)
     return head + value
 
-
-def product_upper_bound_log(f, alpha, beta, n):
-    """log of the bound f(alpha) f(beta)^{n-1} (1 + alpha/beta)_{n-1}.
-
-    Valid for n >= 1 because f(s) <= (f(beta)/beta) s for s >= beta.
-    """
-    from scipy.special import gammaln
-    if n < 1:
-        raise DomainError("bound defined for n >= 1")
-    r = 1.0 + alpha / beta
-    return (math.log(f(alpha)) + (n - 1) * math.log(f(beta))
-            + gammaln(r + n - 1) - gammaln(r))

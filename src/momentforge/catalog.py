@@ -3,7 +3,8 @@
 Ids follow a colon-separated convention, e.g. ``ratio:1:2`` or
 ``qbeta:0.5:0.25:0.5:1``.  Bernstein-function ids produce moment products
 for a chosen (alpha, beta); family and measure ids expose moments, Mellin
-values and (where available) a dumpable measure.
+values and (where available) a dumpable measure.  Every id is one row of
+``TABLE``.
 """
 
 import math
@@ -13,13 +14,6 @@ from typing import Callable, Optional
 from . import bernstein, qseries, semigroups
 from .errors import DomainError, UnsupportedError
 from .measures import AtomicMeasure, mellin as measure_mellin, moment
-
-_SPEC = {
-    "affine": 1, "linear": 0, "ratio": 2, "mobius": 0, "qratio": 3,
-    "powertower": 0,
-    "gamma": 2, "beta": 3, "vclognormal": 2,
-    "qbeta": 4, "nu": 2, "hp": 2, "sigmaq": 3,
-}
 
 
 @dataclass(frozen=True)
@@ -37,6 +31,8 @@ class CatalogObject:
         if self.moment_fn is None:
             raise UnsupportedError(
                 "%s does not expose a moment sequence" % self.object_id)
+        if n_max < 0:
+            raise DomainError("n_max must be nonnegative, got %d" % n_max)
         return [self.moment_fn(n) for n in range(n_max + 1)]
 
     def mellin(self, z):
@@ -52,31 +48,91 @@ class CatalogObject:
         return self.measure_factory()
 
 
-def _parse(object_id):
-    parts = object_id.split(":")
-    head = parts[0]
-    if head not in _SPEC:
-        raise DomainError("unknown catalog id %r" % object_id)
-    want = _SPEC[head]
-    if len(parts) - 1 != want:
-        raise DomainError(
-            "%s takes %d parameter(s), got %d" % (head, want, len(parts) - 1))
-    try:
-        args = [float(p) for p in parts[1:]]
-    except ValueError:
-        raise DomainError("non-numeric parameter in %r" % object_id)
-    return head, args
+def _bernstein(make):
+    """Row builder for a Bernstein function: moment products at the
+    ``alpha`` and ``beta`` of the extra params (both default 1)."""
+    def build(params, *args):
+        f = make(*args)
+        seq = bernstein.power_moments(f, float(params.get("alpha", 1.0)),
+                                      float(params.get("beta", 1.0)))
+        return dict(kind="bernstein", moment_fn=seq,
+                    measure_factory=f.kappa_factory, bernstein_fn=f)
+    return build
 
 
-def _bernstein_entry(object_id, f, params):
-    alpha = float(params.get("alpha", 1.0))
-    beta = float(params.get("beta", 1.0))
-    seq = bernstein.power_moments(f, alpha, beta)
-    factory = None
-    if f.kappa_factory is not None:
-        factory = f.kappa_factory
-    return CatalogObject(object_id, "bernstein", moment_fn=seq,
-                         measure_factory=factory, bernstein_fn=f)
+def _family(make, mellin, density):
+    """Row builder for a Mellin family; its moments are the Mellin values
+    at the integers."""
+    def build(params, *args):
+        fam = make(*args)
+        return dict(kind="family",
+                    moment_fn=lambda n: mellin(fam, n).real,
+                    mellin_fn=lambda z: mellin(fam, z),
+                    measure_factory=lambda: density(fam))
+    return build
+
+
+def _measure(make):
+    """Row builder for an explicit measure, built once and queried for
+    moments and Mellin values."""
+    def build(params, *args):
+        m = make(*args)
+        return dict(kind="measure",
+                    moment_fn=lambda n: moment(m, n).value,
+                    mellin_fn=lambda z: measure_mellin(m, z).value,
+                    measure_factory=lambda: m)
+    return build
+
+
+def _qbeta(params, a, b, q, c):
+    p = qseries.QParams(a, b, q)
+    return dict(kind="measure", moment_fn=qseries.qbeta_moment_sequence(p, c),
+                mellin_fn=lambda z: qseries.mellin_qbeta(p, c, z),
+                measure_factory=lambda: qseries.mu_c(p, c))
+
+
+def _hp(params, p, q):
+    def coefficient(n):
+        return qseries.hp_coefficients(p, q, n).coefficients[n]
+    return dict(kind="series", moment_fn=coefficient)
+
+
+#: id head -> (parameter names, builder).  A builder takes the extra
+#: params and the id's parameters and returns the CatalogObject fields.
+#: Rows hold constructors, but reach evaluators and measure builders
+#: through their module when called, so that a wrapper installed on the
+#: module later (a tracer, a test's monkeypatch) sees every call.
+TABLE = {
+    "affine": (("a",), _bernstein(bernstein.affine)),
+    "linear": ((), _bernstein(bernstein.linear)),
+    "ratio": (("a", "b"), _bernstein(bernstein.ratio)),
+    "mobius": ((), _bernstein(bernstein.mobius)),
+    "qratio": (("a", "b", "q"), _bernstein(bernstein.qratio)),
+    "powertower": ((), _bernstein(bernstein.powertower)),
+    "gamma": (("a", "c"), _family(
+        semigroups.GammaFamily,
+        lambda fam, z: semigroups.gamma_mellin(fam, z),
+        lambda fam: semigroups.gamma_density(fam))),
+    "beta": (("a", "b", "c"), _family(
+        semigroups.BetaFamily,
+        lambda fam, z: semigroups.beta_mellin(fam, z),
+        lambda fam: semigroups.beta_density(fam))),
+    "vclognormal": (("q", "c"), _family(
+        semigroups.LogNormalQFamily,
+        lambda fam, z: semigroups.vc_mellin(fam, z),
+        lambda fam: semigroups.vc_density(fam))),
+    "qbeta": (("a", "b", "q", "c"), _qbeta),
+    "nu": (("a", "q"), _measure(lambda a, q: qseries.nu_a(a, q))),
+    "hp": (("p", "q"), _hp),
+    "sigmaq": (("a", "b", "q"), _measure(
+        lambda a, b, q: qseries.sigma_abgamma(qseries.QParams(a, b, q)))),
+}
+
+
+def _build(object_id, head, args, params):
+    if not all(math.isfinite(x) for x in args):
+        raise DomainError("non-finite parameter in %r" % object_id)
+    return CatalogObject(object_id, **TABLE[head][1](params, *args))
 
 
 def resolve(object_id, params=None):
@@ -85,119 +141,38 @@ def resolve(object_id, params=None):
     ``params`` is an optional dict of extra settings; Bernstein ids honor
     ``alpha`` and ``beta`` (both default 1) for their moment products.
     """
-    params = params or {}
-    head, args = _parse(object_id)
-
-    if head == "affine":
-        return _bernstein_entry(object_id, bernstein.affine(args[0]), params)
-    if head == "linear":
-        return _bernstein_entry(object_id, bernstein.linear(), params)
-    if head == "ratio":
-        return _bernstein_entry(object_id,
-                                bernstein.ratio(args[0], args[1]), params)
-    if head == "mobius":
-        return _bernstein_entry(object_id, bernstein.mobius(), params)
-    if head == "qratio":
-        return _bernstein_entry(
-            object_id, bernstein.qratio(args[0], args[1], args[2]), params)
-    if head == "powertower":
-        return _bernstein_entry(object_id, bernstein.powertower(), params)
-
-    if head == "gamma":
-        fam = semigroups.GammaFamily(args[0], args[1])
-        factory = (lambda: semigroups.gamma_density(fam)) \
-            if fam.c == 1.0 else None
-        return CatalogObject(
-            object_id, "family",
-            moment_fn=lambda n: semigroups.gamma_mellin(fam, n).real,
-            mellin_fn=lambda z: semigroups.gamma_mellin(fam, z),
-            measure_factory=factory)
-    if head == "beta":
-        fam = semigroups.BetaFamily(args[0], args[1], args[2])
-        factory = (lambda: semigroups.beta_density(fam)) \
-            if fam.c == 1.0 else None
-        return CatalogObject(
-            object_id, "family",
-            moment_fn=lambda n: semigroups.beta_mellin(fam, n).real,
-            mellin_fn=lambda z: semigroups.beta_mellin(fam, z),
-            measure_factory=factory)
-    if head == "vclognormal":
-        fam = semigroups.LogNormalQFamily(args[0], args[1])
-        return CatalogObject(
-            object_id, "family",
-            moment_fn=lambda n: semigroups.vc_mellin(fam, n).real,
-            mellin_fn=lambda z: semigroups.vc_mellin(fam, z),
-            measure_factory=lambda: semigroups.vc_density(fam))
-
-    if head == "qbeta":
-        p = qseries.QParams(args[0], args[1], args[2])
-        c = args[3]
-        seq = qseries.qbeta_moment_sequence(p, c)
-        return CatalogObject(
-            object_id, "measure", moment_fn=seq,
-            mellin_fn=lambda z: qseries.mellin_qbeta(p, c, z),
-            measure_factory=lambda: qseries.mu_c(p, c))
-    if head == "nu":
-        a, q = args
-        factory = lambda: qseries.nu_a(a, q)
-        return CatalogObject(
-            object_id, "measure",
-            moment_fn=lambda n: moment(factory(), n).value,
-            mellin_fn=lambda z: measure_mellin(factory(), z).value,
-            measure_factory=factory)
-    if head == "sigmaq":
-        p = qseries.QParams(args[0], args[1], args[2])
-        factory = lambda: qseries.sigma_abgamma(p)
-        return CatalogObject(
-            object_id, "measure",
-            moment_fn=lambda n: moment(factory(), n).value,
-            mellin_fn=lambda z: measure_mellin(factory(), z).value,
-            measure_factory=factory)
-    if head == "hp":
-        p_, q = args
-        cache = {}
-
-        def coeff(n):
-            if n not in cache:
-                series = qseries.hp_coefficients(p_, q, n)
-                for k, ck in enumerate(series.coefficients):
-                    cache[k] = ck
-            return cache[n]
-
-        return CatalogObject(object_id, "series", moment_fn=coeff)
-    raise DomainError("unknown catalog id %r" % object_id)
-
-
-def density_from_json(data):
-    """Rebuild a catalog density measure from its JSON form
-    {"density": "<id>", "params": {...}}."""
-    cid = data.get("density")
-    params = data.get("params", {})
-    if cid == "gamma":
-        return semigroups.gamma_density(
-            semigroups.GammaFamily(params["a"], params.get("c", 1.0)))
-    if cid == "beta":
-        return semigroups.beta_density(
-            semigroups.BetaFamily(params["a"], params["b"],
-                                  params.get("c", 1.0)))
-    if cid == "vclognormal":
-        return semigroups.vc_density(
-            semigroups.LogNormalQFamily(params["q"], params["c"]))
-    if cid == "kappa:affine":
-        return bernstein.affine(params["a"]).kappa_factory()
-    if cid == "kappa:linear":
-        return bernstein.linear().kappa_factory()
-    if cid == "kappa:ratio":
-        return bernstein.ratio(params["a"], params["b"]).kappa_factory()
-    if cid == "kappa:mobius":
-        return bernstein.mobius().kappa_factory()
-    raise DomainError("unknown density id %r" % cid)
+    head, *parts = object_id.split(":")
+    if head not in TABLE:
+        raise DomainError("unknown catalog id %r" % object_id)
+    want = len(TABLE[head][0])
+    if len(parts) != want:
+        raise DomainError(
+            "%s takes %d parameter(s), got %d" % (head, want, len(parts)))
+    try:
+        args = [float(p) for p in parts]
+    except ValueError:
+        raise DomainError("non-numeric parameter in %r" % object_id)
+    return _build(object_id, head, args, params or {})
 
 
 def measure_from_json(data):
-    """Deserialize either an atomic dump or a catalog density."""
+    """Deserialize either an atomic dump or a catalog density
+    {"density": "<id>", "params": {...}}.
+
+    A density id is a table head, prefixed ``kappa:`` for the kappa
+    measure of a Bernstein entry; a missing ``c`` defaults to 1.
+    """
     if "atoms" in data:
         return AtomicMeasure.from_json_dict(data)
-    if "density" in data:
-        return density_from_json(data)
-    raise DomainError("not a serialized measure: %r" % sorted(data))
+    if "density" not in data:
+        raise DomainError("not a serialized measure: %r" % sorted(data))
+    cid = str(data["density"])
+    head = cid[len("kappa:"):] if cid.startswith("kappa:") else cid
+    if head not in TABLE:
+        raise DomainError("unknown density id %r" % cid)
+    params = {"c": 1.0, **data.get("params", {})}
+    args = [float(params[name]) for name in TABLE[head][0]]
+    m = _build(cid, head, args, {}).measure()
+    if getattr(m, "catalog_id", None) != cid:
+        raise DomainError("unknown density id %r" % cid)
+    return m

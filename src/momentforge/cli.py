@@ -7,6 +7,7 @@ digits.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 import argparse
 import json
+import math
 import sys
 
 from . import verify
@@ -21,6 +22,8 @@ def _fmt(x):
 
 
 def _grid(lo, hi, step):
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise DomainError("grid bounds and step must be finite")
     if step <= 0:
         raise DomainError("step must be positive")
     count = int(round((hi - lo) / step)) + 1
@@ -43,7 +46,12 @@ def _parse_params(pairs):
         if "=" not in item:
             raise DomainError("parameter %r is not key=value" % item)
         key, _, value = item.partition("=")
-        params[key] = float(value)
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise DomainError("parameter %r is not numeric" % item)
+        if not math.isfinite(params[key]):
+            raise DomainError("parameter %r is not finite" % item)
     return params
 
 

@@ -274,6 +274,8 @@ def qbeta_moment_sequence(p, c=1.0):
     """The moment sequence ((a;q)_n/(b;q)_n)^c in closed form."""
     from .measures import MomentSequence
     p.require_ordered()
+    if c <= 0:
+        raise DomainError("c must be positive")
     a, b, q = p.a, p.b, p.q
 
     def log_fn(n):
@@ -307,13 +309,21 @@ def mellin_qbeta(p, c, z, tol=DEFAULT_TOL):
     return value
 
 
+def _hp_log_terms(p_, q, M, z=1.0):
+    """m L_m z^m for m = 1..M, where log h_p(z; q) = sum_m L_m z^m with
+    L_m = (1 - p^m) q^m / (m (1 - q^m)^2).  Every term is nonnegative."""
+    m = np.arange(1, M + 1, dtype=float)
+    return (1.0 - p_ ** m) * (q * z) ** m / (1.0 - q ** m) ** 2
+
+
 def hp_coefficients(p_, q, K):
     """Taylor coefficients c_0..c_K of
     h_p(z; q) = prod_{k>=1} ((1 - p z q^k)/(1 - z q^k))^k.
 
-    Each base factor expands as 1 + (1-p) sum_{m>=1} (z q^k)^m; factors are
-    raised to the k-th power by truncated polynomial multiplication.  All
-    coefficients are nonnegative up to roundoff.
+    Exponentiates log h_p = sum_m L_m z^m by the power-series recurrence
+    n c_n = sum_{j<=n} j L_j c_{n-j} (Knuth, TAOCP vol. 2, 4.7).  Every
+    term is nonnegative, so the coefficients are too, and c_n does not
+    depend on K.
     """
     if not 0 <= p_ < 1:
         raise DomainError("p must lie in [0, 1)")
@@ -321,36 +331,22 @@ def hp_coefficients(p_, q, K):
         raise DomainError("q must lie in (0, 1)")
     if K < 0:
         raise DomainError("K must be nonnegative")
-    result = np.zeros(K + 1)
-    result[0] = 1.0
-    k = 1
-    while True:
-        qk = q ** k
-        if k * (1.0 - p_) * qk < 1e-20 and k > K:
-            break
-        base = np.zeros(K + 1)
-        base[0] = 1.0
-        if K >= 1:
-            base[1:] = (1.0 - p_) * qk ** np.arange(1, K + 1)
-        factor = _poly_power(base, k, K)
-        result = np.convolve(result, factor)[:K + 1]
-        k += 1
-        if k > 100000:
-            raise DomainError("h_p factor loop did not converge")
-    return PowerSeries(tuple(float(c) for c in result))
+    jl = _hp_log_terms(p_, q, K)
+    c = np.zeros(K + 1)
+    c[0] = 1.0
+    for n in range(1, K + 1):
+        c[n] = np.dot(jl[:n], c[n - 1::-1]) / n
+    return PowerSeries(tuple(float(ck) for ck in c))
 
 
-def _poly_power(poly, n, K):
-    out = np.zeros(K + 1)
-    out[0] = 1.0
-    base = poly.copy()
-    while n > 0:
-        if n & 1:
-            out = np.convolve(out, base)[:K + 1]
-        n >>= 1
-        if n:
-            base = np.convolve(base, base)[:K + 1]
-    return out
+def _log_hp_upper(p_, q, r):
+    """An upper bound on log h_p(r; q) for 0 < r < 1/q: M = 2000 terms of
+    the log series plus the rest, bounded by
+    L_m r^m <= (qr)^m / (m (1-q)^2)."""
+    M = 2000
+    head = float(np.sum(_hp_log_terms(p_, q, M, r) / np.arange(1, M + 1)))
+    x = q * r
+    return head + x ** (M + 1) / ((M + 1) * (1.0 - q) ** 2 * (1.0 - x))
 
 
 def sigma_abgamma(p, gamma=None, K=200):
@@ -358,7 +354,9 @@ def sigma_abgamma(p, gamma=None, K=200):
     c_k(b/a, q) a^k / h_{b/a}(a; q).
 
     With gamma = (b;q)_inf/(a;q)_inf (the default) its moments are the
-    T-transform products prod_{k<=n} (b;q)_k/(a;q)_k.
+    T-transform products prod_{k<=n} (b;q)_k/(a;q)_k.  The weights past K
+    are bounded by Cauchy's estimate c_k <= h_p(r)/r^k for a < r < 1/q,
+    with r the best of a fixed set of radii.
     """
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
@@ -367,15 +365,14 @@ def sigma_abgamma(p, gamma=None, K=200):
     if gamma <= 0:
         raise DomainError("gamma must be positive")
     series = hp_coefficients(b / a, q, K)
-    coeffs = np.clip(np.array(series.coefficients), 0.0, None)
-    weights = coeffs * a ** np.arange(K + 1)
+    weights = np.array(series.coefficients) * a ** np.arange(K + 1)
     norm = float(weights.sum())
-    # tail estimate from the observed geometric decay of the kept weights
-    tail = 0.0
-    if K >= 10 and weights[K] > 0 and weights[K - 5] > 0:
-        r = (weights[K] / weights[K - 5]) ** 0.2
-        if r < 1.0:
-            tail = weights[K] * r / (1.0 - r) / norm
+    # sum_{k>K} c_k a^k <= h_p(r) (a/r)^{K+1} / (1 - a/r) for every radius
+    # a < r < 1/q; taken in logs because h_p(r) overflows near 1/q
+    radii = [a + (1.0 / q - a) * (1.0 - 0.5 ** j) for j in range(1, 13)]
+    log_tail = min(_log_hp_upper(b / a, q, r) + (K + 1) * math.log(a / r)
+                   - math.log1p(-a / r) for r in radii) - math.log(norm)
+    tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
     pairs = [(gamma * q ** k, w / norm)
              for k, w in enumerate(weights) if w != 0.0]
     return AtomicMeasure.from_pairs(pairs, truncation_error=tail)

@@ -1,9 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from momentforge.catalog import measure_from_json, resolve
+from momentforge import qseries
+from momentforge.catalog import TABLE, measure_from_json, resolve
 from momentforge.cli import main
 from momentforge.errors import DomainError
 
@@ -146,3 +149,83 @@ def test_moments_bernstein_with_params(capsys):
 def test_resolve_rejects_garbage():
     with pytest.raises(DomainError):
         resolve("gamma:abc:1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "affine:1", "--param", "alpha=abc"],
+    ["hermite-scan", "--tstep", "nan"],
+    ["moments", "nu:0.5:0.5", "--n-max", "-2"],
+    ["moments", "gamma:nan:1"],
+    ["moments", "gamma:inf:1"],
+    ["moments", "qbeta:0.5:0.25:0.5:-1"],
+])
+def test_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_hp_moments_are_the_series_coefficients(capsys):
+    code, out, _ = run(capsys, "moments", "hp:0.5:0.5", "--n-max", "60")
+    assert code == 0
+    values = [float(line.split(",")[1])
+              for line in out.strip().splitlines()[1:]]
+    assert values == list(qseries.hp_coefficients(0.5, 0.5, 60).coefficients)
+
+
+def test_sigmaq_moments_build_the_measure_once(capsys, monkeypatch):
+    calls = []
+    build = qseries.sigma_abgamma
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(qseries, "sigma_abgamma", counted)
+    code, out, _ = run(capsys, "moments", "sigmaq:0.5:0.25:0.5",
+                       "--n-max", "40")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 42
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("object_id, density_id", [
+    ("gamma:1.5:1", "gamma"), ("beta:1:2:1", "beta"),
+    ("vclognormal:0.5:1", "vclognormal"), ("affine:2", "kappa:affine"),
+    ("linear", "kappa:linear"), ("ratio:1:2", "kappa:ratio"),
+    ("mobius", "kappa:mobius"),
+])
+def test_density_json_roundtrip(capsys, object_id, density_id):
+    code, out, _ = run(capsys, "atoms", object_id)
+    assert code == 0
+    data = json.loads(out)
+    assert data["density"] == density_id
+    original = resolve(object_id).measure()
+    rebuilt = measure_from_json(data)
+    assert rebuilt.to_json_dict() == data
+    for x in (0.1, 0.5, 0.9):
+        assert float(rebuilt.density(x)) == float(original.density(x))
+
+
+def test_density_json_defaults_c_to_one():
+    for data in ({"density": "gamma", "params": {"a": 1.5}},
+                 {"density": "beta", "params": {"a": 1.0, "b": 2.0}}):
+        assert measure_from_json(data).to_json_dict()["params"]["c"] == 1.0
+
+
+@pytest.mark.parametrize("density_id", ["nosuch", "nu", "ratio",
+                                        "kappa:gamma", "kappa:qratio"])
+def test_density_json_rejects_non_density_ids(density_id):
+    data = {"density": density_id,
+            "params": {"a": 0.5, "b": 0.25, "q": 0.5}}
+    with pytest.raises(DomainError):
+        measure_from_json(data)
+
+
+def test_readme_lists_every_catalog_id():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Catalog ids:")[1].split("\n\n")[0]
+    listed = re.findall(r"`([a-z]+(?::[a-z]+)*)`", paragraph)
+    assert listed == [":".join((head,) + names)
+                      for head, (names, _) in TABLE.items()]

@@ -164,6 +164,17 @@ def test_hp_p_one_would_be_trivial():
     assert all(c >= 0 for c in series.coefficients)
 
 
+@pytest.mark.parametrize("p_, q", [(0.3, 0.5), (0.7, 0.8), (0.0, 0.3)])
+def test_hp_series_matches_product(p_, q):
+    # the product in log form: raising each factor to the k-th power would
+    # amplify its rounding k times
+    z = 0.3
+    product = math.exp(math.fsum(
+        k * (math.log1p(-p_ * z * q ** k) - math.log1p(-z * q ** k))
+        for k in range(1, 400)))
+    assert hp_coefficients(p_, q, 80)(z) == pytest.approx(product, rel=1e-13)
+
+
 def test_sigma_is_probability():
     sig = sigma_abgamma(P)
     assert sig.total_mass == pytest.approx(1.0, abs=1e-10)
@@ -190,6 +201,21 @@ def test_sigma_moments_match_product_form():
             expected *= ((1.0 - P.b * P.q ** k)
                          / (1.0 - P.a * P.q ** k)) ** (n - k)
         assert moment(sig, n).value == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("a, b, q", [(0.9, 0.0, 0.9), (0.5, 0.25, 0.5)])
+def test_sigma_tail_bounds_dropped_weights(a, b, q):
+    sig = sigma_abgamma(QParams(a, b, q), K=200)
+    cs = hp_coefficients(b / a, q, 600).coefficients
+    weights = [c * a ** k for k, c in enumerate(cs)]
+    dropped = math.fsum(weights[201:]) / math.fsum(weights[:201])
+    assert 0.0 < dropped <= sig.truncation_error
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_qbeta_moments_reject_bad_c(c):
+    with pytest.raises(DomainError):
+        qbeta_moment_sequence(P, c)
 
 
 def test_tau_rejects_bad_c():
