@@ -153,7 +153,12 @@ def _density_integral(m, weight, tol):
 
 
 def moment(m, n, tol=1e-12):
-    """n'th moment of a measure, with error bound, as a MellinValue."""
+    """n'th moment of a measure, with its error, as a MellinValue.
+
+    For an atomic measure the error is the estimate truncation_error *
+    max(1, max location)^n: the dropped mass lies beyond the largest kept
+    location, so this is not a bound.
+    """
     if n < 0 or n != int(n):
         raise DomainError("moment order must be a nonnegative integer")
     n = int(n)

@@ -169,98 +169,62 @@ def nu_a(a, q, tol=DEFAULT_TOL):
     return AtomicMeasure.from_pairs(pairs, truncation_error=tail)
 
 
-def _levy_weights(p, tol):
-    """Lattice weights (index k >= 1) of nu_a - nu_b, plus dropped tail."""
-    a, b, q = p.a, p.b, p.q
-    weights = [0.0]
-    k = 1
-    while True:
-        weights.append((a ** k - b ** k) / (k * (1.0 - q ** k)))
-        tail = a ** (k + 1) / ((k + 1) * (1.0 - q) * (1.0 - a))
-        if tail < tol:
-            return np.array(weights), tail
-        k += 1
-        if k > 100000:
-            raise DomainError("Levy weight truncation did not converge")
+def _exp_series(jl, c0=1.0):
+    """Taylor coefficients c_0..c_M of c0 exp(sum_m L_m z^m), given
+    jl = (m L_m for m = 1..M), by the power-series recurrence
+    n c_n = sum_{j<=n} j L_j c_{n-j} (Knuth, TAOCP vol. 2, 4.7).  c_n does
+    not depend on M."""
+    c = np.zeros(len(jl) + 1)
+    c[0] = c0
+    for n in range(1, len(c)):
+        c[n] = np.dot(jl[:n], c[n - 1::-1]) / n
+    return c
 
 
-def tau_c(p, c, tol=DEFAULT_TOL, k_exp=None):
+def _radii(lo, hi):
+    """Twelve fixed radii in (lo, hi), closing in on hi geometrically; the
+    Cauchy bounds below take the best of them."""
+    return np.array([lo + (hi - lo) * (1.0 - 0.5 ** j) for j in range(1, 13)])
+
+
+def tau_c(p, c, tol=DEFAULT_TOL):
     """The lattice probability tau(a,b;q)_c: the convolution exponential
     ((a;q)_inf/(b;q)_inf)^c sum_k c^k (nu_a - nu_b)^{*k} / k!.
 
-    Weight arrays are convolved on the common lattice log(1/q); the series
-    is cut at k_exp terms (chosen automatically when omitted) with the
-    remainder bounded by (c m)^{k_exp+1}/(k_exp+1)! e^{c m} for m the Levy
-    mass.  Dropped lattice mass is computed exactly against e^{c m}.
+    Its weight w_n at n log(1/q) is the n'th Taylor coefficient of
+    F(z) = ((a;q)_inf (bz;q)_inf / ((b;q)_inf (az;q)_inf))^c, computed by
+    n w_n = c sum_{j<=n} (a^j - b^j)/(1 - q^j) w_{n-j} from
+    w_0 = ((a;q)_inf/(b;q)_inf)^c.  The lattice is cut at the first N whose
+    Cauchy bound sum_{n>N} w_n <= F(r) r^{-N-1} / (1 - 1/r), 1 < r < 1/a,
+    stays below tol after amplifying by ((N+1) log(1/q))^8 for moments up
+    to order 8; the unamplified bound is the truncation_error.
     """
     p.require_ordered()
     if c <= 0:
         raise DomainError("c must be positive")
-    log1q = math.log(1.0 / p.q)
-    user_k_exp = k_exp
-    # moments of order up to 8 amplify the truncated tail by location^8, so
-    # the internal tolerance is tightened until the amplified bound fits
-    tol_eff = tol
-    for _ in range(12):
-        lam, levy_tail = _levy_weights(p, tol_eff)
-        mass = float(lam.sum())
-        locs8 = (np.arange(len(lam)) * log1q) ** 8
-        # 8th-moment radius of the normalized Levy weights; convolution
-        # order j has radius at most j times this (Minkowski)
-        lam_r = (float(lam @ locs8) / mass) ** 0.125
-        k_exp = user_k_exp
-        if k_exp is None:
-            k_exp = 1
-            while True:
-                log_rem = ((k_exp + 1) * math.log(max(c * mass, 1e-300))
-                           - math.lgamma(k_exp + 2) + c * mass
-                           + 8.0 * math.log(max(1.0, (k_exp + 1) * lam_r)))
-                if log_rem < math.log(max(0.25 * tol, 1e-300)):
-                    break
-                k_exp += 1
-                if k_exp > 10000:
-                    raise DomainError("k_exp selection did not converge")
-        if k_exp < 1:
-            raise DomainError("k_exp must be >= 1")
-        series_rem = math.exp(
-            min(700.0, (k_exp + 1) * math.log(max(c * mass, 1e-300))
-                - math.lgamma(k_exp + 2) + c * mass))
-        ser_amp = max(1.0, (k_exp + 1) * lam_r) ** 8
-        # the convolution powers are held on their full lattice support, so
-        # the only dropped mass comes from the exponential-series cut and
-        # the Levy-weight cut
-        cap = k_exp * (len(lam) - 1) + 1
-        acc = np.zeros(cap)
-        acc[0] = 1.0
-        power = np.zeros(cap)
-        power[0] = 1.0
-        factor = 1.0
-        for j in range(1, k_exp + 1):
-            power = np.convolve(power, lam)[:cap]
-            factor *= c / j
-            acc = acc + factor * power
-        # dropped Levy mass sits just past the cut; moments up to order 8
-        # amplify it by (cut location + measure radius)^8 at most
-        m8 = (float(acc @ (np.arange(cap) * log1q) ** 8)
-              / float(acc.sum())) ** 0.125
-        amp_levy = max(1.0, len(lam) * log1q + m8) ** 8
-        err_amp = c * levy_tail * amp_levy + series_rem * ser_amp
-        if err_amp < tol or tol_eff <= 1e-250:
+    a, b, q = p.a, p.b, p.q
+    log1q = math.log(1.0 / q)
+    log_w0 = c * (math.log(qpoch(a, q)) - math.log(qpoch(b, q)))
+    radii = _radii(1.0, 1.0 / a)
+    # log of F(r) / (1 - 1/r), the Cauchy bound before the factor r^{-N-1}
+    log_head = np.array([
+        log_w0 + c * (math.log(qpoch(b * r, q)) - math.log(qpoch(a * r, q)))
+        - math.log1p(-1.0 / r) for r in radii])
+    log_r = np.log(radii)
+    N = 0
+    while True:
+        log_tail = float(np.min(log_head - (N + 1) * log_r))
+        if log_tail + 8.0 * math.log(max(1.0, (N + 1) * log1q)) \
+                <= math.log(tol):
             break
-        tol_eff = max(min(tol_eff * 1e-2, 0.1 * tol / (max(c, 1.0)
-                                                       * amp_levy)),
-                      1e-250)
-    dropped = max(math.exp(c * mass) - float(acc.sum()) - series_rem, 0.0)
-    # ((a;q)_inf/(b;q)_inf)^c = e^{-c m} for the full Levy mass m; the
-    # series uses the truncated mass, so the mass deficit c*levy_tail
-    # joins the error bound
-    prefactor = (qpoch(p.a, p.q) / qpoch(p.b, p.q)) ** c
-    pairs = [(k * log1q, prefactor * w)
-             for k, w in enumerate(acc) if k > 0 and w != 0.0]
-    zero = prefactor * acc[0]
-    err = prefactor * (max(dropped, 0.0) + series_rem) + c * levy_tail
-    return AtomicMeasure.from_pairs(pairs, zero_mass=zero,
-                                    truncation_error=err)
+        N += 1
+        if N > 100000:
+            raise DomainError("tau_c truncation did not converge")
+    j = np.arange(1, N + 1)
+    w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
+    pairs = [(n * log1q, wn) for n, wn in enumerate(w[1:], 1)]
+    return AtomicMeasure.from_pairs(pairs, zero_mass=w[0],
+                                    truncation_error=math.exp(log_tail))
 
 
 def mu_c(p, c, tol=DEFAULT_TOL):
@@ -331,11 +295,7 @@ def hp_coefficients(p_, q, K):
         raise DomainError("q must lie in (0, 1)")
     if K < 0:
         raise DomainError("K must be nonnegative")
-    jl = _hp_log_terms(p_, q, K)
-    c = np.zeros(K + 1)
-    c[0] = 1.0
-    for n in range(1, K + 1):
-        c[n] = np.dot(jl[:n], c[n - 1::-1]) / n
+    c = _exp_series(_hp_log_terms(p_, q, K))
     return PowerSeries(tuple(float(ck) for ck in c))
 
 
@@ -349,14 +309,16 @@ def _log_hp_upper(p_, q, r):
     return head + x ** (M + 1) / ((M + 1) * (1.0 - q) ** 2 * (1.0 - x))
 
 
-def sigma_abgamma(p, gamma=None, K=200):
+def sigma_abgamma(p, gamma=None, K=None):
     """The probability sigma_{a,b,gamma}: atoms at gamma q^k with weights
-    c_k(b/a, q) a^k / h_{b/a}(a; q).
+    c_k(b/a, q) a^k / h_{b/a}(a; q), for k <= K.
 
     With gamma = (b;q)_inf/(a;q)_inf (the default) its moments are the
     T-transform products prod_{k<=n} (b;q)_k/(a;q)_k.  The weights past K
     are bounded by Cauchy's estimate c_k <= h_p(r)/r^k for a < r < 1/q,
-    with r the best of a fixed set of radii.
+    with r the best of a fixed set of radii.  K = None takes the smallest
+    K whose bound is at most DEFAULT_TOL; ids that need more than 100000
+    weights, or whose weights overflow, are refused.
     """
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
@@ -364,14 +326,26 @@ def sigma_abgamma(p, gamma=None, K=200):
         gamma = qpoch(b, q) / qpoch(a, q)
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    series = hp_coefficients(b / a, q, K)
-    weights = np.array(series.coefficients) * a ** np.arange(K + 1)
-    norm = float(weights.sum())
     # sum_{k>K} c_k a^k <= h_p(r) (a/r)^{K+1} / (1 - a/r) for every radius
     # a < r < 1/q; taken in logs because h_p(r) overflows near 1/q
-    radii = [a + (1.0 / q - a) * (1.0 - 0.5 ** j) for j in range(1, 13)]
-    log_tail = min(_log_hp_upper(b / a, q, r) + (K + 1) * math.log(a / r)
-                   - math.log1p(-a / r) for r in radii) - math.log(norm)
+    radii = _radii(a, 1.0 / q)
+    log_head = np.array([_log_hp_upper(b / a, q, r) - math.log1p(-a / r)
+                         for r in radii])
+    log_ratio = np.log(radii / a)
+    if K is None:
+        # the weights sum to at least c_0 = 1, so the unnormalized bound
+        # suffices
+        K = max(0, math.ceil(float(np.min(
+            (log_head - math.log(DEFAULT_TOL)) / log_ratio))) - 1)
+        if K > 100000:
+            raise DomainError("sigma_abgamma: no K <= 100000 bounds the tail"
+                              " by %g" % DEFAULT_TOL)
+    # c_k a^k directly, as the coefficients of h_p(a z): c_k alone overflows
+    weights = _exp_series(_hp_log_terms(b / a, q, K, a))
+    norm = float(weights.sum())
+    if not math.isfinite(norm):
+        raise DomainError("sigma_abgamma weights overflow")
+    log_tail = float(np.min(log_head - (K + 1) * log_ratio)) - math.log(norm)
     tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
     pairs = [(gamma * q ** k, w / norm)
              for k, w in enumerate(weights) if w != 0.0]

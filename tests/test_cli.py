@@ -166,6 +166,22 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_sigmaq_first_moment_near_one(capsys):
+    # (1 - b)/(1 - a) = 20; a fixed K = 200 printed 2.8e8
+    code, out, _ = run(capsys, "moments", "sigmaq:0.95:0:0.95",
+                       "--n-max", "2")
+    assert code == 0
+    first = float(out.strip().splitlines()[2].split(",")[1])
+    assert first == pytest.approx(20.0, rel=1e-9)
+
+
+def test_sigmaq_unbounded_tail_is_usage_error(capsys):
+    code, out, err = run(capsys, "moments", "sigmaq:0.99:0.5:0.99")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_hp_moments_are_the_series_coefficients(capsys):
     code, out, _ = run(capsys, "moments", "hp:0.5:0.5", "--n-max", "60")
     assert code == 0

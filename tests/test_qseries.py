@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from momentforge import (DomainError, QParams, additive_convolve,
                          hp_coefficients, mellin_qbeta, moment, mu_abq, mu_c,
                          nu_a, product_convolve, qbeta_moment_sequence,
                          qbinomial_check, qpoch, sigma_abgamma, tau_c)
+from momentforge.qseries import _exp_series
 from momentforge.semigroups import t_transform
 
 P = QParams(0.5, 0.25, 0.5)
@@ -85,6 +87,43 @@ def test_tau_is_probability():
     for c in (0.5, 1.0, 2.5):
         tau = tau_c(P, c)
         assert tau.total_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def _tau_reference(p, c, N, terms=80):
+    """w_0..w_N of tau_c by brute force: w_0 sum_m c^m lambda^{*m} / m!
+    over the closed-form Levy weights lambda_k = (a^k - b^k)/(k (1-q^k))."""
+    k = np.arange(1, N + 1)
+    lam = np.concatenate(([0.0], (p.a ** k - p.b ** k)
+                          / (k * (1.0 - p.q ** k))))
+    power = np.zeros(N + 1)
+    power[0] = 1.0
+    acc = power.copy()
+    for m in range(1, terms + 1):
+        power = np.convolve(power, lam)[:N + 1] * (c / m)
+        acc += power
+    return (qpoch(p.a, p.q) / qpoch(p.b, p.q)) ** c * acc
+
+
+@pytest.mark.parametrize("c", [0.5, 2.5])
+def test_tau_weights_match_convolution_exponential(c):
+    tau = tau_c(P, c)
+    weights = np.array([tau.zero_mass] + [wt for _, wt in tau.atoms])
+    reference = _tau_reference(P, c, len(tau.atoms))
+    assert np.max(np.abs(weights - reference) / reference) < 1e-13
+
+
+@pytest.mark.parametrize("c", [0.5, 2.5])
+def test_tau_truncation_error_bounds_dropped_mass(c):
+    tau = tau_c(P, c)
+    N = len(tau.atoms)
+    j = np.arange(1, 4 * N + 1)
+    w = _exp_series(c * (P.a ** j - P.b ** j) / (1.0 - P.q ** j),
+                    tau.zero_mass)
+    assert 0.0 < math.fsum(w[N + 1:]) <= tau.truncation_error
+
+
+def test_tau_keeps_few_atoms():
+    assert len(tau_c(P, 1.0).atoms) <= 200
 
 
 def test_tau_pushforward_matches_mu():
