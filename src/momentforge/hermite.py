@@ -4,22 +4,28 @@ and certified positivity of the generating function
     G(t, x) = sum_{k>=0} h_k(x) t^k,   |t| < 1.
 
 The partial sum carries the explicit tail majorant
-e^{x^2/2} |t|^{N+1}/(1-|t|), so every scan value comes with a certified
-lower bound.  Summation runs in binary64 with a roundoff-noise estimate;
-points where the noise could eat the certification margin are recomputed
-with mpmath at a working precision sized to the term magnitudes.
+e^{x^2/2} |t|^{N+1}/(1-|t|) and a proven bound on its own roundoff, so
+every scan value comes with a certified lower bound.  Summation runs in
+binary64 with a running error bound (_sum_float); points where that bound
+exceeds a quarter of the tolerance are summed again exactly in fixed point
+on Python ints, at a scale chosen from that path's own bound (_sum_mp).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import mpmath
+from fractions import Fraction
+from math import isqrt
+from typing import Tuple
 
 from .errors import BudgetError, DomainError, InconsistencyError, RangeError
 
-_EPS = 2.0 ** -52
 _MAX_TERMS = 200000
+#: unit roundoff of binary64
+_U = 2.0 ** -53
+#: roundings per recurrence step in the binary64 majorant (see _sum_float)
+_C = 7.0
+#: magnitudes below this leave the binary64 path (see _sum_float)
+_TINY = 2.0 ** -900
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,9 @@ class GenFunValue:
     """A certified partial sum of G(t, x).
 
     ``tail_bound`` is e^{x^2/2} |t|^{N+1}/(1-|t|) for N = terms_used - 1,
-    so the true value lies in [value - tail_bound, value + tail_bound]
-    up to summation roundoff (kept below the certification margin).
+    the Szasz majorant of the dropped terms, and ``roundoff_bound`` bounds
+    the distance between ``value`` and the exact partial sum.  The true
+    G(t, x) lies within tail_bound + roundoff_bound of ``value``.
     """
 
     t: float
@@ -46,10 +53,11 @@ class GenFunValue:
     value: float
     tail_bound: float
     terms_used: int
+    roundoff_bound: float = 0.0
 
     @property
     def certified_lower(self):
-        return self.value - self.tail_bound
+        return self.value - self.tail_bound - self.roundoff_bound
 
 
 @dataclass(frozen=True)
@@ -141,54 +149,156 @@ def _terms_needed(t, x, tol):
 
 
 def _sum_float(t, x, n_terms):
-    """Partial sum over k = 0..n_terms in binary64, plus the largest
-    magnitude met (term or running total) for the noise estimate."""
+    """The partial sum s_N = sum_{k<=N} h_k(x) t^k (N = n_terms) in
+    binary64, and a gain S with |s_N - returned sum| <= u S, u = 2^-53.
+
+    Round to nearest obeys both fl(a op b) = (a op b)(1 + d) and
+    fl(a op b) = (a op b)/(1 + d'), |d|, |d'| <= u, for +, -, *, / and sqrt
+    while nothing underflows (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2.2); by the second form an operation errs by at
+    most u times its computed result.  Tildes mark computed values.
+
+    * Recurrence.  h~_{k+1} is
+      fl(fl(fl(fl(sqrt 2) x) h~_k) - fl(fl(sqrt k) h~_{k-1})) / fl(sqrt(k+1)):
+      the h~_k branch meets six roundings and the h~_{k-1} branch five, so
+      by Higham's Lemma 3.1 it differs from the exact step
+      (sqrt 2 x h~_k - sqrt k h~_{k-1}) / sqrt(k+1) by at most
+      gamma_6 (A_k |h~_k| + B_k |h~_{k-1}|), gamma_6 = 6u/(1 - 6u) < 7u,
+      where A_k = sqrt 2 |x| / sqrt(k+1) and B_k = sqrt(k/(k+1)).  The exact
+      step carries earlier errors with the same coefficients, so
+      |h~_k - h_k| <= u E_k for the majorant
+          E_{k+1} = A_k E_k + B_k E_{k-1} + c (A_k |h~_k| + B_k |h~_{k-1}|),
+      c = 7, E_0 = 0 and E_1 = c |h~_1| (h~_1 meets two roundings).  The
+      coefficients enter with absolute values, so E_k also bounds the
+      growth that the three-term recurrence gives each local error.
+    * Powers.  t~_{k+1} = fl(t~_k t) and t~_1 = t give |t~_k - t^k| <= u g_k
+      with g_1 = 0, g_{k+1} = |t~_{k+1}| + |t| g_k.
+    * Terms and sums.  As |t|^k <= |t~_k| + u g_k, the term errs by
+      |fl(h~_k t~_k) - h_k t^k| <= u (|term~_k| + |h~_k| g_k
+      + E_k (|t~_k| + u g_k)), and the k'th addition by u |s~_k|, so
+          S = sum_{k=1}^{N} |term~_k| + |h~_k| g_k + E_k (|t~_k| + u g_k)
+              + |s~_k|.
+    * S itself is evaluated in binary64 from nonnegative quantities along
+      chains of at most 10N + 5 roundings (8 per step for E_k, 2 for g_k,
+      then the additions), each of which can lower it by a factor 1 - u;
+      the returned S is padded by 1 + 32 (N + 1) u, which covers them and
+      its own rounding for N <= _MAX_TERMS.
+
+    The recurrence and the summation order are those of the plain sum, so
+    the returned sum does not depend on the bound.  S is inf, which hands
+    the point to the exact path, when it overflows, and when |t^N| or a
+    nonzero |x| is below 2^-900, so that the terms and the first values of
+    the recurrence stay clear of the underflow range.
+    """
     total = 1.0
-    maxmag = 1.0
-    prev, curr = 1.0, math.sqrt(2.0) * x
+    sqrt2_x = math.sqrt(2.0) * x
+    prev, curr = 1.0, sqrt2_x
     tk = t
+    at = abs(t)
+    ax = abs(sqrt2_x)
+    err_prev, err = 0.0, _C * abs(curr)
+    tk_err = 0.0
+    gain = 0.0
     for k in range(1, n_terms + 1):
         term = curr * tk
         total += term
-        mag = max(abs(term), abs(total))
-        if mag > maxmag:
-            maxmag = mag
-        prev, curr = curr, ((math.sqrt(2.0) * x * curr
-                             - math.sqrt(k) * prev)
-                            / math.sqrt(k + 1.0))
+        gain += (abs(term) + abs(curr) * tk_err
+                 + err * (abs(tk) + _U * tk_err) + abs(total))
+        root = math.sqrt(k + 1.0)
+        a = ax / root
+        b = math.sqrt(k / (k + 1.0))
+        err_prev, err = err, (a * err + b * err_prev
+                              + _C * (a * abs(curr) + b * abs(prev)))
+        prev, curr = curr, (sqrt2_x * curr - math.sqrt(k) * prev) / root
         tk *= t
-    return total, maxmag
+        tk_err = abs(tk) + at * tk_err
+    if not (gain < math.inf and abs(tk) >= _TINY
+            and (x == 0.0 or abs(x) >= _TINY)):
+        return total, math.inf
+    return total, gain * (1.0 + 32.0 * (n_terms + 1) * _U)
 
 
-def _sum_mp(t, x, n_terms, dps):
-    with mpmath.workdps(dps):
-        tm = mpmath.mpf(t)
-        xm = mpmath.mpf(x)
-        total = mpmath.mpf(1)
-        prev, curr = mpmath.mpf(1), mpmath.sqrt(2) * xm
-        tk = tm
-        for k in range(1, n_terms + 1):
-            total += curr * tk
-            prev, curr = curr, ((mpmath.sqrt(2) * xm * curr
-                                 - mpmath.sqrt(k) * prev)
-                                / mpmath.sqrt(k + 1))
-            tk *= tm
-        return float(total)
+def _sum_mp(t, x, n_terms, bits):
+    """The partial sum s_N = sum_{k<=N} h_k(x) t^k (N = n_terms) in fixed
+    point with scale 2^bits on Python ints: the value, that sum rounded
+    to binary64, and a bound on the error before that rounding (inf where
+    it overflows).  The rounding adds at most 2^-53 |value|.
+
+    x and t are taken exactly (binary64 values are dyadic rationals), and
+    t is folded into the recurrence: u_k = h_k t^k obeys
+        u_{k+1} = x t a_k u_k - t^2 b_k u_{k-1},  u_0 = 1, u_{-1} = 0,
+    with a_k = sqrt(2/(k+1)), b_k = sqrt(k/(k+1)).  U_k ~ 2^bits u_k is
+        U_{k+1} = floor(U_k alpha_k x t / 2^bits)
+                  - floor(U_{k-1} beta_k t^2 / 2^bits),
+    where alpha_k = isqrt((2 << 2 bits) // (k+1)) and
+    beta_k = isqrt((k << 2 bits) // (k+1)) lie within 2 units below
+    2^bits a_k and 2^bits b_k (isqrt(floor(y)) > sqrt(y) - 2 for y >= 1).
+    The two floors together miss the real quotients by less than one unit,
+    so in units of 2^-bits the step misses the exact step from the
+    computed U_k, U_{k-1} by less than
+        1 + 2 |x t| |U_k| / 2^bits + 2 t^2 |U_{k-1}| / 2^bits,
+    and, with D_0 = 0, |U_k - 2^bits u_k| <= D_k for the majorant
+        D_{k+1} = |x t| a_k D_k + t^2 b_k D_{k-1} + (that injection).
+    D is run alongside in integers rounded up, with a_k and b_k bounded
+    above by (alpha_k >> (bits - 64)) + 2 and (beta_k >> (bits - 64)) + 2
+    over 2^64 (bits >= 65).  The integer sum of the U_k is exact, so its
+    error is at most sum_k D_k / 2^bits.
+    """
+    if bits < 65:
+        raise DomainError("the fixed-point sum needs at least 65 bits")
+    xt = Fraction(x) * Fraction(t)
+    t2 = Fraction(t) ** 2
+    # both are dyadic: divide by the denominator with a shift
+    xt_num, xt_shift = xt.numerator, xt.denominator.bit_length() - 1
+    t2_num, t2_shift = t2.numerator, t2.denominator.bit_length() - 1
+    axt_num = abs(xt_num)
+    two_bits = 2 * bits
+    top = bits - 64
+    prev, curr = 0, 1 << bits
+    total = curr
+    err_prev = err = err_sum = 0
+    for k in range(n_terms):
+        alpha = isqrt((2 << two_bits) // (k + 1))
+        beta = isqrt((k << two_bits) // (k + 1))
+        nxt = ((curr * alpha * xt_num >> (bits + xt_shift))
+               - (prev * beta * t2_num >> (bits + t2_shift)))
+        # -(-n >> s) is n / 2^s rounded up
+        err_prev, err = err, (
+            1
+            - (-err * ((alpha >> top) + 2) * axt_num >> (64 + xt_shift))
+            - (-err_prev * ((beta >> top) + 2) * t2_num >> (64 + t2_shift))
+            - (-abs(curr) * axt_num >> (bits + xt_shift - 1))
+            - (-abs(prev) * t2_num >> (bits + t2_shift - 1)))
+        err_sum += err
+        prev, curr = curr, nxt
+        total += curr
+    try:
+        value = total / (1 << bits)
+    except OverflowError:
+        raise RangeError("G(%g, %g) overflows binary64" % (t, x))
+    try:
+        bound = err_sum / (1 << bits)
+    except OverflowError:
+        return value, math.inf
+    # the division rounds to nearest; one ulp up makes it a bound
+    return value, math.nextafter(bound, math.inf)
 
 
 def generating_G(t, x, tol=1e-10, max_terms=_MAX_TERMS):
     """Certified evaluation of G(t, x) = sum h_k(x) t^k for |t| < 1.
 
-    The number of terms is fixed in advance from the Szasz tail majorant;
-    if binary64 roundoff (about N eps max|partial|) could exceed a quarter
-    of ``tol`` the sum is redone in multiprecision.
+    The number of terms is fixed in advance from the Szasz tail majorant.
+    The sum runs in binary64 with the running bound of _sum_float; where
+    that bound exceeds tol/4 it is redone in fixed point by _sum_mp, at a
+    scale raised until that path's own bound is at most tol/4.  The bound
+    of the path taken is ``roundoff_bound``.
     """
     t = float(t)
     x = float(x)
     if not abs(t) < 1.0:
         raise DomainError("generating_G needs |t| < 1, got t = %g" % t)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be a finite positive number")
     n_top = _terms_needed(t, x, tol)
     if n_top > max_terms:
         raise BudgetError(
@@ -199,17 +309,31 @@ def generating_G(t, x, tol=1e-10, max_terms=_MAX_TERMS):
         return GenFunValue(t, x, 1.0, 0.0, 1)
     tail = math.exp(0.5 * x * x + (n_top + 1) * math.log(at)
                     - math.log1p(-at))
-    value, maxmag = _sum_float(t, x, n_top)
-    noise = (n_top + 2) * _EPS * maxmag
-    if noise > 0.25 * tol:
-        digits = int(math.ceil(math.log10(max(maxmag, 1.0) / tol))) + 12
-        value = _sum_mp(t, x, n_top, max(30, digits))
-    return GenFunValue(t, x, value, tail, n_top + 1)
+    value, gain = _sum_float(t, x, n_top)
+    roundoff = _U * gain
+    if not roundoff <= 0.25 * tol:
+        # the fixed-point bound has come out at about half the binary64
+        # one, so the gain predicts the scale; a gain past the binary64
+        # range needs more than 1024 bits
+        log_gain = math.log2(gain) if gain < math.inf else 1024.0
+        bits = max(65, math.ceil(log_gain + 2.0 - math.log2(tol)))
+        while True:
+            value, bound = _sum_mp(t, x, n_top, bits)
+            if bound <= 0.25 * tol:
+                break
+            # the bound scales as 2^-bits; double where it overflowed
+            bits += (bits if bound == math.inf else math.ceil(
+                math.log2(bound) + 2.0 - math.log2(tol)) + 1)
+        # the rounding to binary64 adds at most 2^-53 |value|; one ulp up
+        # covers the rounding of this sum
+        roundoff = math.nextafter(bound + _U * abs(value), math.inf)
+    return GenFunValue(t, x, value, tail, n_top + 1, roundoff)
 
 
 def positivity_scan(t_grid, x_grid, tol=1e-10):
-    """Evaluate G with certified tails on a grid; all_positive is true iff
-    value - tail_bound > 0 at every grid point."""
+    """Evaluate G with certified bounds on a grid; all_positive is true iff
+    certified_lower = value - tail_bound - roundoff_bound > 0 at every
+    grid point."""
     points = []
     min_value = math.inf
     min_cert = math.inf

@@ -10,6 +10,7 @@ convolution of weight arrays.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -317,8 +318,9 @@ def sigma_abgamma(p, gamma=None, K=None):
     T-transform products prod_{k<=n} (b;q)_k/(a;q)_k.  The weights past K
     are bounded by Cauchy's estimate c_k <= h_p(r)/r^k for a < r < 1/q,
     with r the best of a fixed set of radii.  K = None takes the smallest
-    K whose bound is at most DEFAULT_TOL; ids that need more than 100000
-    weights, or whose weights overflow, are refused.
+    K whose bound, divided by a lower bound on h_p(a), is at most
+    DEFAULT_TOL; ids that need more than 100000 weights, or whose weights
+    overflow, are refused.
     """
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
@@ -333,10 +335,15 @@ def sigma_abgamma(p, gamma=None, K=None):
                          for r in radii])
     log_ratio = np.log(radii / a)
     if K is None:
-        # the weights sum to at least c_0 = 1, so the unnormalized bound
-        # suffices
+        # the bound is divided by the kept weights, which come close to
+        # h_p(a): every term of its log series is nonnegative, so 2000 of
+        # them, less a margin for rounding, bound log h_p(a) from below
+        log_norm = float(np.sum(_hp_log_terms(b / a, q, 2000, a)
+                                / np.arange(1, 2001))) * (1.0 - 1e-12)
+        if log_norm > math.log(sys.float_info.max):
+            raise DomainError("sigma_abgamma weights overflow")
         K = max(0, math.ceil(float(np.min(
-            (log_head - math.log(DEFAULT_TOL)) / log_ratio))) - 1)
+            (log_head - log_norm - math.log(DEFAULT_TOL)) / log_ratio))) - 1)
         if K > 100000:
             raise DomainError("sigma_abgamma: no K <= 100000 bounds the tail"
                               " by %g" % DEFAULT_TOL)

@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import bernstein, hankel, hermite, qseries, semigroups
+from .errors import DomainError
 from .measures import (MomentSequence, additive_convolve, moment,
                        product_convolve)
 
@@ -333,6 +334,8 @@ _SUITES = {
 
 def run_suite(name, tol=None):
     """Run one named suite, or all of them for name == 'all'."""
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise DomainError("tol must be a finite positive number")
     if name == "all":
         results = []
         for key in SUITE_NAMES:

@@ -158,6 +158,11 @@ def test_resolve_rejects_garbage():
     ["moments", "gamma:nan:1"],
     ["moments", "gamma:inf:1"],
     ["moments", "qbeta:0.5:0.25:0.5:-1"],
+    ["hermite-scan", "--tol", "nan"],
+    ["hermite-scan", "--tol", "inf"],
+    ["verify", "hankel", "--tol", "inf"],
+    ["verify", "hankel", "--tol", "nan"],
+    ["verify", "hankel", "--tol", "-1"],
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,11 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import momentforge
 from momentforge import (DomainError, generating_G, hermite_H, hermite_eval,
                          hermite_h, positivity_scan)
 from momentforge.errors import BudgetError, RangeError
+from momentforge.hermite import _sum_float, _sum_mp, _terms_needed
+
+U = 2.0 ** -53
+DEFAULT_T = [round(-0.95 + 0.05 * i, 12) for i in range(39)]
+DEFAULT_X = [round(-10.0 + 0.25 * i, 12) for i in range(81)]
 
 
 def test_H_base_cases():
@@ -135,3 +144,58 @@ def test_scan_small_grid():
 def test_scan_single_hard_point():
     report = positivity_scan([-0.9], [8.0], tol=1e-10)
     assert report.all_positive
+
+
+def _close_to_reference(g, bits):
+    """|value - partial sum| <= roundoff_bound, against the fixed-point sum
+    at ``bits``, which is rounded to binary64 and carries its own bound."""
+    ref, ref_bound = _sum_mp(g.t, g.x, g.terms_used - 1, bits)
+    assert ref_bound < 1e-30
+    return abs(g.value - ref) <= g.roundoff_bound + ref_bound + U * abs(ref)
+
+
+@pytest.mark.parametrize("t, x", [(0.95, -10.0), (-0.95, 10.0),
+                                  (-0.95, -4.0), (0.9, 9.5)])
+def test_G_within_roundoff_bound_of_finer_fixed_point(t, x):
+    # these points need at most 650 bits; the reference has 128 more
+    assert _close_to_reference(generating_G(t, x), 650 + 128)
+
+
+def test_G_binary64_path_within_roundoff_bound():
+    tol = 1e-10
+    points = []
+    for t in DEFAULT_T[::2]:
+        for x in DEFAULT_X[::2]:
+            if t == 0.0:
+                continue
+            n = _terms_needed(t, x, tol)
+            if U * _sum_float(t, x, n)[1] <= 0.25 * tol:
+                points.append((t, x))
+    points = points[::len(points) // 200][:200]
+    assert len(points) == 200
+    for t, x in points:
+        assert _close_to_reference(generating_G(t, x, tol=tol), 800)
+
+
+def test_G_roundoff_bound_on_hard_grid():
+    tol = 1e-10
+    for t in (-0.95, -0.9, 0.5, 0.9, 0.95):
+        for x in (-10.0, -9.5, -4.0, 9.5, 10.0):
+            g = generating_G(t, x, tol=tol)
+            assert g.roundoff_bound <= 0.25 * tol + U * abs(g.value)
+            assert g.certified_lower == (g.value - g.tail_bound
+                                         - g.roundoff_bound)
+
+
+def test_G_without_mpmath():
+    code = ("import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from momentforge import generating_G\n"
+            "g = generating_G(0.95, -10.0)\n"
+            "print(repr(g.value), g.certified_lower > 0)\n")
+    src = os.path.dirname(os.path.dirname(momentforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout.split()
+    assert float(out[0]) == pytest.approx(0.0272191, abs=1e-6)
+    assert out[1] == "True"

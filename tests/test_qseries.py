@@ -251,6 +251,18 @@ def test_sigma_tail_bounds_dropped_weights(a, b, q):
     assert 0.0 < dropped <= sig.truncation_error
 
 
+def test_sigma_default_K_from_normalized_bound():
+    # choosing K against the unnormalized bound kept 774 weights here
+    a, b, q = 0.9, 0.0, 0.9
+    sig = sigma_abgamma(QParams(a, b, q))
+    assert len(sig.atoms) <= 400
+    K = len(sig.atoms) - 1
+    cs = hp_coefficients(b / a, q, 4 * K).coefficients
+    weights = [c * a ** k for k, c in enumerate(cs)]
+    dropped = math.fsum(weights[K + 1:]) / math.fsum(weights)
+    assert dropped <= sig.truncation_error <= 1e-14
+
+
 @pytest.mark.parametrize("c", [0.0, -1.0])
 def test_qbeta_moments_reject_bad_c(c):
     with pytest.raises(DomainError):
