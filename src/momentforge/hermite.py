@@ -14,7 +14,9 @@ on Python ints, at a scale chosen from that path's own bound (_sum_mp).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
+from operator import rshift
 from typing import Tuple
 
 from .errors import BudgetError, DomainError, InconsistencyError, RangeError
@@ -26,6 +28,12 @@ _U = 2.0 ** -53
 _C = 7.0
 #: magnitudes below this leave the binary64 path (see _sum_float)
 _TINY = 2.0 ** -900
+#: the retained coefficient table of _sum_mp holds at most this many
+#: scale bits times terms (a little over 2 MiB of alpha_k and beta_k)
+_TABLE_CAP = 1 << 23
+#: (P, alpha_k, beta_k, alpha64_k, beta64_k) for k below the table length,
+#: from _coefficient_table; replaced whole, never mutated
+_table = (0, (), (), (), ())
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,9 @@ def _terms_needed(t, x, tol):
         return 0
     log_target = math.log(tol) + math.log1p(-at) - 0.5 * x * x
     n_plus_1 = max(1.0, log_target / math.log(at))
+    if not n_plus_1 < math.inf:
+        raise BudgetError("the term count for tol = %g at x = %g "
+                          "overflows binary64" % (tol, x))
     return int(math.ceil(n_plus_1))
 
 
@@ -218,6 +229,43 @@ def _sum_float(t, x, n_terms):
     return total, gain * (1.0 + 32.0 * (n_terms + 1) * _U)
 
 
+def _coefficient_table(scale, n_terms):
+    """For k < n_terms: alpha_k = floor(2^scale sqrt(2/(k+1))) and
+    beta_k = floor(2^scale sqrt(k/(k+1))), and the 64-bit majorant
+    coefficients floor(2^64 sqrt(2/(k+1))) + 2, floor(2^64 sqrt(k/(k+1))) + 2
+    (scale >= 65), as a (scale, alpha, beta, alpha64, beta64) table."""
+    two_scale = 2 * scale
+    alpha = [isqrt((2 << two_scale) // (k + 1)) for k in range(n_terms)]
+    beta = [isqrt((k << two_scale) // (k + 1)) for k in range(n_terms)]
+    top = scale - 64
+    return (scale, alpha, beta, [(a >> top) + 2 for a in alpha],
+            [(b >> top) + 2 for b in beta])
+
+
+def _coefficients(bits, n_terms):
+    """(alpha_k, beta_k, alpha64_k, beta64_k) at scale 2^bits for
+    k < n_terms, shifted lazily from the module table, which grows
+    by half in scale or length when a request exceeds it.  A request
+    whose grown table would pass _TABLE_CAP scale bits times terms is
+    built alone and not retained."""
+    global _table
+    table = _table
+    scale, size = table[0], len(table[1])
+    if bits > scale or n_terms > size:
+        scale = scale if bits <= scale else max(bits, scale + scale // 2)
+        size = size if n_terms <= size else max(n_terms, size + size // 2)
+        if scale * size <= _TABLE_CAP:
+            # a concurrent caller may replace it too; both tables are exact
+            table = _table = _coefficient_table(scale, size)
+        else:
+            table = _coefficient_table(bits, n_terms)
+    scale, alpha, beta, alpha64, beta64 = table
+    shift = scale - bits
+    # the repeats end the zip after n_terms entries
+    return zip(map(rshift, alpha, repeat(shift, n_terms)),
+               map(rshift, beta, repeat(shift, n_terms)), alpha64, beta64)
+
+
 def _sum_mp(t, x, n_terms, bits):
     """The partial sum s_N = sum_{k<=N} h_k(x) t^k (N = n_terms) in fixed
     point with scale 2^bits on Python ints: the value, that sum rounded
@@ -243,6 +291,16 @@ def _sum_mp(t, x, n_terms, bits):
     above by (alpha_k >> (bits - 64)) + 2 and (beta_k >> (bits - 64)) + 2
     over 2^64 (bits >= 65).  The integer sum of the U_k is exact, so its
     error is at most sum_k D_k / 2^bits.
+
+    The coefficients come from one table at the largest scale P seen so
+    far (_coefficients).  Since isqrt(floor(y)) = floor(sqrt(y)), alpha_k
+    is floor(2^bits a_k), and since floor(floor(z) / 2^m) = floor(z / 2^m),
+    the table entry floor(2^P a_k) >> (P - bits) equals it bit for bit;
+    likewise for beta_k, and (alpha_k >> (bits - 64)) + 2 is
+    floor(2^64 a_k) + 2 at every scale.  The result therefore does not
+    depend on which calls came before.  The retained table holds at most
+    _TABLE_CAP scale bits times terms; a larger request builds its own
+    coefficients and drops them.
     """
     if bits < 65:
         raise DomainError("the fixed-point sum needs at least 65 bits")
@@ -252,21 +310,17 @@ def _sum_mp(t, x, n_terms, bits):
     xt_num, xt_shift = xt.numerator, xt.denominator.bit_length() - 1
     t2_num, t2_shift = t2.numerator, t2.denominator.bit_length() - 1
     axt_num = abs(xt_num)
-    two_bits = 2 * bits
-    top = bits - 64
     prev, curr = 0, 1 << bits
     total = curr
     err_prev = err = err_sum = 0
-    for k in range(n_terms):
-        alpha = isqrt((2 << two_bits) // (k + 1))
-        beta = isqrt((k << two_bits) // (k + 1))
+    for alpha, beta, alpha64, beta64 in _coefficients(bits, n_terms):
         nxt = ((curr * alpha * xt_num >> (bits + xt_shift))
                - (prev * beta * t2_num >> (bits + t2_shift)))
         # -(-n >> s) is n / 2^s rounded up
         err_prev, err = err, (
             1
-            - (-err * ((alpha >> top) + 2) * axt_num >> (64 + xt_shift))
-            - (-err_prev * ((beta >> top) + 2) * t2_num >> (64 + t2_shift))
+            - (-err * alpha64 * axt_num >> (64 + xt_shift))
+            - (-err_prev * beta64 * t2_num >> (64 + t2_shift))
             - (-abs(curr) * axt_num >> (bits + xt_shift - 1))
             - (-abs(prev) * t2_num >> (bits + t2_shift - 1)))
         err_sum += err
@@ -297,6 +351,8 @@ def generating_G(t, x, tol=1e-10, max_terms=_MAX_TERMS):
     x = float(x)
     if not abs(t) < 1.0:
         raise DomainError("generating_G needs |t| < 1, got t = %g" % t)
+    if not math.isfinite(x):
+        raise DomainError("generating_G needs a finite x, got x = %g" % x)
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be a finite positive number")
     n_top = _terms_needed(t, x, tol)

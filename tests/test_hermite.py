@@ -5,12 +5,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momentforge
-from momentforge import (DomainError, generating_G, hermite_H, hermite_eval,
-                         hermite_h, positivity_scan)
+from momentforge import (DomainError, generating_G, hermite, hermite_H,
+                         hermite_eval, hermite_h, positivity_scan)
 from momentforge.errors import BudgetError, RangeError
-from momentforge.hermite import _sum_float, _sum_mp, _terms_needed
+from momentforge.hermite import (_coefficients, _sum_float, _sum_mp,
+                                 _terms_needed)
 
 U = 2.0 ** -53
 DEFAULT_T = [round(-0.95 + 0.05 * i, 12) for i in range(39)]
@@ -122,6 +125,18 @@ def test_G_domain():
         generating_G(-1.2, 0.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_G_rejects_non_finite_x(x):
+    with pytest.raises(DomainError):
+        generating_G(0.5, x)
+
+
+def test_G_budget_when_the_tail_overflows():
+    # e^{x^2/2} is inf: no finite number of terms reaches the tolerance
+    with pytest.raises(BudgetError):
+        generating_G(0.5, 1e200)
+
+
 def test_G_budget():
     with pytest.raises(BudgetError):
         generating_G(0.999999, 0.0, tol=1e-10, max_terms=1000)
@@ -199,3 +214,44 @@ def test_G_without_mpmath():
                          text=True, check=True, env=env).stdout.split()
     assert float(out[0]) == pytest.approx(0.0272191, abs=1e-6)
     assert out[1] == "True"
+
+
+@given(st.integers(65, 1200), st.integers(0, 2000))
+@settings(max_examples=100, deadline=None)
+def test_coefficients_equal_the_direct_isqrt(bits, k):
+    # floor(floor(z) / 2^m) = floor(z / 2^m), and isqrt(floor(y)) is
+    # floor(sqrt(y)): a table entry at any larger scale, shifted, is exact
+    alpha, beta, alpha64, beta64 = list(_coefficients(bits, k + 1))[k]
+    assert alpha == math.isqrt((2 << 2 * bits) // (k + 1))
+    assert beta == math.isqrt((k << 2 * bits) // (k + 1))
+    assert alpha64 == (alpha >> (bits - 64)) + 2
+    assert beta64 == (beta >> (bits - 64)) + 2
+
+
+def test_sum_mp_does_not_depend_on_the_table_history():
+    n = _terms_needed(0.95, -10.0, 1e-10)
+    _sum_mp(0.99, 10.0, 7725, 800)
+    assert hermite._table[0] > 650
+    warm = _sum_mp(0.95, -10.0, n, 650)
+    code = ("from momentforge.hermite import _sum_mp\n"
+            "print(repr(_sum_mp(0.95, -10.0, %d, 650)))\n" % n)
+    src = os.path.dirname(os.path.dirname(momentforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True, env=env).stdout
+    assert repr(warm) == fresh.strip()
+
+
+def test_coefficient_table_stays_within_its_cap():
+    _coefficients(700, 1500)
+    kept = hermite._table
+    # the grown table would pass the cap: built alone, not retained
+    bits = 4096
+    n = hermite._TABLE_CAP // bits + 1
+    coefficients = list(_coefficients(bits, n))
+    assert len(coefficients) == n
+    alpha, beta, _, _ = coefficients[n - 1]
+    assert alpha == math.isqrt((2 << 2 * bits) // n)
+    assert beta == math.isqrt(((n - 1) << 2 * bits) // n)
+    assert hermite._table is kept
+    assert hermite._table[0] * len(hermite._table[1]) <= hermite._TABLE_CAP
