@@ -251,10 +251,10 @@ def _stable_centered_power(u, n):
     For |x - 1| < 1/2 uses the binomial tail sum_{k>=2} C(n,k)(x-1)^k.
     """
     u = np.asarray(u, dtype=float)
-    d = u - 1.0
-    direct = u ** n - 1.0 - n * d
     if n < 2:
         return np.zeros_like(u)
+    d = u - 1.0
+    direct = u ** n - 1.0 - n * d
     series = np.zeros_like(u)
     term = np.ones_like(u)
     coeff = 1.0
@@ -335,10 +335,9 @@ def psi(f, alpha, beta, z, tol=1e-11):
         return np.where(small, series, direct)
 
     if isinstance(kappa, AtomicMeasure):
-        total = 0.0 + 0.0j
-        for x, wt in kappa.atoms:
-            total += wt * complex(core(x)) * math.exp(-alpha * x)
-        result = head + total
+        x = kappa.locations()
+        result = head + complex(
+            np.dot(kappa.weights() * np.exp(-alpha * x), core(x)))
     else:
         dens = kappa.density
         value, _ = integrate_exp_decay(
@@ -364,10 +363,10 @@ def lk_log_moment(rep, n, tol=1e-11):
     head = rep.a * n + rep.b * n * n
     if rep.sigma is None or n == 0:
         return head
-    if isinstance(rep.sigma, AtomicMeasure):
-        return head + sum(wt * float(_stable_centered_power(u, n))
-                          for u, wt in rep.sigma.atoms)
     sigma = rep.sigma
+    if isinstance(sigma, AtomicMeasure):
+        return head + float(np.dot(
+            sigma.weights(), _stable_centered_power(sigma.locations(), n)))
     lo, hi = sigma.support
 
     def integrand(u):

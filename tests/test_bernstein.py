@@ -7,7 +7,8 @@ from momentforge import (AtomicMeasure, DomainError, UnsupportedError,
                          affine, kappa_of, linear, log_moment_via_rep,
                          mobius, power_moments, powertower, psi, qratio,
                          ratio, sigma_of)
-from momentforge.bernstein import lk_log_moment, lk_rep_of
+from momentforge.bernstein import (_stable_centered_power, lk_log_moment,
+                                   lk_rep_of)
 from momentforge.errors import PreconditionError
 from momentforge.measures import DensityMeasure
 from momentforge.quadrature import integrate, integrate_exp_decay
@@ -191,3 +192,23 @@ def test_self_test_rejects_bad_levy_density():
     # constructing ratio with b < a flips the sign of the levy density
     with pytest.raises(DomainError):
         ratio(3.0, 0.5)
+
+
+def test_atomic_lk_log_moment_matches_per_atom_sum():
+    f = qratio(0.5, 0.25, 0.5)
+    for alpha, beta in AB_PAIRS:
+        rep = lk_rep_of(f, alpha, beta)
+        assert isinstance(rep.sigma, AtomicMeasure)
+        for n in range(16):
+            expected = rep.a * n + rep.b * n * n + math.fsum(
+                wt * float(_stable_centered_power(u, n))
+                for u, wt in rep.sigma.atoms)
+            assert lk_log_moment(rep, n) == pytest.approx(
+                expected, rel=1e-14, abs=0.0)
+
+
+def test_atomic_psi_normalizations():
+    f = qratio(0.5, 0.25, 0.5)
+    for alpha, beta in AB_PAIRS:
+        assert abs(psi(f, alpha, beta, 0.0)) <= 1e-12
+        assert abs(psi(f, alpha, beta, 1.0) + math.log(f(alpha))) <= 1e-12

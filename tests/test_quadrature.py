@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from momentforge.errors import QuadratureError
-from momentforge.quadrature import (integrate, integrate_exp_decay,
+from momentforge.quadrature import (_KRONROD_NODES, _RULE_WEIGHTS,
+                                    integrate, integrate_exp_decay,
                                     integrate_log_sub, panel_budget)
+
+K21_WEIGHTS = _RULE_WEIGHTS[:, 0]
+G10_WEIGHTS = _RULE_WEIGHTS[:, 1]
 
 
 def test_polynomial_exact():
@@ -71,3 +75,64 @@ def test_budget_exhaustion_raises():
             del os.environ["MOMENTFORGE_QUAD_BUDGET"]
         else:
             os.environ["MOMENTFORGE_QUAD_BUDGET"] = old
+
+
+def _monomial_integral(k):
+    return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+
+
+@pytest.mark.parametrize("weights,degree", [(K21_WEIGHTS, 31),
+                                            (G10_WEIGHTS, 19)],
+                         ids=["K21", "G10"])
+def test_rule_integrates_monomials_exactly(weights, degree):
+    for k in range(degree + 1):
+        value = float(np.dot(weights, _KRONROD_NODES ** k))
+        assert abs(value - _monomial_integral(k)) <= 1e-15, k
+
+
+def test_rule_tables_are_symmetric_and_sum_to_two():
+    assert len(_KRONROD_NODES) == 21
+    assert np.all(np.diff(_KRONROD_NODES) < 0)
+    assert np.array_equal(_KRONROD_NODES, -_KRONROD_NODES[::-1])
+    for weights in (K21_WEIGHTS, G10_WEIGHTS):
+        assert np.array_equal(weights, weights[::-1])
+        assert math.fsum(weights) == pytest.approx(2.0, abs=1e-15)
+    # the Gauss nodes are the Kronrod nodes of odd index
+    assert np.count_nonzero(G10_WEIGHTS) == 10
+    assert np.all(G10_WEIGHTS[1::2] > 0)
+
+
+def _counting(f):
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return f(x)
+    return counted, sizes
+
+
+def test_one_integrand_call_per_split():
+    # with a budget of 8 panels the bisection makes exactly 7 splits
+    counted, sizes = _counting(lambda x: np.sin(200.0 * x) / (x + 1e-8))
+    with pytest.raises(QuadratureError):
+        integrate(counted, 0.0, 50.0, tol=1e-14, budget=8)
+    assert sizes == [21] + [42] * 7
+
+
+def test_converged_integration_calls_pattern():
+    counted, sizes = _counting(lambda x: 1.0 / np.sqrt(x))
+    val, _ = integrate(counted, 1e-300, 1.0, tol=1e-10)
+    assert val == pytest.approx(2.0, abs=1e-6)
+    assert len(sizes) > 1
+    assert sizes == [21] + [42] * (len(sizes) - 1)
+
+
+@pytest.mark.parametrize("f,a,b,tol,exact", [
+    (np.exp, 0.0, 1.0, 1e-12, math.e - 1.0),
+    (lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, 1e-10, 2.0),
+    (lambda x: np.sin(10.0 * x), 0.0, math.pi, 1e-12, 0.0),
+], ids=["exp", "inv-sqrt", "sin10x"])
+def test_error_estimate_covers_actual_error(f, a, b, tol, exact):
+    # the estimate |K21 - G10| leaves out rounding, so allow 4 ulp
+    val, err = integrate(f, a, b, tol=tol)
+    assert abs(val - exact) <= err + 4 * 2.0 ** -52 * max(1.0, abs(exact))
