@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-measures    atomic/density measures, moments, Mellin transforms, convolutions
+measures    atomic/density measures, integrals, moments, Mellin, convolutions
 quadrature  adaptive Gauss-Kronrod G10/K21 integration with substitutions
 hankel      Hankel PSD tests, Carleman diagnostics, power transforms
 bernstein   Bernstein-function catalog, kappa/sigma measures, psi
@@ -17,8 +17,8 @@ from .errors import (BudgetError, DomainError, InconsistencyError,
                      MomentForgeError, PreconditionError, QuadratureError,
                      RangeError, UnsupportedError)
 from .measures import (AtomicMeasure, DensityMeasure, MellinValue,
-                       MomentSequence, additive_convolve, mellin, moment,
-                       product_convolve, pushforward)
+                       MomentSequence, additive_convolve, integral, mellin,
+                       moment, product_convolve, pushforward)
 from .hankel import (HankelVerdict, CarlemanDiagnostic, Trichotomy,
                      carleman_diagnostic, power_sequence, stieltjes_check,
                      trichotomy_classify)

@@ -15,8 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedError
-from .measures import AtomicMeasure, DensityMeasure, MomentSequence
-from .quadrature import integrate, integrate_exp_decay
+from .measures import AtomicMeasure, DensityMeasure, MomentSequence, integral
 
 
 @dataclass(frozen=True)
@@ -54,16 +53,9 @@ def _self_test(f, tol=1e-7):
     # and f must be nonnegative nondecreasing on a spot-check grid
     if f.levy is not None:
         for s in (0.1, 1.0, 10.0):
-            if isinstance(f.levy, AtomicMeasure):
-                integral = sum(wt * -math.expm1(-s * loc)
-                               for loc, wt in f.levy.atoms)
-                integral_err = f.levy.truncation_error
-            else:
-                integral, integral_err = integrate_exp_decay(
-                    lambda x, s=s: -np.expm1(-s * x) * f.levy.density(x),
-                    tol=1e-11)
-            rep = f.a + f.b * s + integral
-            if abs(rep - f(s)) > tol * max(1.0, abs(f(s))) + 10 * integral_err:
+            value, err = integral(f.levy, lambda x: -np.expm1(-s * x), 1e-11)
+            rep = f.a + f.b * s + value
+            if abs(rep - f(s)) > tol * max(1.0, abs(f(s))) + 10 * err:
                 raise PreconditionError(
                     "%s: integral representation mismatch at s=%g "
                     "(%.12g vs %.12g)" % (f.catalog_id, s, rep, f(s)))
@@ -334,15 +326,8 @@ def psi(f, alpha, beta, z, tol=1e-11):
                          + (C + B / 2.0 + A / 12.0) * w * w)
         return np.where(small, series, direct)
 
-    if isinstance(kappa, AtomicMeasure):
-        x = kappa.locations()
-        result = head + complex(
-            np.dot(kappa.weights() * np.exp(-alpha * x), core(x)))
-    else:
-        dens = kappa.density
-        value, _ = integrate_exp_decay(
-            lambda x: core(x) * np.exp(-alpha * x) * dens(x), tol=tol)
-        result = head + value
+    value, _ = integral(kappa, lambda x: core(x) * np.exp(-alpha * x), tol)
+    result = head + value
     if z.imag == 0:
         return float(result.real)
     return result
@@ -363,18 +348,7 @@ def lk_log_moment(rep, n, tol=1e-11):
     head = rep.a * n + rep.b * n * n
     if rep.sigma is None or n == 0:
         return head
-    sigma = rep.sigma
-    if isinstance(sigma, AtomicMeasure):
-        return head + float(np.dot(
-            sigma.weights(), _stable_centered_power(sigma.locations(), n)))
-    lo, hi = sigma.support
-
-    def integrand(u):
-        return _stable_centered_power(u, n) * sigma.density(u)
-
-    if sigma.quadrature_hint == "finite-interval":
-        value, _ = integrate(integrand, lo, hi, tol=tol)
-    else:
-        value, _ = integrate_exp_decay(integrand, tol=tol)
-    return head + value
+    value, _ = integral(rep.sigma, lambda u: _stable_centered_power(u, n),
+                        tol)
+    return head + float(value)
 

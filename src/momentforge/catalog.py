@@ -21,11 +21,9 @@ class CatalogObject:
     """A resolved catalog entry with whatever evaluators it supports."""
 
     object_id: str
-    kind: str
     moment_fn: Optional[Callable] = None
     mellin_fn: Optional[Callable] = None
     measure_factory: Optional[Callable] = None
-    bernstein_fn: Optional[object] = None
 
     def moments(self, n_max):
         if self.moment_fn is None:
@@ -55,8 +53,7 @@ def _bernstein(make):
         f = make(*args)
         seq = bernstein.power_moments(f, float(params.get("alpha", 1.0)),
                                       float(params.get("beta", 1.0)))
-        return dict(kind="bernstein", moment_fn=seq,
-                    measure_factory=f.kappa_factory, bernstein_fn=f)
+        return dict(moment_fn=seq, measure_factory=f.kappa_factory)
     return build
 
 
@@ -65,8 +62,7 @@ def _family(make, mellin, density):
     at the integers."""
     def build(params, *args):
         fam = make(*args)
-        return dict(kind="family",
-                    moment_fn=lambda n: mellin(fam, n).real,
+        return dict(moment_fn=lambda n: mellin(fam, n).real,
                     mellin_fn=lambda z: mellin(fam, z),
                     measure_factory=lambda: density(fam))
     return build
@@ -77,8 +73,7 @@ def _measure(make):
     moments and Mellin values."""
     def build(params, *args):
         m = make(*args)
-        return dict(kind="measure",
-                    moment_fn=lambda n: moment(m, n).value,
+        return dict(moment_fn=lambda n: moment(m, n).value,
                     mellin_fn=lambda z: measure_mellin(m, z).value,
                     measure_factory=lambda: m)
     return build
@@ -86,7 +81,7 @@ def _measure(make):
 
 def _qbeta(params, a, b, q, c):
     p = qseries.QParams(a, b, q)
-    return dict(kind="measure", moment_fn=qseries.qbeta_moment_sequence(p, c),
+    return dict(moment_fn=qseries.qbeta_moment_sequence(p, c),
                 mellin_fn=lambda z: qseries.mellin_qbeta(p, c, z),
                 measure_factory=lambda: qseries.mu_c(p, c))
 
@@ -94,7 +89,7 @@ def _qbeta(params, a, b, q, c):
 def _hp(params, p, q):
     def coefficient(n):
         return qseries.hp_coefficients(p, q, n).coefficients[n]
-    return dict(kind="series", moment_fn=coefficient)
+    return dict(moment_fn=coefficient)
 
 
 #: id head -> (parameter names, builder).  A builder takes the extra

@@ -3,14 +3,15 @@
 Two carriers are provided: :class:`AtomicMeasure` for finite weighted sums
 of point masses (with an optional mass at zero and a recorded bound on
 discarded tail mass), and :class:`DensityMeasure` for nonnegative densities
-with a quadrature recipe.  Moments, Mellin transforms, product convolution
-and the three pushforward maps operate on these carriers and always report
-an absolute error alongside the value.
+with a quadrature recipe.  :func:`integral` is the one place that chooses
+between a sum over the atoms and quadrature; moments, Mellin and Laplace
+transforms go through it and report an absolute error estimate alongside
+the value.  Product convolution and the three pushforward maps operate on
+atomic measures.
 
 All values are immutable after construction and every operation is pure.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -27,7 +28,7 @@ MERGE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class MellinValue:
-    """A transform value together with an absolute error bound."""
+    """A transform value together with an absolute error estimate."""
 
     value: complex
     abs_error: float = 0.0
@@ -64,6 +65,9 @@ class AtomicMeasure:
     zero_mass: float = 0.0
     truncation_error: float = 0.0
 
+    #: an atomic measure integrates x^z for every z (no strip edge)
+    strip_min_re = None
+
     @staticmethod
     def from_pairs(pairs, zero_mass=0.0, truncation_error=0.0):
         if zero_mass < 0 or truncation_error < 0:
@@ -87,15 +91,10 @@ class AtomicMeasure:
     def total_mass(self):
         return self.zero_mass + sum(wt for _, wt in self.atoms)
 
-    def max_location(self):
-        return self.atoms[-1][0] if self.atoms else 0.0
-
     def laplace(self, s):
         """sum w_k exp(-s * loc_k), the Laplace transform at s."""
-        if not self.atoms:
-            return self.zero_mass
-        locs, wts = self.locations(), self.weights()
-        return self.zero_mass + float(np.sum(wts * np.exp(-s * locs)))
+        value, _ = integral(self, lambda x: np.exp(-s * x))
+        return self.zero_mass + float(value)
 
     def to_json_dict(self):
         return {
@@ -130,19 +129,48 @@ class DensityMeasure:
     catalog_id: Optional[str] = None
     params: Optional[tuple] = None
 
+    #: a density puts no mass at 0
+    zero_mass = 0.0
+
     def to_json_dict(self):
         if self.catalog_id is None:
             raise DomainError("only catalog densities are serializable")
         return {"density": self.catalog_id, "params": dict(self.params or ())}
 
 
-def _density_integral(m, weight, tol):
-    lo, hi = m.support
-    hint = m.quadrature_hint
+def integral(m, g, tol=1e-12):
+    """(value, error) of the integral of g over (0, inf) against m.
+
+    ``g`` maps an array of points to an array of values.  This is the only
+    place that chooses between a sum over atoms and quadrature.
+
+    For an atomic measure the value is the sum of w_k g(loc_k); the atom at
+    0 is left out, and callers that need it add ``zero_mass``.  The error
+    is the estimate truncation_error * |g(max(1, largest location))|.  It
+    bounds the dropped part when those atoms lie below the largest kept
+    location and |g| does not decrease, as for x^n (n >= 0) against
+    ``mu_abq``, ``mu_c`` and ``sigma_abgamma``, whose dropped atoms sit at
+    q^k -> 0.  For ``tau_c``, ``nu_a`` and the ``qratio`` kappa the dropped
+    atoms lie beyond the largest kept location, where a growing |g| is
+    larger, so there it is not a bound.
+
+    For a density it integrates g * density by the rule that
+    ``quadrature_hint`` names, and the error is the quadrature estimate.
+    """
+    if isinstance(m, AtomicMeasure):
+        if not m.atoms:
+            return 0.0, m.truncation_error
+        # one call of g: the atoms, then the point the estimate reads
+        vals = g(np.array([loc for loc, _ in m.atoms]
+                          + [max(1.0, m.atoms[-1][0])]))
+        return (np.sum(m.weights() * vals[:-1]),
+                m.truncation_error * float(abs(vals[-1])))
 
     def f(x):
-        return weight(x) * m.density(x)
+        return g(x) * m.density(x)
 
+    lo, hi = m.support
+    hint = m.quadrature_hint
     if hint == "finite-interval":
         return integrate(f, lo, hi, tol=tol)
     if hint == "exponential-decay":
@@ -153,26 +181,16 @@ def _density_integral(m, weight, tol):
 
 
 def moment(m, n, tol=1e-12):
-    """n'th moment of a measure, with its error, as a MellinValue.
+    """n'th moment of a measure, with its error estimate, as a MellinValue.
 
-    For an atomic measure the error is the estimate truncation_error *
-    max(1, max location)^n: the dropped mass lies beyond the largest kept
-    location, so this is not a bound.
+    The error is the one :func:`integral` reports.
     """
     if n < 0 or n != int(n):
         raise DomainError("moment order must be a nonnegative integer")
     n = int(n)
-    if isinstance(m, AtomicMeasure):
-        if not m.atoms:
-            value = m.zero_mass if n == 0 else 0.0
-            return MellinValue(value, m.truncation_error)
-        locs, wts = m.locations(), m.weights()
-        value = float(np.sum(wts * locs ** n))
-        if n == 0:
-            value += m.zero_mass
-        err = m.truncation_error * max(1.0, m.max_location()) ** n
-        return MellinValue(value, err)
-    value, err = _density_integral(m, lambda x: x ** float(n), tol)
+    value, err = integral(m, lambda x: x ** float(n), tol)
+    if n == 0:
+        value += m.zero_mass
     return MellinValue(float(value), err)
 
 
@@ -180,17 +198,11 @@ def mellin(m, z, tol=1e-12):
     """Mellin transform integral x^z dm as a MellinValue.
 
     Agrees with :func:`moment` at nonnegative integers within the combined
-    error bounds.
+    error estimates.
     """
     z = complex(z)
-    if isinstance(m, AtomicMeasure):
-        if m.zero_mass > 0 and z != 0 and z.real <= 0:
-            raise DomainError("x^z is singular at the atom at 0 for Re z <= 0")
-        total = m.zero_mass if z == 0 else 0.0
-        for loc, wt in m.atoms:
-            total += wt * cmath.exp(z * math.log(loc))
-        err = m.truncation_error * max(1.0, m.max_location()) ** z.real
-        return MellinValue(total, err)
+    if m.zero_mass > 0 and z != 0 and z.real <= 0:
+        raise DomainError("x^z is singular at the atom at 0 for Re z <= 0")
     if m.strip_min_re is not None and z.real <= m.strip_min_re:
         raise DomainError(
             "Re z = %g outside integrability strip (> %g)"
@@ -201,7 +213,9 @@ def mellin(m, z, tol=1e-12):
             return np.ones_like(x)
         return np.exp(z * np.log(x))
 
-    value, err = _density_integral(m, weight, tol)
+    value, err = integral(m, weight, tol)
+    if z == 0:
+        value += m.zero_mass
     return MellinValue(complex(value), err)
 
 

@@ -271,19 +271,14 @@ def suite_semigroup(tol=None):
             worst = max(worst, abs(lhs - semigroups.gamma_mellin(gam_a, z)))
     _check(results, "semigroup", "mellin-factorization", worst, 1e-12, tol)
     worst = 0.0
+    families = ((semigroups.GammaFamily, (1.5,), semigroups.gamma_mellin),
+                (semigroups.BetaFamily, (1.0, 2.5), semigroups.beta_mellin),
+                (semigroups.LogNormalQFamily, (0.5,), semigroups.vc_mellin))
     for z in (0.5, 1.0, 2.0 + 1.0j):
         for c, d in _CD_PAIRS:
-            for make, args in ((semigroups.GammaFamily, (1.5,)),
-                               (semigroups.BetaFamily, (1.0, 2.5)),
-                               (semigroups.LogNormalQFamily, (0.5,))):
+            for make, args, mell in families:
                 fc, fd, fcd = (make(*args, c), make(*args, d),
                                make(*args, c + d))
-                if make is semigroups.GammaFamily:
-                    mell = semigroups.gamma_mellin
-                elif make is semigroups.BetaFamily:
-                    mell = semigroups.beta_mellin
-                else:
-                    mell = semigroups.vc_mellin
                 worst = max(worst, abs(mell(fc, z) * mell(fd, z)
                                        - mell(fcd, z))
                             / abs(mell(fcd, z)))

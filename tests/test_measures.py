@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentforge import (AtomicMeasure, DomainError, MomentSequence,
-                         additive_convolve, mellin, moment, product_convolve,
-                         pushforward)
+                         additive_convolve, integral, mellin, moment,
+                         product_convolve, pushforward)
 from momentforge.semigroups import GammaFamily, gamma_density
 
 
@@ -152,3 +152,30 @@ def test_truncation_error_propagates_through_product():
 def test_moment_error_bound_scales_with_location():
     m = AtomicMeasure.from_pairs([(10.0, 1.0)], truncation_error=1e-12)
     assert moment(m, 3).abs_error == pytest.approx(1e-12 * 1000.0)
+
+
+@pytest.mark.parametrize("g", [
+    lambda x: x ** 3,
+    lambda x: np.exp(-x / 2.0),
+    lambda x: x ** (1.0 + 2.0j),
+])
+def test_atomic_integral_sums_atoms_without_zero_mass(g):
+    m = AtomicMeasure.from_pairs([(0.5, 0.25), (1.5, 0.125), (3.0, 0.375)],
+                                 zero_mass=0.25, truncation_error=1e-12)
+    terms = [complex(wt * g(np.array([loc]))[0]) for loc, wt in m.atoms]
+    want = complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
+    value, _ = integral(m, g)
+    assert abs(value - want) <= 1e-15 * abs(want)
+
+
+def test_atomic_integral_error_scales_with_largest_location():
+    m = AtomicMeasure.from_pairs([(0.5, 0.25), (3.0, 0.375)],
+                                 zero_mass=0.25, truncation_error=1e-12)
+    _, err = integral(m, lambda x: x ** 3)
+    assert err == 1e-12 * 3.0 ** 3
+
+
+def test_empty_atomic_integral_is_zero_with_truncation_error():
+    m = AtomicMeasure((), zero_mass=0.5, truncation_error=1e-9)
+    assert integral(m, lambda x: x ** 2) == (0.0, 1e-9)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from momentforge import (DomainError, QParams, additive_convolve,
-                         hp_coefficients, mellin_qbeta, moment, mu_abq, mu_c,
-                         nu_a, product_convolve, qbeta_moment_sequence,
-                         qbinomial_check, qpoch, sigma_abgamma, tau_c)
+                         hp_coefficients, mellin, mellin_qbeta, moment,
+                         mu_abq, mu_c, nu_a, product_convolve,
+                         qbeta_moment_sequence, qbinomial_check, qpoch,
+                         sigma_abgamma, tau_c)
 from momentforge.qseries import _exp_series
 from momentforge.semigroups import t_transform
 
@@ -165,6 +166,12 @@ def test_tau_laplace_is_mu_mellin():
     for s in (0.5, 1.0, 2.0):
         assert tau.laplace(s) == pytest.approx(
             mellin_qbeta(P, 1.0, s).real, abs=1e-10)
+
+
+def test_mu_c_mellin_at_complex_z():
+    z = 1.5 + 2.0j
+    got = mellin(mu_c(P, 2.5), z).value
+    assert abs(got - mellin_qbeta(P, 2.5, z)) <= 1e-12
 
 
 def test_mellin_qbeta_at_zero_and_integers():

@@ -5,8 +5,8 @@ import pytest
 from momentforge import (BetaFamily, DomainError, GammaFamily,
                          LogNormalQFamily, MomentSequence, UnsupportedError,
                          beta_density, beta_mellin, gamma_density,
-                         gamma_mellin, moment, t_transform, vc_density,
-                         vc_mellin)
+                         gamma_mellin, mellin, moment, t_transform,
+                         vc_density, vc_mellin)
 
 
 def test_gamma_mellin_at_integers_is_pochhammer():
@@ -133,3 +133,16 @@ def test_family_validation():
         LogNormalQFamily(1.5, 1.0)
     with pytest.raises(DomainError):
         LogNormalQFamily(0.5, -1.0)
+
+
+@pytest.mark.parametrize("fam,density,closed", [
+    (GammaFamily(1.5), gamma_density, gamma_mellin),
+    (BetaFamily(1.0, 2.5), beta_density, beta_mellin),
+    (LogNormalQFamily(0.5), vc_density, vc_mellin),
+])
+def test_density_mellin_at_complex_z(fam, density, closed):
+    # one family per quadrature hint: exponential-decay, finite-interval,
+    # log-substitution
+    z = 2.0 + 1.0j
+    target = closed(fam, z)
+    assert abs(mellin(density(fam), z).value - target) <= 1e-9 * abs(target)
