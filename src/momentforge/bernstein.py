@@ -15,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedError
-from .measures import AtomicMeasure, DensityMeasure, MomentSequence, integral
+from .measures import (AtomicMeasure, DensityMeasure, MomentSequence,
+                       geometric_cut, integral)
 
 
 @dataclass(frozen=True)
@@ -146,34 +147,22 @@ def qratio(a, b, q, tol=1e-14):
         return (-a * lnq * qs * denom + (1.0 - a * qs) * b * lnq * qs) \
             / denom ** 2
 
-    def lattice_atoms(weight_fn, bound_ratio):
-        pairs = []
-        k = 1
-        while True:
-            wt = weight_fn(k)
-            pairs.append((k * log1q, wt))
-            tail = bound_ratio ** (k + 1) / (1.0 - bound_ratio)
-            if tail < tol:
-                return pairs, tail
-            k += 1
-
-    levy_pairs, levy_tail = lattice_atoms(
-        lambda k: (a - b) * b ** (k - 1) if b > 0 else
-        ((a - b) if k == 1 else 0.0), max(b, 1e-300))
-    if b == 0:
-        levy_pairs, levy_tail = [(log1q, a - b)], 0.0
-    levy = AtomicMeasure.from_pairs(levy_pairs, truncation_error=levy_tail)
+    # nu has weight (a - b) b^{k-1} at k log(1/q), so the terms past k = N+1
+    # sum to (a - b) b^{N+1} / (1 - b)
+    N, levy_tail = geometric_cut(math.log((a - b) / (1.0 - b)),
+                                 math.log(b) if b else -math.inf, tol)
+    k = np.arange(1, N + 2)
+    levy = AtomicMeasure.from_pairs(
+        zip(k * log1q, (a - b) * b ** (k - 1)), truncation_error=levy_tail)
 
     def kappa_factory(kappa_tol=None):
-        eff = tol if kappa_tol is None else kappa_tol
-        pairs = []
-        k = 1
-        while True:
-            pairs.append((k * log1q, (a ** k - b ** k) * log1q))
-            tail = log1q * a ** (k + 1) / (1.0 - a)
-            if tail < eff:
-                return AtomicMeasure.from_pairs(pairs, truncation_error=tail)
-            k += 1
+        # a^k - b^k <= a^k: the terms past k = N+1 sum to at most
+        # log(1/q) a^{N+2} / (1 - a)
+        N, tail = geometric_cut(math.log(log1q * a / (1.0 - a)), math.log(a),
+                                tol if kappa_tol is None else kappa_tol)
+        k = np.arange(1, N + 2)
+        return AtomicMeasure.from_pairs(
+            zip(k * log1q, (a ** k - b ** k) * log1q), truncation_error=tail)
 
     return _self_test(BernsteinFunction(
         catalog_id="qratio:%g:%g:%g" % (a, b, q),
@@ -238,24 +227,15 @@ def power_moments(f, alpha, beta):
 
 
 def _stable_centered_power(u, n):
-    """x^n - 1 - n(x - 1) evaluated without cancellation near x = 1.
-
-    For |x - 1| < 1/2 uses the binomial tail sum_{k>=2} C(n,k)(x-1)^k.
-    """
+    """x^n - 1 - n(x - 1) without cancellation near x = 1, by the recurrence
+    c_1 = 0, c_{k+1} = x c_k + k (x - 1)^2, whose terms are all nonnegative
+    for x > 0."""
     u = np.asarray(u, dtype=float)
-    if n < 2:
-        return np.zeros_like(u)
-    d = u - 1.0
-    direct = u ** n - 1.0 - n * d
-    series = np.zeros_like(u)
-    term = np.ones_like(u)
-    coeff = 1.0
-    for k in range(1, n + 1):
-        coeff = coeff * (n - k + 1) / k
-        term = term * d
-        if k >= 2:
-            series += coeff * term
-    return np.where(np.abs(d) < 0.5, series, direct)
+    d2 = (u - 1.0) ** 2
+    c = np.zeros_like(u)
+    for k in range(1, n):
+        c = u * c + k * d2
+    return c
 
 
 def sigma_of(f, alpha, beta, tol=1e-14):

@@ -12,6 +12,7 @@ on Python ints, at a scale chosen from that path's own bound (_sum_mp).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -103,7 +104,7 @@ def hermite_H(n, x):
     return curr
 
 
-def hermite_h(n, x, check_szasz=True):
+def hermite_h(n, x):
     """Orthonormal Hermite value h_n(x) = H_n(x)/sqrt(2^n n!), computed by
     the normalized recurrence
 
@@ -120,7 +121,7 @@ def hermite_h(n, x, check_szasz=True):
             prev, curr = curr, ((math.sqrt(2.0) * x * curr
                                  - math.sqrt(k) * prev)
                                 / math.sqrt(k + 1.0))
-    if check_szasz and abs(curr) > math.exp(0.5 * x * x) * (1.0 + 1e-10):
+    if abs(curr) > math.exp(0.5 * x * x) * (1.0 + 1e-10):
         raise InconsistencyError(
             "computed |h_%d(%g)| = %g violates the e^{x^2/2} bound; "
             "the recurrence has lost too much precision" % (n, x, curr))
@@ -135,15 +136,11 @@ def hermite_eval(n, x):
         return HermiteEval(n, x, 0.0, 0.0)
     log_scale = 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
     log_H = math.log(abs(h)) + log_scale
-    if log_H > math.log(_float_max()):
+    if log_H > math.log(sys.float_info.max):
         raise RangeError(
             "H_%d(%g) overflows binary64; the orthonormal value is %g"
             % (n, x, h))
     return HermiteEval(n, x, math.copysign(math.exp(log_H), h), h)
-
-
-def _float_max():
-    return 1.7976931348623157e308
 
 
 def _terms_needed(t, x, tol):

@@ -25,6 +25,29 @@ from .quadrature import integrate, integrate_exp_decay, integrate_log_sub
 #: powers of one q collide bit-exactly, this only has to absorb roundoff
 MERGE_RTOL = 1e-12
 
+#: the most terms a truncated lattice series may keep
+_MAX_TERMS = 100000
+
+
+def geometric_cut(log_head, log_ratio, tol):
+    """(N, bound) for a series whose terms past index N sum to at most
+    C rho^{N+1}, given log C and log rho < 0 (scalars, or arrays of
+    alternative (C, rho) pairs).
+
+    N >= 0 is the smallest index at which the best pair's bound is at
+    most ``tol``; the bound is the best pair's value there.  Each C is
+    raised by a relative 1e-12, which covers the rounding of the logs
+    while they stay below 10^3 in magnitude.  Raises
+    :class:`DomainError` when that takes more than _MAX_TERMS terms.
+    """
+    log_head = np.asarray(log_head, dtype=float) + 1e-12
+    steps = float(np.min((log_head - math.log(tol)) / -log_ratio))
+    if not steps <= _MAX_TERMS:
+        raise DomainError("the lattice needs more than %d terms to bound "
+                          "its tail by %g" % (_MAX_TERMS, tol))
+    N = max(0, math.ceil(steps) - 1)
+    return N, math.exp(float(np.min(log_head + (N + 1) * log_ratio)))
+
 
 @dataclass(frozen=True)
 class MellinValue:

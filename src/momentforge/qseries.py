@@ -2,10 +2,12 @@
 product convolution semigroup, compound-Poisson lattice measures, and the
 power-series measures of the T-transformed q-sequences.
 
-All infinite objects are truncated against geometric tail majorants and
-carry the resulting bound in ``truncation_error``.  Lattice measures live
-on multiples of log(1/q), so additive convolution is an exact discrete
-convolution of weight arrays.
+All infinite objects are truncated by :func:`measures.geometric_cut`
+against geometric tail majorants and carry the resulting bound in
+``truncation_error``.  Lattice measures live on multiples of log(1/q);
+their additive convolution (:func:`measures.additive_convolve`) forms all
+pairwise sums of locations and merges sums that agree within
+``MERGE_RTOL``.
 """
 
 import cmath
@@ -17,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError
-from .measures import AtomicMeasure, pushforward
+from .measures import AtomicMeasure, geometric_cut, pushforward
 
 DEFAULT_TOL = 1e-14
 
@@ -61,33 +63,23 @@ class PowerSeries:
 def qpoch(z, q, n=math.inf, tol=DEFAULT_TOL):
     """The q-shifted factorial (z; q)_n = prod_{k<n} (1 - z q^k).
 
-    For n = inf the product is truncated once |z| q^k < tol (1 - q); the
+    For n = inf the product keeps the factors k <= N, where N is the
+    geometric cut of sum_{k>N} |z| q^k = |z| q^{N+1}/(1 - q) at tol; the
     remaining factors differ from 1 by a geometrically small amount.
     Accepts complex z; for the infinite product |z| < 1/q is required so
     the truncation bound applies.
     """
     if not 0 < q < 1:
         raise DomainError("q must lie in (0, 1)")
-    if n != math.inf:
-        n = int(n)
-        if n < 0:
-            raise DomainError("n must be nonnegative or inf")
-        result = 1.0 + 0.0j if isinstance(z, complex) else 1.0
-        for k in range(n):
-            result *= 1.0 - z * q ** k
-        return result
-    if abs(z) == 0:
-        return 1.0
-    result = 1.0 + 0.0j if isinstance(z, complex) else 1.0
-    k = 0
-    term = z
-    while abs(term) >= tol * (1.0 - q):
-        result *= 1.0 - term
-        term *= q
-        k += 1
-        if k > 100000:
-            raise DomainError("q-Pochhammer truncation did not converge")
-    return result
+    if n == math.inf:
+        if abs(z) == 0:
+            return 1.0
+        n = geometric_cut(math.log(abs(z) / (1.0 - q)), math.log(q),
+                          tol)[0] + 1
+    n = int(n)
+    if n < 0:
+        raise DomainError("n must be nonnegative or inf")
+    return math.prod((1.0 - z * q ** k for k in range(n)), start=1.0)
 
 
 def mu_abq(p, tol=DEFAULT_TOL):
@@ -99,25 +91,15 @@ def mu_abq(p, tol=DEFAULT_TOL):
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
     prefactor = qpoch(a, q) / qpoch(b, q)
-    qq_inf = qpoch(q, q)
-    pairs = []
-    ratio_poch = 1.0  # (b/a; q)_k
-    q_poch = 1.0      # (q; q)_k
-    a_pow = 1.0
-    k = 0
-    while True:
-        pairs.append((q ** k, prefactor * ratio_poch / q_poch * a_pow))
-        # (b/a;q)_k <= 1 and (q;q)_k >= (q;q)_inf give a geometric majorant
-        tail = prefactor * a_pow * a / ((1.0 - a) * qq_inf)
-        if tail < tol:
-            break
-        ratio_poch *= 1.0 - (b / a) * q ** k
-        q_poch *= 1.0 - q ** (k + 1)
-        a_pow *= a
-        k += 1
-        if k > 100000:
-            raise DomainError("mu_abq truncation did not converge")
-    return AtomicMeasure.from_pairs(pairs, truncation_error=tail)
+    # (b/a;q)_k <= 1 and (q;q)_k >= (q;q)_inf give the majorant
+    # w_k <= prefactor a^k / (q;q)_inf
+    N, tail = geometric_cut(
+        math.log(prefactor / ((1.0 - a) * qpoch(q, q))), math.log(a), tol)
+    qk = q ** np.arange(N + 1)
+    ratio_poch = np.cumprod(np.append(1.0, 1.0 - (b / a) * qk[:-1]))
+    q_poch = np.cumprod(np.append(1.0, 1.0 - qk[1:]))
+    weights = prefactor * ratio_poch / q_poch * a ** np.arange(N + 1)
+    return AtomicMeasure.from_pairs(zip(qk, weights), truncation_error=tail)
 
 
 def qbinomial_check(a, z, q, N=6, K=80):
@@ -156,18 +138,19 @@ def nu_a(a, q, tol=DEFAULT_TOL):
         raise DomainError("q must lie in (0, 1)")
     if a == 0:
         return AtomicMeasure((), truncation_error=0.0)
-    log1q = math.log(1.0 / q)
-    pairs = []
-    k = 1
-    while True:
-        pairs.append((k * log1q, a ** k / (k * (1.0 - q ** k))))
-        tail = a ** (k + 1) / ((k + 1) * (1.0 - q) * (1.0 - a))
-        if tail < tol:
-            break
-        k += 1
-        if k > 100000:
-            raise DomainError("nu_a truncation did not converge")
-    return AtomicMeasure.from_pairs(pairs, truncation_error=tail)
+    # a^k/(k(1-q^k)) <= a^k/(k(1-q)), so the terms past k = n+1 sum to at
+    # most a^{n+2}/((n+2)(1-q)(1-a)).  No (C, rho) pair has that 1/(n+2),
+    # but with 1/2 in its place the geometric cut is an n where it holds,
+    # and the first such n is at or below that one
+    top, _ = geometric_cut(math.log(0.5 * a / ((1.0 - q) * (1.0 - a))),
+                           math.log(a), tol)
+    n = np.arange(top + 1)
+    tails = a ** (n + 2) / ((n + 2) * (1.0 - q) * (1.0 - a))
+    N = int(np.argmax(tails <= tol))
+    k = n[:N + 1] + 1
+    return AtomicMeasure.from_pairs(
+        zip(k * math.log(1.0 / q), a ** k / (k * (1.0 - q ** k))),
+        truncation_error=tails[N])
 
 
 def _exp_series(jl, c0=1.0):
@@ -211,21 +194,17 @@ def tau_c(p, c, tol=DEFAULT_TOL):
     log_head = np.array([
         log_w0 + c * (math.log(qpoch(b * r, q)) - math.log(qpoch(a * r, q)))
         - math.log1p(-1.0 / r) for r in radii])
-    log_r = np.log(radii)
-    N = 0
-    while True:
-        log_tail = float(np.min(log_head - (N + 1) * log_r))
-        if log_tail + 8.0 * math.log(max(1.0, (N + 1) * log1q)) \
-                <= math.log(tol):
-            break
-        N += 1
-        if N > 100000:
-            raise DomainError("tau_c truncation did not converge")
+    # the amplification grows with N, so cutting again at the tol it leaves
+    # at the last N climbs from below to the first N that meets it
+    N, last = 0, None
+    while N != last:
+        last = N
+        N, tail = geometric_cut(log_head, -np.log(radii),
+                                tol / max(1.0, (N + 1) * log1q) ** 8)
     j = np.arange(1, N + 1)
     w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
-    pairs = [(n * log1q, wn) for n, wn in enumerate(w[1:], 1)]
-    return AtomicMeasure.from_pairs(pairs, zero_mass=w[0],
-                                    truncation_error=math.exp(log_tail))
+    return AtomicMeasure.from_pairs(zip(j * log1q, w[1:]), zero_mass=w[0],
+                                    truncation_error=tail)
 
 
 def mu_c(p, c, tol=DEFAULT_TOL):
@@ -319,8 +298,8 @@ def sigma_abgamma(p, gamma=None, K=None):
     are bounded by Cauchy's estimate c_k <= h_p(r)/r^k for a < r < 1/q,
     with r the best of a fixed set of radii.  K = None takes the smallest
     K whose bound, divided by a lower bound on h_p(a), is at most
-    DEFAULT_TOL; ids that need more than 100000 weights, or whose weights
-    overflow, are refused.
+    DEFAULT_TOL; ids whose cut :func:`measures.geometric_cut` refuses, or
+    whose weights overflow, are refused.
     """
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
@@ -333,7 +312,7 @@ def sigma_abgamma(p, gamma=None, K=None):
     radii = _radii(a, 1.0 / q)
     log_head = np.array([_log_hp_upper(b / a, q, r) - math.log1p(-a / r)
                          for r in radii])
-    log_ratio = np.log(radii / a)
+    log_ratio = np.log(a / radii)
     if K is None:
         # the bound is divided by the kept weights, which come close to
         # h_p(a): every term of its log series is nonnegative, so 2000 of
@@ -342,18 +321,14 @@ def sigma_abgamma(p, gamma=None, K=None):
                                 / np.arange(1, 2001))) * (1.0 - 1e-12)
         if log_norm > math.log(sys.float_info.max):
             raise DomainError("sigma_abgamma weights overflow")
-        K = max(0, math.ceil(float(np.min(
-            (log_head - log_norm - math.log(DEFAULT_TOL)) / log_ratio))) - 1)
-        if K > 100000:
-            raise DomainError("sigma_abgamma: no K <= 100000 bounds the tail"
-                              " by %g" % DEFAULT_TOL)
+        K, _ = geometric_cut(log_head - log_norm, log_ratio, DEFAULT_TOL)
     # c_k a^k directly, as the coefficients of h_p(a z): c_k alone overflows
     weights = _exp_series(_hp_log_terms(b / a, q, K, a))
     norm = float(weights.sum())
     if not math.isfinite(norm):
         raise DomainError("sigma_abgamma weights overflow")
-    log_tail = float(np.min(log_head - (K + 1) * log_ratio)) - math.log(norm)
+    log_tail = float(np.min(log_head + (K + 1) * log_ratio)) - math.log(norm)
     tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
-    pairs = [(gamma * q ** k, w / norm)
-             for k, w in enumerate(weights) if w != 0.0]
-    return AtomicMeasure.from_pairs(pairs, truncation_error=tail)
+    return AtomicMeasure.from_pairs(
+        zip(gamma * q ** np.arange(K + 1), weights / norm),
+        truncation_error=tail)

@@ -135,32 +135,27 @@ def integrate_exp_decay(f, tol=1e-12, budget=None):
     return integrate(g, 0.0, 1.0, tol=tol, budget=budget)
 
 
-def integrate_log_sub(f, tol=1e-12, budget=None, center=0.0, strip=8.0,
-                      max_strips=60):
+def integrate_log_sub(f, tol=1e-12, budget=None):
     """Integrate ``f`` over ``(0, inf)`` via ``u = log(x)``.
 
-    The window in ``u`` starts at ``[center - strip, center + strip]`` and
-    grows one strip at a time in each direction until two consecutive
-    strips contribute below tolerance.  Suits log-normal-type tails whose
-    mass may sit far from ``u = 0``.
+    The window in ``u`` starts at ``[-8, 8]`` and grows one strip of width
+    8 at a time in each direction until two consecutive strips contribute
+    below tolerance, or 60 strips were added.  Suits log-normal-type tails
+    whose mass may sit far from ``u = 0``.
     """
 
     def g(u):
         x = np.exp(u)
         return f(x) * x
 
-    total, total_err = integrate(g, center - strip, center + strip,
-                                 tol=tol, budget=budget)
+    total, total_err = integrate(g, -8.0, 8.0, tol=tol, budget=budget)
     for direction in (+1, -1):
-        edge = center + direction * strip
         quiet = 0
-        for _ in range(max_strips):
-            lo = edge if direction > 0 else edge - strip
-            hi = edge + strip if direction > 0 else edge
+        for j in range(1, 61):
+            lo, hi = sorted((8.0 * direction * j, 8.0 * direction * (j + 1)))
             part, err = integrate(g, lo, hi, tol=tol, budget=budget)
             total += part
             total_err += err
-            edge += direction * strip
             if abs(part) <= tol * max(1.0, abs(total)):
                 quiet += 1
                 if quiet >= 2:

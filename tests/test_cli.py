@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import momentforge
 from momentforge import qseries
 from momentforge.catalog import TABLE, measure_from_json, resolve
 from momentforge.cli import main
@@ -250,3 +255,24 @@ def test_readme_lists_every_catalog_id():
     listed = re.findall(r"`([a-z]+(?::[a-z]+)*)`", paragraph)
     assert listed == [":".join((head,) + names)
                       for head, (names, _) in TABLE.items()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "qratio:0.9999999:0.999999:0.5", "--n-max", "2"],
+    ["atoms", "qratio:0.9999999:0.5:0.5"],
+])
+def test_qratio_near_one_is_usage_error(argv):
+    # the lattices of nu (b near 1) and kappa (a near 1) would need tens of
+    # millions of atoms; a fresh process under a timeout and a 2 GiB cap on
+    # its address space, so that a cut that does not stop cannot run on
+    src = os.path.dirname(os.path.dirname(momentforge.__file__))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "momentforge.cli"] + argv,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=cap, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from momentforge import (AtomicMeasure, DomainError, MomentSequence,
                          additive_convolve, integral, mellin, moment,
                          product_convolve, pushforward)
+from momentforge.measures import geometric_cut
 from momentforge.semigroups import GammaFamily, gamma_density
 
 
@@ -179,3 +180,43 @@ def test_atomic_integral_error_scales_with_largest_location():
 def test_empty_atomic_integral_is_zero_with_truncation_error():
     m = AtomicMeasure((), zero_mass=0.5, truncation_error=1e-9)
     assert integral(m, lambda x: x ** 2) == (0.0, 1e-9)
+
+
+def _brute_cut(heads, ratios, tol):
+    # the first N at which some pair's C rho^{N+1} is at most tol
+    N = 0
+    while min(c * r ** (N + 1) for c, r in zip(heads, ratios)) > tol:
+        N += 1
+    return N
+
+
+@pytest.mark.parametrize("heads, ratios", [
+    ((3.0,), (0.5,)),
+    ((2.5,), (0.9,)),
+    # the best pair changes with tol: slow and small, fast and large
+    ((1.0, 1e6, 40.0), (0.9, 0.5, 0.7)),
+])
+@pytest.mark.parametrize("tol", [0.3, 1e-3, 1e-8, 1e-14])
+def test_geometric_cut_is_the_smallest_index(heads, ratios, tol):
+    N, bound = geometric_cut(np.log(heads), np.log(ratios), tol)
+    assert N == _brute_cut(heads, ratios, tol)
+    assert bound == pytest.approx(
+        min(c * r ** (N + 1) for c, r in zip(heads, ratios)), rel=1e-11)
+    assert bound <= tol
+    if N > 0:
+        assert min(c * r ** N for c, r in zip(heads, ratios)) > tol
+
+
+def test_geometric_cut_keeps_one_term_when_the_head_is_small():
+    assert geometric_cut(math.log(1e-20), math.log(0.5), 1e-14) == (
+        0, pytest.approx(0.5e-20))
+    assert geometric_cut(0.0, -math.inf, 1e-14) == (0, 0.0)
+
+
+def test_geometric_cut_refuses_more_than_100000_terms():
+    # log C / log(1/rho) = 100000 exactly: N = 99999 is the last index kept
+    assert geometric_cut(50000.0, -0.5, 1.0)[0] == 99999
+    with pytest.raises(DomainError):
+        geometric_cut(50000.5, -0.5, 1.0)
+    with pytest.raises(DomainError):
+        geometric_cut(0.0, math.log(0.9999), 1e-14)

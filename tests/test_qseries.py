@@ -8,6 +8,7 @@ from momentforge import (DomainError, QParams, additive_convolve,
                          mu_abq, mu_c, nu_a, product_convolve,
                          qbeta_moment_sequence, qbinomial_check, qpoch,
                          sigma_abgamma, tau_c)
+from momentforge.bernstein import kappa_of, qratio
 from momentforge.qseries import _exp_series
 from momentforge.semigroups import t_transform
 
@@ -279,3 +280,26 @@ def test_qbeta_moments_reject_bad_c(c):
 def test_tau_rejects_bad_c():
     with pytest.raises(DomainError):
         tau_c(P, -1.0)
+
+
+#: each lattice measure at (a, b) with q = 0.5, cut at tol
+LATTICES = {
+    "mu_abq": lambda a, b, tol: mu_abq(QParams(a, b, 0.5), tol),
+    "nu_a": lambda a, b, tol: nu_a(a, 0.5, tol),
+    "qratio-kappa": lambda a, b, tol: kappa_of(qratio(a, b, 0.5), tol),
+    "qratio-nu": lambda a, b, tol: qratio(a, b, 0.5, tol).levy,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("a, b", [(0.5, 0.1), (0.9, 0.05), (0.5, 0.25)])
+def test_truncation_error_bounds_the_dropped_mass(name, a, b):
+    # the atoms a long cut keeps past the default one are the dropped mass
+    # (up to 1e-40, and short of q^k underflowing at k = 1075)
+    build = LATTICES[name]
+    cut = build(a, b, 1e-14)
+    kept = {loc for loc, _ in cut.atoms}
+    dropped = sum(wt for loc, wt in build(a, b, 1e-40).atoms
+                  if loc not in kept)
+    assert dropped > 0.0
+    assert cut.truncation_error >= dropped
