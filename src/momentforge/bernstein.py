@@ -153,7 +153,8 @@ def qratio(a, b, q, tol=1e-14):
                                  math.log(b) if b else -math.inf, tol)
     k = np.arange(1, N + 2)
     levy = AtomicMeasure.from_pairs(
-        zip(k * log1q, (a - b) * b ** (k - 1)), truncation_error=levy_tail)
+        np.column_stack((k * log1q, (a - b) * b ** (k - 1))),
+        truncation_error=levy_tail)
 
     def kappa_factory(kappa_tol=None):
         # a^k - b^k <= a^k: the terms past k = N+1 sum to at most
@@ -162,7 +163,8 @@ def qratio(a, b, q, tol=1e-14):
                                 tol if kappa_tol is None else kappa_tol)
         k = np.arange(1, N + 2)
         return AtomicMeasure.from_pairs(
-            zip(k * log1q, (a ** k - b ** k) * log1q), truncation_error=tail)
+            np.column_stack((k * log1q, (a ** k - b ** k) * log1q)),
+            truncation_error=tail)
 
     return _self_test(BernsteinFunction(
         catalog_id="qratio:%g:%g:%g" % (a, b, q),
@@ -249,13 +251,11 @@ def sigma_of(f, alpha, beta, tol=1e-14):
             "alpha = 0 requires f(0) > 0 for sigma to be integrable")
     kappa = kappa_of(f, tol)
     if isinstance(kappa, AtomicMeasure):
-        pairs = []
-        for x, wt in kappa.atoms:
-            u = math.exp(-beta * x)
-            pairs.append((u, wt * math.exp(-alpha * x)
-                          / (x * -math.expm1(-beta * x))))
+        x, wt = kappa.locations(), kappa.weights()
         return AtomicMeasure.from_pairs(
-            pairs, truncation_error=kappa.truncation_error)
+            np.column_stack((np.exp(-beta * x), wt * np.exp(-alpha * x)
+                             / (x * -np.expm1(-beta * x)))),
+            truncation_error=kappa.truncation_error)
 
     dens_kappa = kappa.density
 

@@ -3,11 +3,12 @@
 Two carriers are provided: :class:`AtomicMeasure` for finite weighted sums
 of point masses (with an optional mass at zero and a recorded bound on
 discarded tail mass), and :class:`DensityMeasure` for nonnegative densities
-with a quadrature recipe.  :func:`integral` is the one place that chooses
-between a sum over the atoms and quadrature; moments, Mellin and Laplace
-transforms go through it and report an absolute error estimate alongside
-the value.  Product convolution and the three pushforward maps operate on
-atomic measures.
+with a quadrature recipe; an atomic measure is merged by one sort when
+built and stores its locations and weights as read-only float64 arrays.
+:func:`integral` is the one place that chooses between a sum over the
+atoms and quadrature; moments, Mellin and Laplace transforms go through it
+and report an absolute error estimate alongside the value.  Product
+convolution and the three pushforward maps operate on atomic measures.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import integrate, integrate_exp_decay, integrate_log_sub
 
-#: relative tolerance under which two atom locations are merged; exact
+#: relative tolerance under which two neighbouring atom locations merge; exact
 #: powers of one q collide bit-exactly, this only has to absorb roundoff
 MERGE_RTOL = 1e-12
 
@@ -62,18 +63,20 @@ class MellinValue:
 
 
 def _merged(pairs):
-    pairs = sorted((float(loc), float(wt)) for loc, wt in pairs if wt != 0.0)
-    out = []
-    for loc, wt in pairs:
-        if wt < 0:
-            raise DomainError("atom weight must be nonnegative, got %g" % wt)
-        if loc <= 0:
-            raise DomainError("atom location must be positive, got %g" % loc)
-        if out and abs(loc - out[-1][0]) <= MERGE_RTOL * max(loc, out[-1][0]):
-            out[-1][1] += wt
-        else:
-            out.append([loc, wt])
-    return tuple((loc, wt) for loc, wt in out)
+    """(locations, weights) of n (location, weight) pairs: zero weights
+    dropped, sorted, and each run of locations within MERGE_RTOL of their
+    neighbours merged into one atom at its first location."""
+    try:
+        pairs = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
+    except (TypeError, ValueError):
+        raise DomainError("atoms must be n (location, weight) pairs") from None
+    kept = pairs[pairs[:, 1] != 0.0]
+    if not (np.isfinite(pairs).all() and (kept > 0).all()):
+        raise DomainError("atoms must be finite, locations > 0, weights >= 0")
+    loc, wt = kept[np.lexsort(kept.T[::-1])].T
+    first = np.diff(loc, prepend=-np.inf) > MERGE_RTOL * loc
+    # bincount adds each group's weights in sorted order
+    return loc[first], np.bincount(np.cumsum(first) - 1, weights=wt)
 
 
 @dataclass(frozen=True)
@@ -87,16 +90,28 @@ class AtomicMeasure:
     atoms: Tuple[Tuple[float, float], ...]
     zero_mass: float = 0.0
     truncation_error: float = 0.0
+    #: (locations, weights), read-only; built from ``atoms`` if not given
+    _arrays: tuple = field(default=None, compare=False, repr=False)
 
     #: an atomic measure integrates x^z for every z (no strip edge)
     strip_min_re = None
 
+    def __post_init__(self):
+        if self._arrays is None:
+            object.__setattr__(self, "_arrays", tuple(
+                np.array(self.atoms, dtype=float).reshape(-1, 2).T.copy()))
+        for arr in self._arrays:
+            arr.flags.writeable = False
+
     @staticmethod
     def from_pairs(pairs, zero_mass=0.0, truncation_error=0.0):
-        if zero_mass < 0 or truncation_error < 0:
+        """Atoms from an (n, 2) array-like of (location, weight) pairs."""
+        if not (0 <= zero_mass < math.inf and truncation_error >= 0):
             raise DomainError("zero_mass and truncation_error must be >= 0")
-        return AtomicMeasure(_merged(pairs), float(zero_mass),
-                             float(truncation_error))
+        loc, wt = _merged(pairs)
+        return AtomicMeasure(tuple(zip(loc.tolist(), wt.tolist())),
+                             float(zero_mass), float(truncation_error),
+                             (loc, wt))
 
     @staticmethod
     def dirac(loc, weight=1.0):
@@ -105,14 +120,14 @@ class AtomicMeasure:
         return AtomicMeasure.from_pairs([(loc, weight)])
 
     def locations(self):
-        return np.array([loc for loc, _ in self.atoms])
+        return self._arrays[0]
 
     def weights(self):
-        return np.array([wt for _, wt in self.atoms])
+        return self._arrays[1]
 
     @property
     def total_mass(self):
-        return self.zero_mass + sum(wt for _, wt in self.atoms)
+        return self.zero_mass + sum(self.weights().tolist())
 
     def laplace(self, s):
         """sum w_k exp(-s * loc_k), the Laplace transform at s."""
@@ -121,7 +136,7 @@ class AtomicMeasure:
 
     def to_json_dict(self):
         return {
-            "atoms": [[loc, wt] for loc, wt in self.atoms],
+            "atoms": np.column_stack(self._arrays).tolist(),
             "zero_mass": self.zero_mass,
             "trunc_err": self.truncation_error,
         }
@@ -181,11 +196,11 @@ def integral(m, g, tol=1e-12):
     ``quadrature_hint`` names, and the error is the quadrature estimate.
     """
     if isinstance(m, AtomicMeasure):
-        if not m.atoms:
+        loc = m.locations()
+        if not len(loc):
             return 0.0, m.truncation_error
         # one call of g: the atoms, then the point the estimate reads
-        vals = g(np.array([loc for loc, _ in m.atoms]
-                          + [max(1.0, m.atoms[-1][0])]))
+        vals = g(np.append(loc, max(1.0, loc[-1])))
         return (np.sum(m.weights() * vals[:-1]),
                 m.truncation_error * float(abs(vals[-1])))
 
@@ -251,13 +266,8 @@ def product_convolve(m1, m2):
     """
     if not isinstance(m1, AtomicMeasure) or not isinstance(m2, AtomicMeasure):
         raise DomainError("product_convolve requires atomic measures")
-    pairs = []
-    if m1.atoms and m2.atoms:
-        l1, w1 = m1.locations(), m1.weights()
-        l2, w2 = m2.locations(), m2.weights()
-        locs = np.outer(l1, l2).ravel()
-        wts = np.outer(w1, w2).ravel()
-        pairs = list(zip(locs, wts))
+    pairs = np.column_stack((np.outer(m1.locations(), m2.locations()).ravel(),
+                             np.outer(m1.weights(), m2.weights()).ravel()))
     zero = (m1.zero_mass * m2.total_mass + m2.zero_mass * m1.total_mass
             - m1.zero_mass * m2.zero_mass)
     trunc = (m1.truncation_error * (m2.total_mass + m2.truncation_error)
@@ -274,16 +284,12 @@ def additive_convolve(m1, m2):
     """
     if not isinstance(m1, AtomicMeasure) or not isinstance(m2, AtomicMeasure):
         raise DomainError("additive_convolve requires atomic measures")
-    pairs = []
-    if m1.atoms and m2.atoms:
-        l1, w1 = m1.locations(), m1.weights()
-        l2, w2 = m2.locations(), m2.weights()
-        pairs = list(zip(np.add.outer(l1, l2).ravel(),
-                         np.outer(w1, w2).ravel()))
-    if m1.zero_mass:
-        pairs.extend((loc, m1.zero_mass * wt) for loc, wt in m2.atoms)
-    if m2.zero_mass:
-        pairs.extend((loc, m2.zero_mass * wt) for loc, wt in m1.atoms)
+    # each mass at 0 as a first atom at 0; their product is dropped here and
+    # becomes the mass at 0 of the result
+    l1, l2 = (np.append(0.0, m.locations()) for m in (m1, m2))
+    w1, w2 = (np.append(m.zero_mass, m.weights()) for m in (m1, m2))
+    pairs = np.column_stack((np.add.outer(l1, l2).ravel(),
+                             np.outer(w1, w2).ravel()))[1:]
     trunc = (m1.truncation_error * (m2.total_mass + m2.truncation_error)
              + m2.truncation_error * m1.total_mass)
     return AtomicMeasure.from_pairs(pairs,
@@ -294,53 +300,42 @@ def additive_convolve(m1, m2):
 def pushforward(m, mapping, param=None):
     """Image of an atomic measure under one of three maps.
 
-    ``mapping`` is ``exp-neg`` (x -> exp(-beta x), param beta > 0),
-    ``neg-log`` (x -> -log x, all locations must stay positive after the
-    map only in the sense that locations are > 0 beforehand), or ``scale``
-    (x -> gamma x, param gamma > 0).  Weights are preserved.
+    ``mapping`` is ``exp-neg`` (x -> exp(-beta x), param beta > 0; mass
+    whose image underflows to 0 moves into ``truncation_error``),
+    ``neg-log`` (x -> -log x, for locations in (0, 1]; an atom at 1 becomes
+    mass at 0), or ``scale`` (x -> gamma x, param gamma > 0).  Weights are
+    preserved.
     """
     if not isinstance(m, AtomicMeasure):
         raise DomainError("pushforward is defined for atomic measures")
+    loc, wt = m.locations(), m.weights()
     if mapping == "exp-neg":
         beta = 1.0 if param is None else float(param)
         if beta <= 0:
             raise DomainError("beta must be positive")
-        pairs = []
-        underflow = 0.0
-        for loc, wt in m.atoms:
-            image = math.exp(-beta * loc)
-            if image == 0.0:
-                # image locations lie in (0, 1], so mass whose location
-                # underflows contributes at most its weight to any moment
-                underflow += wt
-            else:
-                pairs.append((image, wt))
-        # the atom at 0 maps to exp(0) = 1
-        if m.zero_mass > 0:
-            pairs.append((1.0, m.zero_mass))
+        image = np.exp(-beta * loc)
+        kept = image > 0.0
+        # the atom at 0 maps to exp(0) = 1; images lie in (0, 1], so mass
+        # whose image underflows adds at most its weight to any moment
         return AtomicMeasure.from_pairs(
-            pairs, truncation_error=m.truncation_error + underflow)
+            np.column_stack((np.append(image[kept], 1.0),
+                             np.append(wt[kept], m.zero_mass))),
+            truncation_error=m.truncation_error + sum(wt[~kept].tolist()))
     if mapping == "neg-log":
         if m.zero_mass > 0:
             raise DomainError("-log is undefined at location 0")
-        pairs = []
-        zero = 0.0
-        for loc, wt in m.atoms:
-            if loc >= 1.0 and math.log(loc) == 0.0:
-                zero += wt
-            elif loc > 1.0:
-                raise DomainError(
-                    "-log maps location %g outside (0, inf)" % loc)
-            else:
-                pairs.append((-math.log(loc), wt))
+        if (loc > 1.0).any():
+            raise DomainError("-log maps location %g below 0" % loc[-1])
+        below = loc < 1.0  # an atom at 1 maps to the mass at 0
         return AtomicMeasure.from_pairs(
-            pairs, zero_mass=zero, truncation_error=m.truncation_error)
+            np.column_stack((-np.log(loc[below]), wt[below])),
+            zero_mass=wt[~below].sum(), truncation_error=m.truncation_error)
     if mapping == "scale":
         gamma = float(param)
         if gamma <= 0:
             raise DomainError("gamma must be positive")
         return AtomicMeasure.from_pairs(
-            [(gamma * loc, wt) for loc, wt in m.atoms],
+            np.column_stack((gamma * loc, wt)),
             zero_mass=m.zero_mass, truncation_error=m.truncation_error)
     raise DomainError("unknown pushforward map %r" % mapping)
 

@@ -6,8 +6,8 @@ All infinite objects are truncated by :func:`measures.geometric_cut`
 against geometric tail majorants and carry the resulting bound in
 ``truncation_error``.  Lattice measures live on multiples of log(1/q);
 their additive convolution (:func:`measures.additive_convolve`) forms all
-pairwise sums of locations and merges sums that agree within
-``MERGE_RTOL``.
+pairwise sums of locations, and ``from_pairs`` sorts them once and merges
+sums whose sorted neighbours agree within ``MERGE_RTOL``.
 """
 
 import cmath
@@ -86,7 +86,8 @@ def mu_abq(p, tol=DEFAULT_TOL):
     """The q-Beta probability on {q^k}: atoms at q^k with weight
     ((a;q)_inf/(b;q)_inf) ((b/a;q)_k/(q;q)_k) a^k, for 0 <= b < a < 1.
 
-    Truncated where the geometric tail majorant drops below tol.
+    Truncated where the geometric tail majorant drops below tol; atoms
+    whose location q^k underflows to 0 join that tail in truncation_error.
     """
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
@@ -99,7 +100,10 @@ def mu_abq(p, tol=DEFAULT_TOL):
     ratio_poch = np.cumprod(np.append(1.0, 1.0 - (b / a) * qk[:-1]))
     q_poch = np.cumprod(np.append(1.0, 1.0 - qk[1:]))
     weights = prefactor * ratio_poch / q_poch * a ** np.arange(N + 1)
-    return AtomicMeasure.from_pairs(zip(qk, weights), truncation_error=tail)
+    kept = qk > 0.0
+    return AtomicMeasure.from_pairs(
+        np.column_stack((qk[kept], weights[kept])),
+        truncation_error=tail + weights[~kept].sum())
 
 
 def qbinomial_check(a, z, q, N=6, K=80):
@@ -149,7 +153,8 @@ def nu_a(a, q, tol=DEFAULT_TOL):
     N = int(np.argmax(tails <= tol))
     k = n[:N + 1] + 1
     return AtomicMeasure.from_pairs(
-        zip(k * math.log(1.0 / q), a ** k / (k * (1.0 - q ** k))),
+        np.column_stack((k * math.log(1.0 / q),
+                         a ** k / (k * (1.0 - q ** k)))),
         truncation_error=tails[N])
 
 
@@ -203,8 +208,8 @@ def tau_c(p, c, tol=DEFAULT_TOL):
                                 tol / max(1.0, (N + 1) * log1q) ** 8)
     j = np.arange(1, N + 1)
     w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
-    return AtomicMeasure.from_pairs(zip(j * log1q, w[1:]), zero_mass=w[0],
-                                    truncation_error=tail)
+    return AtomicMeasure.from_pairs(np.column_stack((j * log1q, w[1:])),
+                                    zero_mass=w[0], truncation_error=tail)
 
 
 def mu_c(p, c, tol=DEFAULT_TOL):
@@ -330,5 +335,5 @@ def sigma_abgamma(p, gamma=None, K=None):
     log_tail = float(np.min(log_head + (K + 1) * log_ratio)) - math.log(norm)
     tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
     return AtomicMeasure.from_pairs(
-        zip(gamma * q ** np.arange(K + 1), weights / norm),
+        np.column_stack((gamma * q ** np.arange(K + 1), weights / norm)),
         truncation_error=tail)

@@ -249,6 +249,18 @@ def test_density_json_rejects_non_density_ids(density_id):
         measure_from_json(data)
 
 
+@pytest.mark.parametrize("text", [
+    '{"atoms": [[NaN, 1.0], [2.0, 1.0]]}',
+    '{"atoms": [[Infinity, 1.0]]}',
+    '{"atoms": [[1.0, NaN]]}',
+    '{"atoms": [[1.0, 1.0, 1.0]]}',
+    '{"atoms": [1.0, 2.0]}',
+])
+def test_atomic_json_rejects_non_finite_or_misshapen_atoms(text):
+    with pytest.raises(DomainError):
+        measure_from_json(json.loads(text))
+
+
 def test_readme_lists_every_catalog_id():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme.split("Catalog ids:")[1].split("\n\n")[0]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from momentforge import (AtomicMeasure, DomainError, MomentSequence,
                          additive_convolve, integral, mellin, moment,
                          product_convolve, pushforward)
-from momentforge.measures import geometric_cut
+from momentforge.measures import MERGE_RTOL, geometric_cut
 from momentforge.semigroups import GammaFamily, gamma_density
 
 
@@ -39,6 +39,98 @@ def test_atoms_sorted_by_location():
 def test_negative_location_rejected():
     with pytest.raises(DomainError):
         AtomicMeasure.from_pairs([(-1.0, 1.0)])
+
+
+@pytest.mark.parametrize("pairs", [
+    [(math.nan, 1.0), (2.0, 1.0)],
+    [(math.inf, 1.0)],
+    [(1.0, math.nan)],
+    [(1.0, -math.inf)],
+    # non-finite values are refused even where the weight is zero
+    [(math.nan, 0.0), (2.0, 1.0)],
+])
+def test_from_pairs_rejects_non_finite_atoms(pairs):
+    with pytest.raises(DomainError):
+        AtomicMeasure.from_pairs(pairs)
+
+
+@pytest.mark.parametrize("zero_mass, truncation_error", [
+    (math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0), (0.0, math.nan),
+    (0.0, -1.0),
+])
+def test_from_pairs_rejects_bad_zero_mass_or_truncation_error(
+        zero_mass, truncation_error):
+    with pytest.raises(DomainError):
+        AtomicMeasure.from_pairs([(1.0, 1.0)], zero_mass=zero_mass,
+                                 truncation_error=truncation_error)
+
+
+@pytest.mark.parametrize("pairs", [
+    [1.0, 2.0],
+    [(1.0, 2.0, 3.0)],
+    [(1.0, 1.0), (2.0,)],
+    [("one", 1.0)],
+    "abc",
+])
+def test_from_pairs_rejects_input_that_is_not_pairs(pairs):
+    with pytest.raises(DomainError):
+        AtomicMeasure.from_pairs(pairs)
+
+
+def _sequential_merge(pairs):
+    # the merge as one loop over the sorted atoms, each compared with the
+    # first location of the atom it would join
+    pairs = sorted((float(loc), float(wt)) for loc, wt in pairs if wt != 0.0)
+    out = []
+    for loc, wt in pairs:
+        if out and abs(loc - out[-1][0]) <= MERGE_RTOL * max(loc, out[-1][0]):
+            out[-1][1] += wt
+        else:
+            out.append([loc, wt])
+    return tuple((loc, wt) for loc, wt in out)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_merge_matches_sequential_reference(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(1e-3, 1e3, 60)
+    loc = np.concatenate((
+        base,
+        rng.choice(base, 60),                       # exact duplicates
+        # near-duplicates within MERGE_RTOL / 2 of a base location, so no
+        # run of neighbours spans more than MERGE_RTOL
+        rng.choice(base, 60) * (1.0 + rng.uniform(0.0, 0.5, 60)
+                                * MERGE_RTOL)))
+    wt = rng.uniform(0.0, 1.0, len(loc)) * 10.0 ** rng.integers(-8, 8,
+                                                               len(loc))
+    wt[rng.choice(len(wt), 20, replace=False)] = 0.0
+    pairs = np.column_stack((loc, wt))[rng.permutation(len(loc))]
+    m = AtomicMeasure.from_pairs(pairs)
+    assert m.atoms == _sequential_merge(pairs.tolist())
+    assert len(m.atoms) <= len(base) < np.count_nonzero(wt)
+
+
+def test_merge_joins_a_run_of_close_neighbours():
+    # each location is within MERGE_RTOL of the one before it, though the
+    # ends are not within MERGE_RTOL of each other
+    step = 1.0 + 0.75 * MERGE_RTOL
+    m = AtomicMeasure.from_pairs([(1.0, 0.5), (step, 0.25),
+                                  (step * step, 0.125)])
+    assert m.atoms == ((1.0, 0.875),)
+
+
+def test_locations_and_weights_are_stored_read_only_arrays():
+    for m in (AtomicMeasure.from_pairs([(2.0, 0.5), (1.0, 0.25)]),
+              AtomicMeasure(((1.0, 0.25), (2.0, 0.5))),
+              AtomicMeasure((), zero_mass=0.5)):
+        assert m.locations() is m.locations()
+        assert m.weights() is m.weights()
+        assert m.locations().dtype == m.weights().dtype == np.float64
+        assert m.locations().tolist() == [loc for loc, _ in m.atoms]
+        assert m.weights().tolist() == [wt for _, wt in m.atoms]
+        for arr in (m.locations(), m.weights()):
+            with pytest.raises(ValueError):
+                arr[:] = 3.0
 
 
 def test_mellin_matches_moment_at_integers():
@@ -111,6 +203,32 @@ def test_pushforward_roundtrip():
     back = pushforward(pushforward(m, "exp-neg", 1.0), "neg-log")
     assert back.locations() == pytest.approx(m.locations())
     assert back.weights() == pytest.approx(m.weights())
+
+
+def test_pushforward_exp_neg_underflow_and_zero_mass():
+    m = AtomicMeasure.from_pairs([(1.0, 0.25), (1000.0, 0.5)],
+                                 zero_mass=0.125, truncation_error=1e-12)
+    image = pushforward(m, "exp-neg", 1.0)
+    # e^{-1000} underflows: its mass moves into the truncation error, and
+    # the mass at 0 becomes an atom at e^0 = 1
+    assert image.atoms == ((math.exp(-1.0), 0.25), (1.0, 0.125))
+    assert image.zero_mass == 0.0
+    assert image.truncation_error == 1e-12 + 0.5
+
+
+def test_pushforward_neg_log_atom_at_one_becomes_zero_mass():
+    m = AtomicMeasure.from_pairs([(0.5, 0.25), (1.0, 0.75)],
+                                 truncation_error=1e-12)
+    image = pushforward(m, "neg-log")
+    assert image.atoms == ((math.log(2.0), 0.25),)
+    assert image.zero_mass == 0.75
+    assert image.truncation_error == 1e-12
+
+
+def test_pushforward_neg_log_rejects_any_location_above_one():
+    m = AtomicMeasure.from_pairs([(0.5, 1.0), (1.0, 1.0), (2.0, 1.0)])
+    with pytest.raises(DomainError, match="location 2 "):
+        pushforward(m, "neg-log")
 
 
 def test_pushforward_scale():

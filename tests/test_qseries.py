@@ -62,6 +62,17 @@ def test_mu_abq_moments_match_closed_form(a, b, q):
         assert moment(mu, n).value == pytest.approx(seq(n), abs=1e-12)
 
 
+def test_mu_abq_moves_underflowing_atoms_into_truncation_error():
+    # q^k underflows to 0 past k = 1074 while a^k is still above tol
+    p = QParams(0.97, 0.5, 0.5)
+    mu = mu_abq(p)
+    assert mu.locations()[0] > 0.0
+    assert abs(mu.total_mass + mu.truncation_error - 1.0) <= 1e-12
+    seq = qbeta_moment_sequence(p)
+    for n in range(8):
+        assert abs(moment(mu, n).value - seq(n)) <= 1e-12
+
+
 def test_qbinomial_identity():
     assert qbinomial_check(0.5, 0.5, 0.5, N=6, K=80) < 1e-12
     assert qbinomial_check(0.0, 0.5, 0.5, N=3, K=40) < 1e-14
