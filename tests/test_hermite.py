@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ import momentforge
 from momentforge import (DomainError, generating_G, hermite, hermite_H,
                          hermite_eval, hermite_h, positivity_scan)
 from momentforge.errors import BudgetError, RangeError
-from momentforge.hermite import (_coefficients, _sum_float, _sum_mp,
-                                 _terms_needed)
+from momentforge.hermite import (_add_up, _coefficients, _float_column,
+                                 _float_point, _float_row,
+                                 _fixed_point_majorant, _fixed_point_scale,
+                                 _sum_float, _sum_mp, _terms_needed)
 
 U = 2.0 ** -53
 DEFAULT_T = [round(-0.95 + 0.05 * i, 12) for i in range(39)]
@@ -64,6 +67,31 @@ def test_szasz_bound(n):
 
 def test_szasz_specific():
     assert abs(hermite_h(20, 3.0)) <= math.exp(4.5)
+
+
+def test_h_past_where_the_szasz_bound_overflows():
+    # e^{x^2/2} overflows binary64 here; the check must not
+    x = 40.0
+    H5 = 32 * x ** 5 - 160 * x ** 3 + 120 * x
+    assert hermite_h(5, x) == pytest.approx(H5 / math.sqrt(2 ** 5 * 120),
+                                            rel=1e-13)
+    ev = hermite_eval(5, x)
+    assert ev.H == pytest.approx(H5, rel=1e-13)
+    assert ev.h == hermite_h(5, x)
+
+
+def test_h_overflow_raises():
+    with pytest.raises(RangeError):
+        hermite_h(800, 40.0)
+    with pytest.raises(RangeError):
+        hermite_h(3, 1e200)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("f", [hermite_H, hermite_h, hermite_eval])
+def test_hermite_rejects_non_finite_x(f, x):
+    with pytest.raises(DomainError):
+        f(3, x)
 
 
 def test_hermite_eval_consistency():
@@ -221,11 +249,9 @@ def test_G_without_mpmath():
 def test_coefficients_equal_the_direct_isqrt(bits, k):
     # floor(floor(z) / 2^m) = floor(z / 2^m), and isqrt(floor(y)) is
     # floor(sqrt(y)): a table entry at any larger scale, shifted, is exact
-    alpha, beta, alpha64, beta64 = list(_coefficients(bits, k + 1))[k]
+    alpha, beta = list(_coefficients(bits, k + 1))[k]
     assert alpha == math.isqrt((2 << 2 * bits) // (k + 1))
     assert beta == math.isqrt((k << 2 * bits) // (k + 1))
-    assert alpha64 == (alpha >> (bits - 64)) + 2
-    assert beta64 == (beta >> (bits - 64)) + 2
 
 
 def test_sum_mp_does_not_depend_on_the_table_history():
@@ -250,8 +276,110 @@ def test_coefficient_table_stays_within_its_cap():
     n = hermite._TABLE_CAP // bits + 1
     coefficients = list(_coefficients(bits, n))
     assert len(coefficients) == n
-    alpha, beta, _, _ = coefficients[n - 1]
+    alpha, beta = coefficients[n - 1]
     assert alpha == math.isqrt((2 << 2 * bits) // n)
     assert beta == math.isqrt(((n - 1) << 2 * bits) // n)
     assert hermite._table is kept
     assert hermite._table[0] * len(hermite._table[1]) <= hermite._TABLE_CAP
+
+
+def _reference_sum_float(t, x, n_terms):
+    """The per-point binary64 loop that the grid pass replaced."""
+    total = 1.0
+    sqrt2_x = math.sqrt(2.0) * x
+    prev, curr = 1.0, sqrt2_x
+    tk = t
+    at = abs(t)
+    ax = abs(sqrt2_x)
+    err_prev, err = 0.0, 7.0 * abs(curr)
+    tk_err = 0.0
+    gain = 0.0
+    for k in range(1, n_terms + 1):
+        term = curr * tk
+        total += term
+        gain += (abs(term) + abs(curr) * tk_err
+                 + err * (abs(tk) + U * tk_err) + abs(total))
+        root = math.sqrt(k + 1.0)
+        a = ax / root
+        b = math.sqrt(k / (k + 1.0))
+        err_prev, err = err, (a * err + b * err_prev
+                              + 7.0 * (a * abs(curr) + b * abs(prev)))
+        prev, curr = curr, (sqrt2_x * curr - math.sqrt(k) * prev) / root
+        tk *= t
+        tk_err = abs(tk) + at * tk_err
+    if not (gain < math.inf and abs(tk) >= 2.0 ** -900
+            and (x == 0.0 or abs(x) >= 2.0 ** -900)):
+        return total, math.inf
+    return total, gain * (1.0 + 32.0 * (n_terms + 1) * U)
+
+
+def test_grid_pass_is_bit_identical_to_the_per_point_loop():
+    # columns and rows run to the largest count they serve, as in the scan
+    ts = [t for t in DEFAULT_T if t != 0.0]
+    counts = {(t, x): _terms_needed(t, x, 1e-10)
+              for t in ts for x in DEFAULT_X}
+    rows = {t: _float_row(t, max(counts[t, x] for x in DEFAULT_X))
+            for t in ts}
+    for x in DEFAULT_X:
+        column = _float_column(x, max(counts[t, x] for t in ts))
+        for t in ts:
+            n = counts[t, x]
+            assert (_float_point(column, rows[t], x, n)
+                    == _reference_sum_float(t, x, n)), (t, x)
+
+
+@pytest.mark.parametrize("t, x, n", [(0.5, 1.0, 0), (0.5, 1.0, 1),
+                                     (-0.3, 2.0, 7), (0.9, 40.0, 30)])
+def test_sum_float_matches_the_per_point_loop(t, x, n):
+    assert _sum_float(t, x, n) == _reference_sum_float(t, x, n)
+
+
+def test_scan_points_equal_generating_G():
+    tol = 1e-10
+    ts = [-0.95, -0.5, 0.0, 0.3, 0.9]
+    xs = [-10.0, -2.5, 0.0, 1.5, 7.5]
+    exact = [U * _sum_float(t, x, _terms_needed(t, x, tol))[1] > 0.25 * tol
+             for t in ts if t != 0.0 for x in xs]
+    assert any(exact) and not all(exact)
+    points = positivity_scan(ts, xs, tol=tol).points
+    assert points == tuple(generating_G(t, x, tol=tol)
+                           for t in ts for x in xs)
+    for t, x in [(-0.95, 10.0), (0.9, -3.0), (0.0, 4.0)]:
+        assert positivity_scan([t], [x]).points == (generating_G(t, x),)
+
+
+def _scale_used(t, x, tol=1e-10):
+    n = _terms_needed(t, x, tol)
+    return _fixed_point_scale(_fixed_point_majorant(t, x, n), tol)
+
+
+@pytest.mark.parametrize("t, x", [(0.5, 40.0), (0.3, 37.0), (0.9, 30.0),
+                                  (0.5, 1e-300)])
+def test_exact_path_within_roundoff_bound_past_binary64(t, x):
+    # e^{x^2/2} overflows binary64 at the first three, and |x| is below
+    # the binary64 path's range at the last: the gain is inf at all four
+    n = _terms_needed(t, x, 1e-10)
+    assert _sum_float(t, x, n)[1] == math.inf
+    assert _close_to_reference(generating_G(t, x), _scale_used(t, x) + 128)
+
+
+def test_fixed_point_scale_is_the_least_that_meets_tol():
+    tol = 1e-10
+    for t, x in [(0.95, -10.0), (-0.7, 6.0), (0.5, 40.0), (0.3, 37.0)]:
+        n = _terms_needed(t, x, tol)
+        majorant = _fixed_point_majorant(t, x, n)
+        bits = _fixed_point_scale(majorant, tol)
+        assert _sum_mp(t, x, n, bits, majorant)[1] <= tol / 8
+        if bits > 65:
+            assert _sum_mp(t, x, n, bits - 1, majorant)[1] > tol / 8
+        assert _sum_mp(t, x, n, bits) == _sum_mp(t, x, n, bits, majorant)
+
+
+@given(st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+@settings(max_examples=200, deadline=None)
+def test_add_up_rounds_up(a, b):
+    s = _add_up(a, b)
+    exact = Fraction(a) + Fraction(b)
+    assert Fraction(s) >= exact
+    assert s == a + b or s == math.nextafter(a + b, math.inf)
+    assert _add_up(b, a) == s
