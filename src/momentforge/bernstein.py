@@ -231,13 +231,18 @@ def power_moments(f, alpha, beta):
 def _stable_centered_power(u, n):
     """x^n - 1 - n(x - 1) without cancellation near x = 1, by the recurrence
     c_1 = 0, c_{k+1} = x c_k + k (x - 1)^2, whose terms are all nonnegative
-    for x > 0."""
+    for x > 0.
+
+    ``n`` is an order or a sequence of K orders; one pass of the recurrence
+    gives them all, as an array shaped like ``u`` or with K columns."""
     u = np.asarray(u, dtype=float)
     d2 = (u - 1.0) ** 2
-    c = np.zeros_like(u)
-    for k in range(1, n):
-        c = u * c + k * d2
-    return c
+    c = [np.zeros_like(u)] * 2
+    for k in range(1, int(np.max(n))):
+        c.append(u * c[-1] + k * d2)
+    if np.ndim(n) == 0:
+        return c[n]
+    return np.stack([c[k] for k in n], axis=-1)
 
 
 def sigma_of(f, alpha, beta, tol=1e-14):
@@ -272,7 +277,10 @@ def sigma_of(f, alpha, beta, tol=1e-14):
 
 def log_moment_via_rep(f, alpha, beta, n, tol=1e-11):
     """log s_n computed from the sigma-representation:
-    n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma."""
+    n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma.
+
+    ``n`` may be a sequence of orders; they share one integral and give an
+    array."""
     return lk_log_moment(lk_rep_of(f, alpha, beta), n, tol)
 
 
@@ -282,35 +290,39 @@ def psi(f, alpha, beta, z, tol=1e-11):
     psi(z) = -z log f(alpha) + integral of
     ((1 - e^{-z beta x}) - z (1 - e^{-beta x})) e^{-alpha x}
     / (x (1 - e^{-beta x})) d kappa(x).
+
+    ``z`` may be a sequence; its values share one integral and give an
+    array, real when every z is.
     """
-    z = complex(z)
-    if z.real < 0:
+    z = np.asarray(z, dtype=complex)
+    if (z.real < 0).any():
         raise DomainError("psi requires Re z >= 0")
     kappa = kappa_of(f)
     head = -z * math.log(f(alpha))
+    A = (z - z * z) / 2.0
+    B = (z ** 3 - z) / 6.0
+    C = -(z ** 4 - z) / 24.0
 
     def core(x):
         # ((1-e^{-z w}) - z(1-e^{-w})) / (x (1-e^{-w})), w = beta x,
-        # with a series patch below w = 1e-4 (removable point at 0)
-        x = np.asarray(x, dtype=float)
+        # with a series patch below w = 1e-4 (removable point at 0), times
+        # e^{-alpha x}; one column per z when z is a sequence
+        x = np.asarray(x, dtype=float).reshape((-1,) + (1,) * z.ndim)
         w = beta * x
         small = w <= 1e-4
         ws = np.where(small, 1.0, w)  # placeholder to avoid 0/0
         num = -np.expm1(-z * ws) + z * np.expm1(-ws)
         den = (ws / beta) * -np.expm1(-ws)
         direct = num / den
-        A = (z - z * z) / 2.0
-        B = (z ** 3 - z) / 6.0
-        C = -(z ** 4 - z) / 24.0
         series = beta * (A + (B + A / 2.0) * w
                          + (C + B / 2.0 + A / 12.0) * w * w)
-        return np.where(small, series, direct)
+        return np.where(small, series, direct) * np.exp(-alpha * x)
 
-    value, _ = integral(kappa, lambda x: core(x) * np.exp(-alpha * x), tol)
+    value, _ = integral(kappa, core, tol)
     result = head + value
-    if z.imag == 0:
-        return float(result.real)
-    return result
+    if (z.imag == 0).all():
+        result = result.real
+    return result if z.ndim else result.item()
 
 
 def lk_rep_of(f, alpha, beta, tol=1e-14):
@@ -324,11 +336,14 @@ def lk_rep_of(f, alpha, beta, tol=1e-14):
 
 
 def lk_log_moment(rep, n, tol=1e-11):
-    """log s_n from a Levy-Khinchin-type representation (a, b, sigma)."""
-    head = rep.a * n + rep.b * n * n
-    if rep.sigma is None or n == 0:
-        return head
-    value, _ = integral(rep.sigma, lambda u: _stable_centered_power(u, n),
-                        tol)
-    return head + float(value)
+    """log s_n from a Levy-Khinchin-type representation (a, b, sigma).
 
+    ``n`` may be a sequence of orders; they share one integral and give an
+    array."""
+    orders = np.asarray(n)
+    log_s = rep.a * orders + rep.b * orders * orders
+    if rep.sigma is not None and orders.any():
+        value, _ = integral(rep.sigma,
+                            lambda u: _stable_centered_power(u, n), tol)
+        log_s = log_s + value
+    return log_s if orders.ndim else float(log_s)

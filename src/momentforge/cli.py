@@ -12,7 +12,8 @@ import sys
 
 from . import verify
 from .catalog import resolve
-from .errors import DomainError, MomentForgeError, UnsupportedError
+from .errors import (BudgetError, DomainError, MomentForgeError,
+                     UnsupportedError)
 from .hermite import positivity_scan
 from .measures import AtomicMeasure
 
@@ -218,7 +219,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (DomainError, UnsupportedError, KeyError) as exc:
+    except (DomainError, UnsupportedError, BudgetError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MomentForgeError as exc:

@@ -179,8 +179,10 @@ class DensityMeasure:
 def integral(m, g, tol=1e-12):
     """(value, error) of the integral of g over (0, inf) against m.
 
-    ``g`` maps an array of points to an array of values.  This is the only
-    place that chooses between a sum over atoms and quadrature.
+    ``g`` maps an array of m points to an array of m values, or to an
+    (m, K) array of K components; the value and the error then have one
+    entry per component.  This is the only place that chooses between a
+    sum over atoms and quadrature.
 
     For an atomic measure the value is the sum of w_k g(loc_k); the atom at
     0 is left out, and callers that need it add ``zero_mass``.  The error
@@ -193,19 +195,21 @@ def integral(m, g, tol=1e-12):
     larger, so there it is not a bound.
 
     For a density it integrates g * density by the rule that
-    ``quadrature_hint`` names, and the error is the quadrature estimate.
+    ``quadrature_hint`` names, and the error is the quadrature estimate of
+    each component.
     """
     if isinstance(m, AtomicMeasure):
         loc = m.locations()
         if not len(loc):
             return 0.0, m.truncation_error
-        # one call of g: the atoms, then the point the estimate reads
+        # one call of g: the atoms, then the point the estimate reads; the
+        # transposes weight each component of an (m, K) value
         vals = g(np.append(loc, max(1.0, loc[-1])))
-        return (np.sum(m.weights() * vals[:-1]),
-                m.truncation_error * float(abs(vals[-1])))
+        return (np.sum(m.weights() * vals[:-1].T, axis=-1),
+                m.truncation_error * np.abs(vals[-1]))
 
     def f(x):
-        return g(x) * m.density(x)
+        return (g(x).T * m.density(x)).T
 
     lo, hi = m.support
     hint = m.quadrature_hint

@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .measures import AtomicMeasure, geometric_cut, pushforward
 
 DEFAULT_TOL = 1e-14
@@ -60,6 +60,13 @@ class PowerSeries:
         return len(self.coefficients) - 1
 
 
+def _factor_count(z_abs, q, tol=DEFAULT_TOL):
+    """The factors k < n that (z; q)_inf keeps at |z| = z_abs: n - 1 is
+    the geometric cut of sum_{k>N} |z| q^k = |z| q^{N+1}/(1 - q) at tol.
+    A smaller |z| meets tol with the same factors."""
+    return geometric_cut(math.log(z_abs / (1.0 - q)), math.log(q), tol)[0] + 1
+
+
 def qpoch(z, q, n=math.inf, tol=DEFAULT_TOL):
     """The q-shifted factorial (z; q)_n = prod_{k<n} (1 - z q^k).
 
@@ -74,12 +81,21 @@ def qpoch(z, q, n=math.inf, tol=DEFAULT_TOL):
     if n == math.inf:
         if abs(z) == 0:
             return 1.0
-        n = geometric_cut(math.log(abs(z) / (1.0 - q)), math.log(q),
-                          tol)[0] + 1
+        n = _factor_count(abs(z), q, tol)
     n = int(n)
     if n < 0:
         raise DomainError("n must be nonnegative or inf")
     return math.prod((1.0 - z * q ** k for k in range(n)), start=1.0)
+
+
+def _require_representable(lost, tol):
+    """Refuse a measure on {q^k} whose atoms at locations q^k that
+    underflow to 0 carry more than tol: that mass would join a tail the
+    cut already bounds by tol."""
+    if lost > tol:
+        raise BudgetError(
+            "the atoms whose location q^k underflows to 0 carry mass %.3g, "
+            "above tol = %g" % (lost, tol))
 
 
 def mu_abq(p, tol=DEFAULT_TOL):
@@ -87,7 +103,9 @@ def mu_abq(p, tol=DEFAULT_TOL):
     ((a;q)_inf/(b;q)_inf) ((b/a;q)_k/(q;q)_k) a^k, for 0 <= b < a < 1.
 
     Truncated where the geometric tail majorant drops below tol; atoms
-    whose location q^k underflows to 0 join that tail in truncation_error.
+    whose location q^k underflows to 0 join that tail in truncation_error,
+    which is then at most 2 tol.  Raises :class:`BudgetError` when their
+    mass alone exceeds tol.
     """
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
@@ -101,9 +119,11 @@ def mu_abq(p, tol=DEFAULT_TOL):
     q_poch = np.cumprod(np.append(1.0, 1.0 - qk[1:]))
     weights = prefactor * ratio_poch / q_poch * a ** np.arange(N + 1)
     kept = qk > 0.0
+    lost = weights[~kept].sum()
+    _require_representable(lost, tol)
     return AtomicMeasure.from_pairs(
         np.column_stack((qk[kept], weights[kept])),
-        truncation_error=tail + weights[~kept].sum())
+        truncation_error=tail + lost)
 
 
 def qbinomial_check(a, z, q, N=6, K=80):
@@ -195,10 +215,14 @@ def tau_c(p, c, tol=DEFAULT_TOL):
     log1q = math.log(1.0 / q)
     log_w0 = c * (math.log(qpoch(a, q)) - math.log(qpoch(b, q)))
     radii = _radii(1.0, 1.0 / a)
+    # log (z;q)_inf at z = b r and a r for all radii at once, each with the
+    # factors that qpoch keeps for the largest z, a r_12
+    qk = q ** np.arange(_factor_count(a * radii[-1], q))
+    log_poch = np.log1p(-np.multiply.outer(qk, np.append(b * radii,
+                                                         a * radii)))
+    log_br, log_ar = np.split(log_poch.sum(axis=0), 2)
     # log of F(r) / (1 - 1/r), the Cauchy bound before the factor r^{-N-1}
-    log_head = np.array([
-        log_w0 + c * (math.log(qpoch(b * r, q)) - math.log(qpoch(a * r, q)))
-        - math.log1p(-1.0 / r) for r in radii])
+    log_head = log_w0 + c * (log_br - log_ar) - np.log1p(-1.0 / radii)
     # the amplification grows with N, so cutting again at the tol it leaves
     # at the last N climbs from below to the first N that meets it
     N, last = 0, None
@@ -214,8 +238,15 @@ def tau_c(p, c, tol=DEFAULT_TOL):
 
 def mu_c(p, c, tol=DEFAULT_TOL):
     """The q-Beta semigroup member mu(a,b;q)_c: pushforward of tau_c under
-    x -> e^{-x}; concentrated on {q^k} with moments ((a;q)_n/(b;q)_n)^c."""
+    x -> e^{-x}; concentrated on {q^k} with moments ((a;q)_n/(b;q)_n)^c.
+
+    As for :func:`mu_abq`, atoms whose image underflows join
+    truncation_error, which is then at most 2 tol, and
+    :class:`BudgetError` is raised when their mass alone exceeds tol.
+    """
     tau = tau_c(p, c, tol=tol)
+    underflows = np.exp(-tau.locations()) == 0.0
+    _require_representable(tau.weights()[underflows].sum(), tol)
     return pushforward(tau, "exp-neg", 1.0)
 
 

@@ -12,8 +12,10 @@ measure catalog:
   that is well-behaved in ``u = log(x)``; the window in ``u`` is expanded
   until the boundary strips are negligible.
 
-Integrands must map a 1-D numpy array to an array of the same shape,
-which may be complex.
+Integrands map a 1-D numpy array of m points to an array of shape (m,),
+or to an (m, K) array whose K columns are integrated together over the
+same panels; values may be complex.  The value and the error estimate
+then have one entry per component.
 The subdivision budget defaults to 2**14 panels and can be overridden with
 the ``MOMENTFORGE_QUAD_BUDGET`` environment variable.
 """
@@ -75,50 +77,60 @@ _RULE_WEIGHTS[1:20:2, 1] = _WG_HALF + _WG_HALF[::-1]
 
 def _panels(f, edges):
     """K21 values and estimates |K21 - G10| of the panels between
-    consecutive ``edges``, from one call of ``f`` on all their nodes."""
+    consecutive ``edges``, from one call of ``f`` on all their nodes.
+
+    Each has shape (panels,) for an (m,) integrand and (panels, K) for an
+    (m, K) one."""
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * _KRONROD_NODES).ravel()
-    rules = half[:, None] * (f(x).reshape(len(mid), 21) @ _RULE_WEIGHTS)
-    return rules[:, 0], np.abs(rules[:, 0] - rules[:, 1])
+    fx = f(x)
+    # one row of 21 node values per panel and component, all against the
+    # rule in one product; the transposes scale each panel by its half
+    rows = fx.reshape((len(mid), 21) + fx.shape[1:]).swapaxes(1, -1)
+    rules = (rows.reshape(-1, 21) @ _RULE_WEIGHTS).reshape(
+        rows.shape[:-1] + (2,))
+    rules = (rules.T * half).T
+    return rules[..., 0], np.abs(rules[..., 0] - rules[..., 1])
 
 
 def integrate(f, a, b, tol=1e-12, budget=None):
     """Integrate ``f`` over ``[a, b]`` by adaptive panel bisection.
 
     Each panel takes the Gauss-Kronrod G10/K21 pair: its value is K21 and
-    its error is the estimate |K21 - G10|, not a bound.  The worst panel
-    is split in two, and both halves go to ``f`` as one array of 42
-    nodes.  Stops when the summed error estimate is below
-    ``tol * max(1, |I|)``.  Raises :class:`QuadratureError` when the
-    panel budget is exhausted.
+    its error is the estimate |K21 - G10|, not a bound.  The panel whose
+    worst component has the largest estimate is split in two, and both
+    halves go to ``f`` as one array of 42 nodes.  Stops when every
+    component's summed error estimate is below ``tol * max(1, |I|)`` of
+    its own value.  Raises :class:`QuadratureError`, carrying the values
+    and estimates reached, when the panel budget is exhausted.
     """
     if budget is None:
         budget = panel_budget()
     (value,), (err,) = _panels(f, (a, b))
-    heap = [(-err, a, b, value, err)]
+    heap = [(-err.max(), a, b, value, err)]
     total, total_err = value, err
     panels = 1
     while True:
-        if total_err <= tol * max(1.0, abs(total)):
+        if (total_err <= tol * np.maximum(1.0, abs(total))).all():
             return total, total_err
         if panels >= budget:
             raise QuadratureError(
                 "quadrature budget of %d panels exhausted (residual %.3g)"
-                % (budget, total_err),
+                % (budget, total_err.max()),
                 value=total,
                 residual=total_err,
             )
         _, lo, hi, val0, err0 = heapq.heappop(heap)
-        total -= val0
-        total_err -= err0
+        total = total - val0
+        total_err = total_err - err0
         mid = 0.5 * (lo + hi)
         values, errs = _panels(f, (lo, mid, hi))
         for left, right, val, e in zip((lo, mid), (mid, hi), values, errs):
-            heapq.heappush(heap, (-e, left, right, val, e))
-            total += val
-            total_err += e
+            heapq.heappush(heap, (-e.max(), left, right, val, e))
+            total = total + val
+            total_err = total_err + e
         panels += 1
 
 
@@ -130,7 +142,8 @@ def integrate_exp_decay(f, tol=1e-12, budget=None):
     """
 
     def g(u):
-        return f(-np.log(u)) / u
+        # the transposes divide each component of an (m, K) value by u
+        return (f(-np.log(u)).T / u).T
 
     return integrate(g, 0.0, 1.0, tol=tol, budget=budget)
 
@@ -140,13 +153,13 @@ def integrate_log_sub(f, tol=1e-12, budget=None):
 
     The window in ``u`` starts at ``[-8, 8]`` and grows one strip of width
     8 at a time in each direction until two consecutive strips contribute
-    below tolerance, or 60 strips were added.  Suits log-normal-type tails
-    whose mass may sit far from ``u = 0``.
+    below tolerance in every component, or 60 strips were added.  Suits
+    log-normal-type tails whose mass may sit far from ``u = 0``.
     """
 
     def g(u):
         x = np.exp(u)
-        return f(x) * x
+        return (f(x).T * x).T
 
     total, total_err = integrate(g, -8.0, 8.0, tol=tol, budget=budget)
     for direction in (+1, -1):
@@ -154,9 +167,9 @@ def integrate_log_sub(f, tol=1e-12, budget=None):
         for j in range(1, 61):
             lo, hi = sorted((8.0 * direction * j, 8.0 * direction * (j + 1)))
             part, err = integrate(g, lo, hi, tol=tol, budget=budget)
-            total += part
-            total_err += err
-            if abs(part) <= tol * max(1.0, abs(total)):
+            total = total + part
+            total_err = total_err + err
+            if np.all(np.abs(part) <= tol * np.maximum(1.0, np.abs(total))):
                 quiet += 1
                 if quiet >= 2:
                     break

@@ -135,16 +135,15 @@ def suite_bernstein_rep(tol=None, n_max=15):
             if f(alpha) <= 0.0:
                 continue
             seq = bernstein.power_moments(f, alpha, beta)
-            for n in range(n_max + 1):
-                via_rep = bernstein.log_moment_via_rep(f, alpha, beta, n)
-                rep_worst = max(rep_worst, abs(via_rep - seq.log(n)))
-                psi_n = bernstein.psi(f, alpha, beta, float(n))
-                psi_worst = max(psi_worst, abs(psi_n + seq.log(n)))
-            psi0_worst = max(psi0_worst,
-                             abs(bernstein.psi(f, alpha, beta, 0.0)))
+            orders = range(n_max + 1)
+            logs = np.array([seq.log(n) for n in orders])
+            via_rep = bernstein.log_moment_via_rep(f, alpha, beta, orders)
+            rep_worst = max(rep_worst, float(np.max(np.abs(via_rep - logs))))
+            psi_n = bernstein.psi(f, alpha, beta, orders)
+            psi_worst = max(psi_worst, float(np.max(np.abs(psi_n + logs))))
+            psi0_worst = max(psi0_worst, abs(float(psi_n[0])))
             psi1_worst = max(psi1_worst,
-                             abs(bernstein.psi(f, alpha, beta, 1.0)
-                                 + math.log(f(alpha))))
+                             abs(float(psi_n[1]) + math.log(f(alpha))))
         _check(results, "bernstein-rep", "rep:%s" % f.catalog_id,
                rep_worst, 1e-7, tol)
         _check(results, "bernstein-rep", "psi:%s" % f.catalog_id,

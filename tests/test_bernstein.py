@@ -212,3 +212,46 @@ def test_atomic_psi_normalizations():
     for alpha, beta in AB_PAIRS:
         assert abs(psi(f, alpha, beta, 0.0)) <= 1e-12
         assert abs(psi(f, alpha, beta, 1.0) + math.log(f(alpha))) <= 1e-12
+
+
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.catalog_id)
+def test_all_orders_in_one_call_match_the_scalar_calls(f):
+    for alpha, beta in AB_PAIRS:
+        if not admissible(f, alpha):
+            continue
+        together = log_moment_via_rep(f, alpha, beta, range(16))
+        assert together.shape == (16,)
+        for n in range(16):
+            alone = log_moment_via_rep(f, alpha, beta, n)
+            assert isinstance(alone, float)
+            # both meet tol = 1e-11 relative to max(1, |I|), as estimated;
+            # for linear at n = 8 they differ by 1.2e-10 at |I| = 13
+            assert abs(together[n] - alone) <= 1e-10 * max(1.0, abs(alone)), n
+
+
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.catalog_id)
+def test_psi_over_a_sequence_matches_the_scalar_calls(f):
+    zs = [0, 0.5, 1, 2 + 1j, 15]
+    for alpha, beta in AB_PAIRS:
+        if not admissible(f, alpha):
+            continue
+        together = psi(f, alpha, beta, zs)
+        assert together.shape == (5,)
+        for z, value in zip(zs, together):
+            assert abs(value - psi(f, alpha, beta, z)) <= 1e-10, z
+        assert together.dtype == complex
+        assert psi(f, alpha, beta, zs[:2]).dtype == float
+
+
+def test_psi_refuses_a_sequence_with_negative_real_part():
+    with pytest.raises(DomainError):
+        psi(affine(1.0), 1.0, 1.0, [0.5, 2.0, -0.25 + 1j])
+
+
+def test_centered_powers_in_one_pass_match_each_order():
+    u = np.linspace(0.0, 2.0, 41)
+    together = _stable_centered_power(u, [3, 0, 15, 1])
+    assert together.shape == (41, 4)
+    for column, n in enumerate([3, 0, 15, 1]):
+        assert np.array_equal(together[:, column],
+                              _stable_centered_power(u, n))

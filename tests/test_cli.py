@@ -168,6 +168,7 @@ def test_resolve_rejects_garbage():
     ["verify", "hankel", "--tol", "inf"],
     ["verify", "hankel", "--tol", "nan"],
     ["verify", "hankel", "--tol", "-1"],
+    ["atoms", "qbeta:0.99:0.5:0.5:1"],
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -9,7 +9,10 @@ from momentforge import (DomainError, QParams, additive_convolve,
                          qbeta_moment_sequence, qbinomial_check, qpoch,
                          sigma_abgamma, tau_c)
 from momentforge.bernstein import kappa_of, qratio
-from momentforge.qseries import _exp_series
+from momentforge.errors import BudgetError
+from momentforge.measures import geometric_cut
+from momentforge.qseries import _exp_series, _radii
+from momentforge.verify import _ABQ_GRID
 from momentforge.semigroups import t_transform
 
 P = QParams(0.5, 0.25, 0.5)
@@ -137,6 +140,50 @@ def test_tau_truncation_error_bounds_dropped_mass(c):
 
 def test_tau_keeps_few_atoms():
     assert len(tau_c(P, 1.0).atoms) <= 200
+
+
+def _tau_cut_reference(p, c, tol=1e-14):
+    """tau_c's cut N and truncation_error, with the Cauchy head taken one
+    qpoch at a time, each with its own factor count."""
+    a, b, q = p.a, p.b, p.q
+    log1q = math.log(1.0 / q)
+    log_w0 = c * (math.log(qpoch(a, q)) - math.log(qpoch(b, q)))
+    radii = _radii(1.0, 1.0 / a)
+    log_head = np.array([
+        log_w0 + c * (math.log(qpoch(b * r, q)) - math.log(qpoch(a * r, q)))
+        - math.log1p(-1.0 / r) for r in radii])
+    N, last = 0, None
+    while N != last:
+        last = N
+        N, tail = geometric_cut(log_head, -np.log(radii),
+                                tol / max(1.0, (N + 1) * log1q) ** 8)
+    return N, tail
+
+
+# every (a, b, q, c) at which the qseries and semigroup suites build tau_c
+_SUITE_TAU_ARGS = sorted(
+    {(a, b, q, c) for a, b, q in _ABQ_GRID for c in (0.5, 1.0, 2.0, 3.0)}
+    | {(0.5, 0.25, 0.5, c) for c in (0.3, 0.5, 1.0, 1.7, 2.0, 3.0)})
+
+
+def test_tau_cut_matches_the_head_taken_one_radius_at_a_time():
+    for a, b, q, c in _SUITE_TAU_ARGS:
+        tau = tau_c(QParams(a, b, q), c)
+        N, tail = _tau_cut_reference(QParams(a, b, q), c)
+        assert len(tau.atoms) == N, (a, b, q, c)
+        # the heads differ by rounding and by factors within 1e-14 of 1,
+        # which the 1e-12 that geometric_cut adds to each head covers
+        assert tau.truncation_error == pytest.approx(tail, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("make", [mu_abq, lambda p: mu_c(p, 1.0)],
+                         ids=["mu_abq", "mu_c"])
+def test_underflowing_mass_above_tol_is_refused(make):
+    # at q = 0.5 only q^0..q^1074 are representable; the atoms past them
+    # carry 2.0e-5 at a = 0.99 and 1.5e-12 at a = 0.975
+    for a in (0.975, 0.99):
+        with pytest.raises(BudgetError, match="underflows"):
+            make(QParams(a, 0.5, 0.5))
 
 
 def test_tau_pushforward_matches_mu():
