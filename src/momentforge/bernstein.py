@@ -292,9 +292,10 @@ def psi(f, alpha, beta, z, tol=1e-11):
     / (x (1 - e^{-beta x})) d kappa(x).
 
     ``z`` may be a sequence; its values share one integral and give an
-    array, real when every z is.
+    array.  A real z stays real, so its integral is too.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z)
+    z = z.astype(complex if np.iscomplexobj(z) else float)
     if (z.real < 0).any():
         raise DomainError("psi requires Re z >= 0")
     kappa = kappa_of(f)
@@ -320,8 +321,6 @@ def psi(f, alpha, beta, z, tol=1e-11):
 
     value, _ = integral(kappa, core, tol)
     result = head + value
-    if (z.imag == 0).all():
-        result = result.real
     return result if z.ndim else result.item()
 
 

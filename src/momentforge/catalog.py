@@ -87,8 +87,15 @@ def _qbeta(params, a, b, q, c):
 
 
 def _hp(params, p, q):
+    # c_n does not depend on the length of the series, so keep the longest
+    # one built and rebuild it, twice as long, only for an n past its end
+    series = []
+
     def coefficient(n):
-        return qseries.hp_coefficients(p, q, n).coefficients[n]
+        if n >= len(series):
+            series[:] = qseries.hp_coefficients(
+                p, q, max(n, 2 * len(series))).coefficients
+        return series[n]
     return dict(moment_fn=coefficient)
 
 

@@ -16,23 +16,16 @@ Integrands map a 1-D numpy array of m points to an array of shape (m,),
 or to an (m, K) array whose K columns are integrated together over the
 same panels; values may be complex.  The value and the error estimate
 then have one entry per component.
-The subdivision budget defaults to 2**14 panels and can be overridden with
-the ``MOMENTFORGE_QUAD_BUDGET`` environment variable.
+The subdivision budget defaults to 2**14 panels.
 """
 
 import heapq
-import os
 
 import numpy as np
 
 from .errors import QuadratureError
 
 DEFAULT_PANEL_BUDGET = 2 ** 14
-
-
-def panel_budget():
-    value = os.environ.get("MOMENTFORGE_QUAD_BUDGET")
-    return int(value) if value else DEFAULT_PANEL_BUDGET
 
 
 # Gauss-Kronrod G10/K21 pair (QUADPACK qk21, Piessens et al. 1983): the
@@ -95,7 +88,7 @@ def _panels(f, edges):
     return rules[..., 0], np.abs(rules[..., 0] - rules[..., 1])
 
 
-def integrate(f, a, b, tol=1e-12, budget=None):
+def integrate(f, a, b, tol=1e-12, budget=DEFAULT_PANEL_BUDGET):
     """Integrate ``f`` over ``[a, b]`` by adaptive panel bisection.
 
     Each panel takes the Gauss-Kronrod G10/K21 pair: its value is K21 and
@@ -106,8 +99,6 @@ def integrate(f, a, b, tol=1e-12, budget=None):
     its own value.  Raises :class:`QuadratureError`, carrying the values
     and estimates reached, when the panel budget is exhausted.
     """
-    if budget is None:
-        budget = panel_budget()
     (value,), (err,) = _panels(f, (a, b))
     heap = [(-err.max(), a, b, value, err)]
     total, total_err = value, err
@@ -134,7 +125,7 @@ def integrate(f, a, b, tol=1e-12, budget=None):
         panels += 1
 
 
-def integrate_exp_decay(f, tol=1e-12, budget=None):
+def integrate_exp_decay(f, tol=1e-12, budget=DEFAULT_PANEL_BUDGET):
     """Integrate ``f`` over ``(0, inf)`` assuming exponential decay.
 
     Uses the substitution ``x = -log(u)`` mapping the half-line onto
@@ -148,7 +139,7 @@ def integrate_exp_decay(f, tol=1e-12, budget=None):
     return integrate(g, 0.0, 1.0, tol=tol, budget=budget)
 
 
-def integrate_log_sub(f, tol=1e-12, budget=None):
+def integrate_log_sub(f, tol=1e-12, budget=DEFAULT_PANEL_BUDGET):
     """Integrate ``f`` over ``(0, inf)`` via ``u = log(x)``.
 
     The window in ``u`` starts at ``[-8, 8]`` and grows one strip of width

@@ -10,10 +10,52 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, loggamma
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, RangeError, UnsupportedError
 from .measures import DensityMeasure, MomentSequence
+
+#: B_{2k} / (2k (2k - 1)) for k = 1..8, the Stirling series of log Gamma
+#: (DLMF 5.11.1)
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+             1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0,
+             -3617.0 / 122400.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _loggamma(z):
+    """log Gamma(z) for Re z > 0, on the branch continuous from the
+    positive real axis (the analytic continuation of math.lgamma).
+
+    Shifts z by Gamma(z) = Gamma(z + 1)/z until Re z >= 15, then sums
+    eight terms of the Stirling series; the first omitted term is below
+    2e-21 there.  Every log(z + k) is principal and Re(z + k) > 0, so the
+    sum stays on that branch, which matters when the result is scaled by
+    a non-integer power before it is exponentiated.
+    """
+    z = complex(z)
+    shift = 0j
+    while z.real < 15.0:
+        shift += cmath.log(z)
+        z += 1.0
+    w = 1.0 / (z * z)
+    series = 0j
+    for coeff in reversed(_STIRLING):
+        series = series * w + coeff
+    return ((z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series / z
+            - shift)
+
+
+def _mellin_exp(exponent, z):
+    """exp(exponent), a Mellin value at z: real when z is, and a
+    RangeError when it leaves binary64."""
+    try:
+        value = cmath.exp(exponent)
+    except OverflowError:
+        raise RangeError("Mellin transform at z = %s overflows binary64"
+                         % z)
+    if z.imag == 0:
+        return complex(value.real, 0.0)
+    return value
 
 
 @dataclass(frozen=True)
@@ -64,7 +106,7 @@ def gamma_density(fam):
         raise UnsupportedError(
             "no closed-form density for gamma powers with c != 1")
     a = fam.a
-    log_norm = loggamma(a).real
+    log_norm = math.lgamma(a)
 
     def density(x):
         x = np.asarray(x, dtype=float)
@@ -80,10 +122,7 @@ def gamma_mellin(fam, z):
     z = complex(z)
     if z.real <= -fam.a:
         raise DomainError("gamma Mellin transform needs Re z > -a")
-    value = cmath.exp(fam.c * (loggamma(fam.a + z) - loggamma(fam.a)))
-    if z.imag == 0:
-        return complex(value.real, 0.0)
-    return value
+    return _mellin_exp(fam.c * (_loggamma(fam.a + z) - _loggamma(fam.a)), z)
 
 
 def beta_density(fam):
@@ -92,7 +131,7 @@ def beta_density(fam):
         raise UnsupportedError(
             "no closed-form density for beta powers with c != 1")
     a, b = fam.a, fam.b
-    log_norm = betaln(a, b - a)
+    log_norm = math.lgamma(a) + math.lgamma(b - a) - math.lgamma(b)
 
     def density(x):
         x = np.asarray(x, dtype=float)
@@ -109,11 +148,9 @@ def beta_mellin(fam, z):
     z = complex(z)
     if z.real <= -fam.a:
         raise DomainError("beta Mellin transform needs Re z > -a")
-    value = cmath.exp(fam.c * (loggamma(fam.a + z) - loggamma(fam.a)
-                               - loggamma(fam.b + z) + loggamma(fam.b)))
-    if z.imag == 0:
-        return complex(value.real, 0.0)
-    return value
+    return _mellin_exp(fam.c * (_loggamma(fam.a + z) - _loggamma(fam.a)
+                                - _loggamma(fam.b + z) + _loggamma(fam.b)),
+                       z)
 
 
 def vc_density(fam):
@@ -138,10 +175,8 @@ def vc_density(fam):
 def vc_mellin(fam, z):
     """q^{-c z(z+1)/2}, entire in z."""
     z = complex(z)
-    value = cmath.exp(0.5 * fam.c * z * (z + 1.0) * math.log(1.0 / fam.q))
-    if z.imag == 0:
-        return complex(value.real, 0.0)
-    return value
+    return _mellin_exp(0.5 * fam.c * z * (z + 1.0) * math.log(1.0 / fam.q),
+                       z)
 
 
 def t_transform(a):

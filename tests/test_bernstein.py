@@ -215,6 +215,21 @@ def test_atomic_psi_normalizations():
 
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.catalog_id)
+def test_psi_at_real_z_is_real_and_exact_at_zero_and_one(f):
+    # at z = 0 and z = 1 the integrand vanishes identically in real
+    # arithmetic, so psi(0) = 0 and psi(1) = -log f(alpha) exactly
+    for alpha, beta in AB_PAIRS:
+        if not admissible(f, alpha):
+            continue
+        values = psi(f, alpha, beta, range(4))
+        assert values.dtype == np.float64
+        assert values[0] == 0.0
+        assert values[1] == -math.log(f(alpha))
+        assert isinstance(psi(f, alpha, beta, 2), float)
+    assert psi(f, 1.0, 1.0, [1.0, 2 + 1j]).dtype == np.complex128
+
+
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.catalog_id)
 def test_all_orders_in_one_call_match_the_scalar_calls(f):
     for alpha, beta in AB_PAIRS:
         if not admissible(f, alpha):

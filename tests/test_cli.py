@@ -201,6 +201,59 @@ def test_hp_moments_are_the_series_coefficients(capsys):
     assert values == list(qseries.hp_coefficients(0.5, 0.5, 60).coefficients)
 
 
+def test_hp_moments_rebuild_the_series_only_when_it_runs_out(
+        capsys, monkeypatch):
+    calls = []
+    build = qseries.hp_coefficients
+
+    def counted(p, q, K):
+        calls.append(K)
+        return build(p, q, K)
+
+    monkeypatch.setattr(qseries, "hp_coefficients", counted)
+    code, out, _ = run(capsys, "moments", "hp:0.3:0.8", "--n-max", "57")
+    assert code == 0
+    monkeypatch.undo()
+    values = [float(line.split(",")[1])
+              for line in out.strip().splitlines()[1:]]
+    # the coefficient of the series built for each n alone, bit for bit
+    assert values == [build(0.3, 0.8, n).coefficients[n]
+                      for n in range(58)]
+    # each rebuild more than doubles the series' length K + 1
+    assert calls == [0, 2, 6, 14, 30, 62]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mellin", "gamma:1:1", "--z", "200"],
+    ["moments", "gamma:1:1", "--n-max", "200"],
+    ["mellin", "vclognormal:0.5:1", "--z", "60"],
+])
+def test_mellin_past_binary64_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_without_scipy():
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from momentforge.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(momentforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, check=True,
+                              env=env).stdout
+
+    assert cli("verify", "semigroup").strip().endswith("passed 5/5")
+    re_part, im_part = cli("mellin", "gamma:1:2", "--z", "2+1j").split(",")
+    assert float(re_part) == pytest.approx(-0.866071944006, rel=1e-11)
+    assert float(im_part) == pytest.approx(2.578740014668, rel=1e-11)
+
+
 def test_sigmaq_moments_build_the_measure_once(capsys, monkeypatch):
     calls = []
     build = qseries.sigma_abgamma

@@ -1,6 +1,5 @@
 import heapq
 import math
-import os
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from momentforge.errors import QuadratureError
 from momentforge.quadrature import (_KRONROD_NODES, _RULE_WEIGHTS,
                                     integrate, integrate_exp_decay,
-                                    integrate_log_sub, panel_budget)
+                                    integrate_log_sub)
 
 K21_WEIGHTS = _RULE_WEIGHTS[:, 0]
 G10_WEIGHTS = _RULE_WEIGHTS[:, 1]
@@ -52,30 +51,10 @@ def test_error_estimate_is_honest():
     assert abs(val - (math.e - 1.0)) <= max(err, 1e-13)
 
 
-def test_budget_env_override():
-    old = os.environ.get("MOMENTFORGE_QUAD_BUDGET")
-    os.environ["MOMENTFORGE_QUAD_BUDGET"] = "4096"
-    try:
-        assert panel_budget() == 4096
-    finally:
-        if old is None:
-            del os.environ["MOMENTFORGE_QUAD_BUDGET"]
-        else:
-            os.environ["MOMENTFORGE_QUAD_BUDGET"] = old
-
-
 def test_budget_exhaustion_raises():
-    old = os.environ.get("MOMENTFORGE_QUAD_BUDGET")
-    os.environ["MOMENTFORGE_QUAD_BUDGET"] = "8"
-    try:
-        with pytest.raises(QuadratureError):
-            integrate(lambda x: np.sin(200.0 * x) / (x + 1e-8), 0.0, 50.0,
-                      tol=1e-14)
-    finally:
-        if old is None:
-            del os.environ["MOMENTFORGE_QUAD_BUDGET"]
-        else:
-            os.environ["MOMENTFORGE_QUAD_BUDGET"] = old
+    with pytest.raises(QuadratureError):
+        integrate(lambda x: np.sin(200.0 * x) / (x + 1e-8), 0.0, 50.0,
+                  tol=1e-14, budget=8)
 
 
 def _monomial_integral(k):

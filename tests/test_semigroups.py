@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from momentforge import (BetaFamily, DomainError, GammaFamily,
@@ -7,6 +9,8 @@ from momentforge import (BetaFamily, DomainError, GammaFamily,
                          beta_density, beta_mellin, gamma_density,
                          gamma_mellin, mellin, moment, t_transform,
                          vc_density, vc_mellin)
+from momentforge.errors import RangeError
+from momentforge.semigroups import _loggamma
 
 
 def test_gamma_mellin_at_integers_is_pochhammer():
@@ -146,3 +150,70 @@ def test_density_mellin_at_complex_z(fam, density, closed):
     z = 2.0 + 1.0j
     target = closed(fam, z)
     assert abs(mellin(density(fam), z).value - target) <= 1e-9 * abs(target)
+
+
+def _within(value, reference, rel):
+    return abs(value - reference) <= rel * max(1.0, abs(reference))
+
+
+def test_loggamma_on_the_real_axis_is_lgamma():
+    xs = np.concatenate([np.geomspace(1e-300, 1e6, 2001),
+                         np.linspace(0.01, 30.0, 2991),
+                         np.arange(1.0, 31.0)])
+    for x in xs:
+        value = _loggamma(x)
+        assert value.imag == 0.0, x
+        assert _within(value.real, math.lgamma(x), 5e-14), x
+
+
+def test_loggamma_modulus_on_the_critical_line():
+    # |Gamma(1/2 + iy)|^2 = pi / cosh(pi y), taken in logs
+    for y in np.linspace(-50.0, 50.0, 2001):
+        t = abs(math.pi * y)
+        log_cosh = t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
+        reference = math.log(math.pi) - log_cosh
+        assert _within(2.0 * _loggamma(complex(0.5, y)).real, reference,
+                       5e-14), y
+
+
+def test_loggamma_duplication():
+    # Legendre (DLMF 5.5.5): Gamma(2z) = 2^{2z-1} Gamma(z) Gamma(z+1/2)
+    # / sqrt(pi); every term is on the branch continuous from the real
+    # axis, so the identity holds in logs with no multiple of 2 pi i
+    for x in np.linspace(0.05, 20.0, 41):
+        for y in np.linspace(-40.0, 40.0, 41):
+            z = complex(x, y)
+            reference = _loggamma(2.0 * z)
+            value = ((2.0 * z - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)
+                     + _loggamma(z) + _loggamma(z + 0.5))
+            assert _within(value, reference, 5e-14), z
+
+
+def test_loggamma_recurrence_across_the_seam():
+    # z below Re z = 15 is shifted, z + 1 above it is not
+    for x in (14.0, 14.25, 14.5, 14.999, 15.0):
+        for y in (0.0, 0.5, -3.0, 20.0, -60.0):
+            z = complex(x, y)
+            reference = _loggamma(z + 1.0)
+            assert _within(_loggamma(z) + cmath.log(z), reference,
+                           5e-14), z
+
+
+def test_loggamma_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for x in np.linspace(0.01, 60.0, 120):
+        for y in np.linspace(-60.0, 60.0, 121):
+            z = complex(x, y)
+            reference = complex(special.loggamma(z))
+            assert _within(_loggamma(z), reference, 1e-13), z
+
+
+@pytest.mark.parametrize("mellin_of,fam,z", [
+    (gamma_mellin, GammaFamily(1.0), 200),
+    (gamma_mellin, GammaFamily(1.0), 171),
+    (beta_mellin, BetaFamily(1.0, 1.5, 500.0), -1.0 + 1e-6),
+    (vc_mellin, LogNormalQFamily(0.5), 60),
+])
+def test_mellin_past_binary64_is_a_range_error(mellin_of, fam, z):
+    with pytest.raises(RangeError):
+        mellin_of(fam, z)
