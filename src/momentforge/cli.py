@@ -6,6 +6,7 @@ digits.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -159,6 +160,8 @@ def _cmd_mellin(args):
         z = complex(args.z)
     except ValueError:
         raise DomainError("cannot parse z = %r" % args.z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite, got z = %s" % args.z)
     value = complex(obj.mellin(z))
     if args.output == "json":
         text = json.dumps({"object": args.object_id, "z": args.z,

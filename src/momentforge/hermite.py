@@ -12,17 +12,25 @@ A scan is one pass over its grid (_evaluate_grid), and generating_G is a
 values h~_k and their error majorant E_k depend on x only and are
 computed once per x column, the powers t~_k and their errors g_k once
 per t row, and each point then takes elementwise products and sequential
-cumulative sums of those arrays (_sum_float).  Points where that bound
-exceeds a quarter of the tolerance are summed again exactly in fixed
-point on Python ints (_sum_mp), at a scale 2^B chosen before the integer
-loop from a binary64 majorant of the fixed-point error
-(_fixed_point_majorant).
+cumulative sums of those arrays (_sum_float).  That majorant takes the
+recurrence coefficients in absolute value, so it grows like
+e^{sqrt(2k)|x|}; it is only the first, cheap filter.  A point where it
+exceeds a quarter of the tolerance is summed again by the backward
+(Clenshaw) recurrence
+
+    w_k = 1 + x t a_k w_{k+1} - t^2 b_{k+1} w_{k+2},  w_0 = s_N,
+
+whose error is its local errors weighted by the terms h_k(x) t^k
+themselves (_backward_point), so it does not grow with the recurrence.
+In binary64 that bound meets tol/4 at many of these points; the rest are
+summed by the same recurrence exactly in fixed point on Python ints
+(_sum_mp), at a scale 2^B estimated from the binary64 pass and proven
+afterwards from the integers the loop computed.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from math import isqrt
 from operator import rshift
@@ -37,14 +45,13 @@ _MAX_TERMS = 200000
 _U = 2.0 ** -53
 #: roundings per recurrence step in the binary64 majorant (see _sum_float)
 _C = 7.0
+#: relative margin of the fixed-point estimate (see _backward_point)
+_MARGIN = 1.0 + 2.0 ** -20
 #: magnitudes below this leave the binary64 path (see _sum_float)
 _TINY = 2.0 ** -900
-#: smallest normal binary64; the fixed-point majorant floors its values
-#: here so that no rounding in it underflows (see _fixed_point_majorant)
+#: smallest normal binary64; the backward-recurrence bounds floor their
+#: values here so that no rounding in them underflows (see _weights)
 _FLOOR = sys.float_info.min
-#: the fixed-point majorant rescales by 2^-_RESCALE_BITS above this
-_RESCALE_BITS = 600
-_BIG = 2.0 ** _RESCALE_BITS
 #: the retained coefficient table of _sum_mp holds at most this many
 #: scale bits times terms (a little over 2 MiB of alpha_k and beta_k)
 _TABLE_CAP = 1 << 23
@@ -154,6 +161,28 @@ def hermite_h(n, x):
             "computed |h_%d(%g)| = %g violates the e^{x^2/2} bound; "
             "the recurrence has lost too much precision" % (n, x, curr))
     return curr
+
+
+def _hermite_h_all(n_max, x):
+    """h_0(x), ..., h_{n_max}(x) at every entry of the array x, as an
+    (n_max + 1, len(x)) array: the recurrence of hermite_h run once over
+    all x, with its operations in its order, so that each entry equals
+    hermite_h(n, x) bit for bit.  It leaves out hermite_h's checks
+    against the Szasz bound."""
+    if n_max < 0:
+        raise DomainError("n must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("_hermite_h_all needs a finite x")
+    h = np.empty((n_max + 1,) + x.shape)
+    h[0] = 1.0
+    if n_max:
+        sqrt2_x = math.sqrt(2.0) * x
+        h[1] = sqrt2_x
+        for k in range(1, n_max):
+            h[k + 1] = ((sqrt2_x * h[k] - math.sqrt(k) * h[k - 1])
+                        / math.sqrt(k + 1.0))
+    return h
 
 
 def hermite_eval(n, x):
@@ -302,7 +331,7 @@ def _sum_float(t, x, n_terms):
     computes each column and row once.  Every operation is the one above
     on the same operands, so the sum and S do not depend on how the grid
     shares them, and the sum does not depend on the bound.  S is inf,
-    which hands the point to the exact path, when it overflows, and when
+    which hands the point to _backward_point, when it overflows, and when
     |t^(N+1)| or a nonzero |x| is below 2^-900, so that the terms and the
     first values of the recurrence stay clear of the underflow range.
     """
@@ -310,102 +339,157 @@ def _sum_float(t, x, n_terms):
                         x, n_terms)
 
 
-def _fixed_point_majorant(t, x, n_terms):
-    """(s, e) with sum_{k=1}^{N} D_k <= s 2^e (N = n_terms), for the bound
-    D_k on the error of U_k in units of 2^-B in _sum_mp, at any B >= 65;
-    see _majorant_point."""
-    return _majorant_point(_float_column(x, n_terms), _float_row(t, n_terms),
-                           t, x, n_terms)
+def _column_bound(column, x):
+    """(m, sigma) with |h_k(x)| <= m[k-1] 2^sigma and m[k-1] <= 1 for
+    k = 1..n, from the arrays of an x column n long.
+
+    sigma = ceil(x^2/(2 ln 2)) + 1 is an integer with e^{x^2/2} 2^-sigma
+    <= 1, so the Szasz bound caps m at 1.  Below the cap m[k-1] is
+    (|h~_k| + u E_k) 2^-sigma: by _sum_float's analysis |h_k| <=
+    |h~_k| + u E_k, which follows |h_k| where that is far below e^{x^2/2}.
+    Where 0 < |x| < 2^-900, outside that analysis, m is the Szasz bound
+    alone.
+    """
+    _, abs_h, err = column
+    sigma = math.ceil(0.5 * x * x / math.log(2.0)) + 1
+    if not (x == 0.0 or abs(x) >= _TINY):
+        return np.ones(len(abs_h)), sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = err * _U
+        m += abs_h
+        np.fmin(np.ldexp(m, -sigma, out=m), 1.0, out=m)
+    return m, sigma
 
 
-def _majorant_point(column, row, t, x, n_terms):
-    """_fixed_point_majorant from the arrays of the point's x column and t
-    row (each at least n_terms long).
+def _weights(capped, row, n_terms):
+    """(omega, sigma) with |h_k(x) t^k| <= omega[N-1-k] 2^sigma for k < N
+    (N = n_terms), in the order of the backward loop, from the
+    _column_bound of the point's x column and its t row (each at least
+    N - 1 long): the weights of the local errors of the backward
+    recurrence (see _backward_point).
 
-    The step of _sum_mp misses the exact step from the computed U_k,
-    U_{k-1} by less than 1 + |x t| |U_k| / 2^B + t^2 |U_{k-1}| / 2^B in
-    units of 2^-B (see there).  With |U_k| <= 2^B M_k |t|^k + D_k, where
-    M_k bounds |h_k(x)|, that injection is at most
-        1 + (|x| M_k + M_{k-1}) |t|^{k+1} + 2^-B (|x t| D_k + t^2 D_{k-1}),
-    so with D_0 = 0, M_{-1} = 0 and a_k, b_k as in _sum_mp,
-        D_{k+1} = |x t| (a_k + 2^-65) D_k + t^2 (b_k + 2^-65) D_{k-1}
-                  + 1 + (|x| M_k + M_{k-1}) |t|^{k+1},
-    which does not depend on B.  M_0 = 1, and for k >= 1 M_k is the
-    smaller of the Szasz bound e^{x^2/2} and |h~_k| + u E_k from the
-    binary64 column (by _sum_float's analysis, under its proviso that
-    nothing underflows), which follows |h_k| where that is far below
-    e^{x^2/2}.  Where 0 < |x| < 2^-900, outside that analysis, M_k is the
-    Szasz bound alone.
+    The weight of k = 0 is 2^-sigma (h_0 t^0 = 1), and that of k >= 1 is
+    m[k-1] times the larger of |t~_k| + u g_k and 2^-1021.  While t~_k is
+    normal the first bounds |t|^k.  Past the first subnormal power t~_j,
+    |t|^k <= |t|^j < 2^-1022 (1 + (j + 1) 2^-52) < 2^-1021, since
+    t~_j = fl(t~_(j-1) t) errs by at most 2^-1075 there.  Every weight is
+    floored at 2^-1022, which keeps it a bound where a value underflows.
+    A weight is built from nonnegative operands along a chain of at most
+    10 k + 6 roundings (8 per step for E_k, 2 per step for g_k), each
+    lowering it by at most a factor 1 - u; the sums that read the weights
+    are padded for that.
+    """
+    m, sigma = capped
+    pad = row[2]
+    n = n_terms
+    omega = np.empty(n)
+    if n > 1:
+        later = omega[:n - 1]
+        np.maximum(pad[n - 2::-1], 2.0 * _FLOOR, out=later)
+        later *= m[n - 2::-1]
+    omega[n - 1:] = math.ldexp(1.0, -min(sigma, 1074))
+    np.maximum(omega, _FLOOR, out=omega)
+    return omega, sigma
 
-    D runs in binary64 in units of 2^sigma, from the integer
-    sigma = c >= x^2/(2 ln 2), so that e^{x^2/2} 2^-c <= 1 caps M; sigma
-    grows by 600 whenever D passes 2^600, by exact rescalings.  Where a
-    unit 2^-sigma, a power of |t|, a rescaled D_{k-1} or injection, the
-    coefficients |x|, |x t|, t^2 or a scaled M_k would fall below 2^-1022
-    (2^-900 for the coefficients), a larger value replaces it, which keeps
-    every quantity a bound; a product that still underflows enters a sum
-    that holds the unit 2^-1022 or more, and loses at most u of it.  Every
-    value is then built from nonnegative operands by +, *, /, sqrt and
-    min, each rounding lowering it by at most a factor 1 - u, along chains
-    of at most 10 N + 6 roundings (8 per step for E_k, one per step for
-    the powers of |t|, then the additions), so the sum is padded by
-    1 + 32 (N + 1) u, as S is in _sum_float.
+
+def _backward_point(capped, row, t, x, n_terms):
+    """The partial sum s_N (N = n_terms) by the backward recurrence in
+    binary64, from the _column_bound of the point's x column and its t
+    row (capped at least N - 1 long, row at least N + 1): (value, bound,
+    weights, estimate), with |s_N - value| <= bound, the _weights of the
+    point, and an estimate (s, e) of the error of _sum_mp, s 2^(e - B)
+    at scale 2^B, for _fixed_point_scale.
+
+    u_k = h_k t^k obeys u_{k+1} = x t a_k u_k - t^2 b_k u_{k-1}, u_0 = 1,
+    a_k = sqrt(2/(k+1)), b_k = sqrt(k/(k+1)).  Let W_{N+1} = W_{N+2} = 0
+    and, for k = N..0,
+        W_k = 1 + x t a_k W_{k+1} - t^2 b_{k+1} W_{k+2} + r_k,
+    where r_k is whatever local error the computation of W_k makes.
+    Multiplying row k by u_k and summing over k, the coefficient of W_m
+    is u_m - x t a_{m-1} u_{m-1} + t^2 b_{m-1} u_{m-2}, which the forward
+    recurrence makes 0 for m >= 1 and u_0 = 1 for m = 0, so
+        W_0 = s_N + sum_{k<=N} u_k r_k.
+    With every r_k = 0, W_k is the sensitivity w_k of s_N to a change in
+    u_k (Clenshaw's algorithm; Barrio, J. Comput. Appl. Math. 138 (2002)).
+    The local errors enter weighted by the terms u_k, which are bounded,
+    and not by the growth of the recurrence; r_N = 0 as W_N = 1 exactly.
+    So |W_0 - s_N| <= sum_{k<N} |r_k| omega_k 2^sigma for the _weights.
+
+    Here W_k = fl(fl(1 + fl(c_k W_{k+1})) - fl(d_k W_{k+2})) with
+    c_k = fl(fl(x t) fl(sqrt(fl(2/(k+1))))) and
+    d_k = fl(fl(t t) fl(sqrt(fl((k+1)/(k+2))))).  Both products meet five
+    roundings before the additions, the c_k branch seven in all, the d_k
+    branch six and the constant two, so by Higham's Lemma 3.3
+        |r_k| <= gamma_7 (1 + |x t a_k W_{k+1}| + |t^2 b_{k+1} W_{k+2}|)
+              <= gamma_7/(1 - gamma_5) (1 + |p_k| + |q_k|)
+    for the computed products p_k, q_k, and gamma_7/(1 - gamma_5) < 7.01u.
+    That holds while nothing underflows.  A product may (W can be
+    small), adding at most 2^-1075, which the 1 absorbs into
+    |r_k| <= 8u (1 + |p_k| + |q_k|).  The coefficients may not, so the
+    bound is inf, which hands the point to _sum_mp, unless x = 0 or
+    |x t| >= 2^-900, and |t~_(N+1)| >= 2^-900 (whence t^2 >= 2^-900).  It
+    is inf where W overflows too.  The bound is summed from nonnegative
+    values along chains of at most 11 N + 10 roundings, so, as S in
+    _sum_float, it is padded by 1 + 32 (N + 1) u.
+
+    The estimate reads |Y_k| 2^-B in _sum_mp's local error as |W_k|, as
+    Y_k is about 2^B w_k, with a margin of 2^-20 over the padding and the
+    difference between the two sums.  Where W overflows it keeps only the
+    1 of each local error, and _sum_mp's own bound then corrects the
+    scale.
     """
     n = n_terms
-    _, abs_h, err = column
-    at = abs(t)
-    ax = max(abs(x), _TINY)
-    sigma = math.ceil(0.5 * x * x / math.log(2.0)) + 1
-    unit = math.ldexp(1.0, -min(sigma, 1022))
-    # bound[k + 1] = M_k 2^-sigma for k = -1..n-1
-    # (in place, to keep the temporaries down)
-    bound = np.empty(n + 2)
-    bound[:2] = 0.0, unit
-    later = bound[2:n + 1]
-    if x == 0.0 or abs(x) >= _TINY:
-        m = len(later)
-        np.multiply(err[:m], _U, out=later)
-        later += abs_h[:m]
-        np.fmin(np.ldexp(later, -sigma, out=later), 1.0, out=later)
-    else:
-        later[:] = 1.0
-    np.maximum(later, _FLOOR, out=later)
-    inject = np.abs(row[0][:n])
-    np.maximum(inject, _FLOOR, out=inject)
-    inject *= bound[1:n + 1] * ax + bound[:n]
-    inject += unit
-    # k + 1 for k = 0..n-1, then a_k + 2^-65 and b_k + 2^-65
-    grow = np.arange(1.0, n + 1.0)
-    carry = grow - 1.0
-    carry /= grow
-    np.divide(2.0, grow, out=grow)
-    for coefficient, factor in ((grow, max(ax * at, _TINY)),
-                                (carry, max(at * at, _TINY))):
-        np.sqrt(coefficient, out=coefficient)
-        coefficient += 2.0 ** -65
-        coefficient *= factor
-    d_prev = d = total = 0.0
-    # the loop reads inject through the view, so a rescaling of the whole
-    # array applies to the injections still to come
-    for a, b, c in zip(memoryview(grow), memoryview(carry),
-                       memoryview(inject)):
-        d_prev, d = d, a * d + b * d_prev + c
-        total += d
-        if d > _BIG:
-            sigma += _RESCALE_BITS
-            d, total = d / _BIG, total / _BIG
-            d_prev = max(d_prev / _BIG, _FLOOR)
-            unit = math.ldexp(1.0, -min(sigma, 1022))
-            np.maximum(inject / _BIG, unit, out=inject)
-    return total * (1.0 + 32.0 * (n + 1) * _U), sigma
+    weights = omega, sigma = _weights(capped, row, n)
+    xt, tt = x * t, t * t
+    # k + 1 for k = N-1..0, then |c_k| and d_k (fl(|a| b) = |fl(a b)|)
+    up = np.arange(float(n), 0.0, -1.0)
+    down = up / (up + 1.0)
+    np.divide(2.0, up, out=up)
+    np.sqrt(up, out=up)
+    up *= abs(xt)
+    np.sqrt(down, out=down)
+    down *= tt
+    # w[j] = W_{N+1-j}
+    w = [0.0, 1.0]
+    keep = w.append
+    curr, prev = 1.0, 0.0
+    for c, d in zip((up if xt >= 0.0 else -up).tolist(), down.tolist()):
+        curr, prev = 1.0 + c * curr - d * prev, curr
+        keep(curr)
+    w = np.abs(np.fromiter(w, float, n + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # |W_{k+1}| and |W_{k+2}| for k = N-1..0
+        above, far = w[1:n + 1], w[:n]
+        head = float(omega.sum())
+        # products and sums, not a BLAS dot, which the scan would page in
+        # for these alone
+        estimate = (head + abs(xt) * float((above * omega).sum())
+                    + tt * float((far * omega).sum())) * _MARGIN
+        # the loop's own products, rounded as it rounded them
+        up *= above
+        down *= far
+        up += down
+        up += 1.0
+        total = float((up * omega).sum()) * (1.0 + 32.0 * (n + 1) * _U)
+    bound = math.inf
+    if (abs(row[0][n]) >= _TINY and (x == 0.0 or abs(xt) >= _TINY)
+            and total < math.inf):
+        try:
+            # 8u = 2^-50; one ulp up covers a rounding below the normal range
+            bound = math.nextafter(math.ldexp(total, sigma - 50), math.inf)
+        except OverflowError:
+            pass
+    return (curr, bound, weights,
+            (estimate if estimate < math.inf else head, sigma))
 
 
-def _fixed_point_scale(majorant, tol):
-    """The least B >= 65 with s 2^(e - B) <= tol/8 for majorant (s, e).
+def _fixed_point_scale(bound, tol):
+    """The least B >= 65 with s 2^(e - B) <= tol/8 for bound = (s, e): an
+    error of s 2^e in units of 2^-B.
 
     tol/8 rather than tol/4 leaves room under tol/4 + 2^-53 |value| for
     the rounding of the reported roundoff bound."""
-    s, e = majorant
+    s, e = bound
     limit = 0.125 * tol
     bits = max(65, e + math.frexp(s)[1] - math.frexp(limit)[1] + 1)
     # s < 2^frexp(s) and limit >= 2^(frexp(limit) - 1) make that bits
@@ -427,53 +511,67 @@ def _coefficient_table(scale, n_terms):
 
 
 def _coefficients(bits, n_terms):
-    """(alpha_k, beta_k) at scale 2^bits for k < n_terms, shifted lazily
-    from the module table, which grows by half in scale or length when a
-    request exceeds it.  A request whose grown table would pass
-    _TABLE_CAP scale bits times terms is built alone and not retained."""
+    """(alpha_k, beta_{k+1}) at scale 2^bits for k = n_terms - 1 down to
+    0, the order of _sum_mp's loop, shifted lazily from the module table,
+    which grows by half in scale or length when a request exceeds it.  A
+    request whose grown table would pass _TABLE_CAP scale bits times
+    terms builds its own coefficients and does not retain them."""
     global _table
     table = _table
     scale, size = table[0], len(table[1])
-    if bits > scale or n_terms > size:
+    needed = n_terms + 1
+    if bits > scale or needed > size:
         scale = scale if bits <= scale else max(bits, scale + scale // 2)
-        size = size if n_terms <= size else max(n_terms, size + size // 2)
+        size = size if needed <= size else max(needed, size + size // 2)
         if scale * size <= _TABLE_CAP:
             # a concurrent caller may replace it too; both tables are exact
             table = _table = _coefficient_table(scale, size)
         else:
-            table = _coefficient_table(bits, n_terms)
+            table = _coefficient_table(bits, needed)
     scale, alpha, beta = table
     shift = scale - bits
-    # the repeats end the zip after n_terms entries
-    return zip(map(rshift, alpha, repeat(shift, n_terms)),
-               map(rshift, beta, repeat(shift, n_terms)))
+    return zip(map(rshift, alpha[:n_terms][::-1], repeat(shift)),
+               map(rshift, beta[1:needed][::-1], repeat(shift)))
 
 
-def _sum_mp(t, x, n_terms, bits, majorant=None):
-    """The partial sum s_N = sum_{k<=N} h_k(x) t^k (N = n_terms) in fixed
-    point with scale 2^bits on Python ints: that sum rounded to binary64,
-    and a bound on the error before that rounding (inf where it
-    overflows).  The rounding adds at most 2^-53 |value|.  ``majorant``
-    is _fixed_point_majorant(t, x, n_terms), computed here if not given.
+def _sum_mp(t, x, n_terms, bits, weights=None):
+    """The partial sum s_N = sum_{k<=N} h_k(x) t^k (N = n_terms) by the
+    backward recurrence in fixed point with scale 2^bits on Python ints:
+    that sum rounded to binary64 (+-inf past binary64), and a bound on the
+    error before that rounding (inf where it overflows).  The rounding
+    adds at most 2^-53 |value|.  ``weights`` is the point's _weights,
+    computed here if not given.
 
-    x and t are taken exactly (binary64 values are dyadic rationals), and
-    t is folded into the recurrence: u_k = h_k t^k obeys
-        u_{k+1} = x t a_k u_k - t^2 b_k u_{k-1},  u_0 = 1, u_{-1} = 0,
-    with a_k = sqrt(2/(k+1)), b_k = sqrt(k/(k+1)).  U_k ~ 2^bits u_k is
-        U_{k+1} = floor(U_k alpha_k x t / 2^bits)
-                  - floor(U_{k-1} beta_k t^2 / 2^bits),
+    x and t are taken exactly (binary64 values are dyadic rationals).
+    With Y_{N+1} = Y_{N+2} = 0, for k = N..0
+        Y_k = 2^bits + floor(Y_{k+1} alpha_k x t / 2^bits)
+                     - floor(Y_{k+2} beta_{k+1} t^2 / 2^bits),
     where alpha_k = isqrt((2 << 2 bits) // (k+1)) and
     beta_k = isqrt((k << 2 bits) // (k+1)).  Since isqrt(floor(y)) =
     floor(sqrt(y)), they are floor(2^bits a_k) and floor(2^bits b_k),
     within one unit below 2^bits a_k and 2^bits b_k.  The two floors
-    together miss the real quotients by less than one unit, so in units
-    of 2^-bits the step misses the exact step from the computed U_k,
-    U_{k-1} by less than
-        1 + |x t| |U_k| / 2^bits + t^2 |U_{k-1}| / 2^bits,
-    and |U_k - 2^bits u_k| <= D_k for the majorant of
-    _fixed_point_majorant, which bounds sum_k D_k ahead of the loop.  The
-    integer sum of the U_k is exact, so its error is at most
-    sum_k D_k / 2^bits.
+    together miss the real quotients by less than one unit, so Y_k / 2^bits
+    is the W_k of _backward_point with a local error, in units of 2^-bits,
+    of less than
+        1 + |x t| |Y_{k+1}| / 2^bits + t^2 |Y_{k+2}| / 2^bits,
+    and Y_0 / 2^bits - s_N = 2^-bits sum_{k<N} u_k r_k with |u_k| <=
+    omega_k 2^sigma.  The bound reads the |Y_k| after the loop, so it is
+    proven for the integers this call computed; the scale itself comes
+    from an estimate (_backward_point), and a caller whose bound misses
+    its target sums again at a larger scale.
+
+    The bound 2^(sigma - bits) sum_k omega_k (1 + |x t| |Y_{k+1}| 2^-bits
+    + t^2 |Y_{k+2}| 2^-bits) runs in binary64 in units of 2^lambda, for
+    the least integer lambda >= 0 that keeps every |Y_k| 2^-bits as read
+    below 2^lambda, so that no term exceeds 1 + |x t| + t^2.  |Y_k| is
+    read as the float nearest to it, or past binary64 as the float
+    nearest to (|Y_k| >> s) + 1 times 2^s, each at most a factor 1 - u
+    below it.
+    Each scaled |Y_k|, |x t| and t^2 is floored at 2^-1022, which keeps it
+    a bound; a product that still underflows loses at most 2^-1075, and
+    2^-1022 added to the sum covers all 3 N of them.  The rest is built
+    from nonnegative values along chains of at most 11 N + 14 roundings,
+    so the sum is padded by 1 + 32 (N + 1) u, as S is in _sum_float.
 
     The coefficients come from one table at the largest scale P seen so
     far (_coefficients).  Since floor(floor(z) / 2^m) = floor(z / 2^m),
@@ -485,26 +583,48 @@ def _sum_mp(t, x, n_terms, bits, majorant=None):
     """
     if bits < 65:
         raise DomainError("the fixed-point sum needs at least 65 bits")
-    if majorant is None:
-        majorant = _fixed_point_majorant(t, x, n_terms)
-    xt = Fraction(x) * Fraction(t)
-    t2 = Fraction(t) ** 2
-    # both are dyadic: divide by the denominator with a shift
-    xt_num, xt_shift = xt.numerator, bits + xt.denominator.bit_length() - 1
-    t2_num, t2_shift = t2.numerator, bits + t2.denominator.bit_length() - 1
-    prev, curr = 0, 1 << bits
-    total = curr
-    for alpha, beta in _coefficients(bits, n_terms):
-        prev, curr = curr, ((curr * alpha * xt_num >> xt_shift)
-                            - (prev * beta * t2_num >> t2_shift))
-        total += curr
+    n = n_terms
+    if weights is None:
+        weights = _weights(_column_bound(_float_column(x, n), x),
+                           _float_row(t, n), n)
+    # x t and t^2 are dyadic: divide by their denominators with a shift
+    x_num, x_den = x.as_integer_ratio()
+    t_num, t_den = t.as_integer_ratio()
+    xt_num, xt_shift = x_num * t_num, bits + (x_den * t_den).bit_length() - 1
+    t2_num, t2_shift = t_num * t_num, bits + 2 * t_den.bit_length() - 2
+    one = 1 << bits
+    # ys[j] = Y_{N+1-j}
+    ys = [0, one]
+    keep = ys.append
+    curr, prev = one, 0
+    for alpha, beta in _coefficients(bits, n):
+        curr, prev = (one + (curr * alpha * xt_num >> xt_shift)
+                      - (prev * beta * t2_num >> t2_shift)), curr
+        keep(curr)
     try:
-        value = total / (1 << bits)
+        value = curr / one
     except OverflowError:
-        raise RangeError("G(%g, %g) overflows binary64" % (t, x))
-    s, e = majorant
+        value = -math.inf if curr < 0 else math.inf
+    omega, sigma = weights
+    # |Y_k| <= mags[N+1-k] 2^shift / (1 - u): int to float rounds to nearest
     try:
-        bound = math.ldexp(s, e - bits)
+        shift = 0
+        mags = np.fromiter(map(float, ys), float, n + 2)
+    except OverflowError:
+        shift = max(map(int.bit_length, ys)) - 1000
+        mags = np.fromiter([float((abs(y) >> shift) + 1) for y in ys],
+                           float, n + 2)
+    np.abs(mags, out=mags)
+    lam = max(0, math.frexp(mags[:-1].max())[1] + shift - bits)
+    powers = np.ldexp(mags, shift - bits - lam)
+    np.maximum(powers, _FLOOR, out=powers)
+    near, far = powers[1:n + 1] * omega, powers[:n] * omega
+    total = (max(math.ldexp(1.0, -lam), _FLOOR) * float(omega.sum())
+             + max(abs(x * t), _FLOOR) * float(near.sum())
+             + max(t * t, _FLOOR) * float(far.sum()) + _FLOOR)
+    total *= 1.0 + 32.0 * (n + 1) * _U
+    try:
+        bound = math.ldexp(total, sigma + lam - bits)
     except OverflowError:
         return value, math.inf
     # ldexp rounds only below the normal range; one ulp up makes it a bound
@@ -520,16 +640,36 @@ def _add_up(a, b):
     return s if s - big >= small else math.nextafter(s, math.inf)
 
 
+def _exact_point(t, x, n_terms, weights, estimate, tol):
+    """(value, roundoff) of _sum_mp at the scale that _fixed_point_scale
+    takes from the estimate of _backward_point.  Should the proven bound
+    still pass tol/8, the point is summed again at the scale that bound
+    asks for, at least one bit more (an inf bound asks for
+    1 - log2(tol/8) more).  The loop ends: once the |Y_k| 2^-bits of
+    _sum_mp settle near |w_k|, the bound halves with each bit.  A value
+    past binary64 is a RangeError only from a pass whose bound met tol/8;
+    at a lower scale it may be the error alone."""
+    bits = _fixed_point_scale(estimate, tol)
+    value, bound = _sum_mp(t, x, n_terms, bits, weights)
+    while not bound <= 0.125 * tol:
+        bits = max(bits + 1, _fixed_point_scale((bound, bits), tol))
+        value, bound = _sum_mp(t, x, n_terms, bits, weights)
+    if math.isinf(value):
+        raise RangeError("G(%g, %g) overflows binary64" % (t, x))
+    # the rounding to binary64 adds at most 2^-53 |value|
+    return value, _add_up(bound, _U * abs(value))
+
+
 def _evaluate_grid(t_grid, x_grid, tol, max_terms):
     """GenFunValue rows, one per t, over the grid t_grid x x_grid.
 
     The term count of every point is fixed first, in row order.  Then
     each x column takes _float_column once, to its largest count, and
     each point with t != 0 combines it with its row's _float_row.  Points
-    whose binary64 bound passes tol/4 go to _sum_mp, at the scale that
-    _fixed_point_scale takes from the point's _majorant_point, which
-    reads the same column and row.  Only one column's arrays are held at
-    a time.
+    whose binary64 bound passes tol/4 take the backward recurrence in
+    binary64 (_backward_point) from the same column and row, and where
+    its bound passes tol/4 too, the fixed-point sum (_exact_point).  Only
+    one column's arrays are held at a time.
     """
     ts = [float(t) for t in t_grid]
     xs = [float(x) for x in x_grid]
@@ -554,6 +694,7 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
     for j, x in enumerate(xs):
         column = _float_column(
             x, max((row[j] for row in counts), default=0))
+        capped = None
         for i, t in enumerate(ts):
             if t == 0.0:
                 grid[i][j] = GenFunValue(t, x, 1.0, 0.0, 1)
@@ -565,11 +706,13 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
             value, gain = _float_point(column, rows[i], x, n_top)
             roundoff = _U * gain
             if not roundoff <= 0.25 * tol:
-                majorant = _majorant_point(column, rows[i], t, x, n_top)
-                bits = _fixed_point_scale(majorant, tol)
-                value, bound = _sum_mp(t, x, n_top, bits, majorant)
-                # the rounding to binary64 adds at most 2^-53 |value|
-                roundoff = _add_up(bound, _U * abs(value))
+                if capped is None:
+                    capped = _column_bound(column, x)
+                value, roundoff, weights, estimate = _backward_point(
+                    capped, rows[i], t, x, n_top)
+                if not roundoff <= 0.25 * tol:
+                    value, roundoff = _exact_point(t, x, n_top, weights,
+                                                   estimate, tol)
             grid[i][j] = GenFunValue(t, x, value, tail, n_top + 1, roundoff)
     return grid
 
@@ -579,11 +722,11 @@ def generating_G(t, x, tol=1e-10, max_terms=_MAX_TERMS):
 
     The number of terms is fixed in advance from the Szasz tail majorant.
     The sum runs in binary64 with the running bound of _sum_float; where
-    that bound exceeds tol/4 it is redone in fixed point by _sum_mp, at
-    the least scale whose majorant bound is at most tol/8 (see
-    _fixed_point_scale).  The bound of the path taken is
-    ``roundoff_bound``.  This is the 1 x 1 grid of
-    positivity_scan.
+    that bound exceeds tol/4 it is redone by the backward recurrence in
+    binary64 (_backward_point), and where that bound exceeds tol/4 too,
+    in fixed point by _sum_mp, at a scale whose proven bound is at most
+    tol/8.  The bound of the path taken is ``roundoff_bound``.  This is
+    the 1 x 1 grid of positivity_scan.
     """
     return _evaluate_grid([t], [x], tol, max_terms)[0][0]
 

@@ -47,10 +47,14 @@ def _loggamma(z):
 
 def _mellin_exp(exponent, z):
     """exp(exponent), a Mellin value at z: real when z is, and a
-    RangeError when it leaves binary64."""
+    RangeError when it leaves binary64, or when the exponent already has
+    (log-gamma overflows before exp does, to inf or, from inf - inf, nan).
+    """
     try:
-        value = cmath.exp(exponent)
+        value = cmath.exp(exponent) if cmath.isfinite(exponent) else None
     except OverflowError:
+        value = None
+    if value is None:
         raise RangeError("Mellin transform at z = %s overflows binary64"
                          % z)
     if z.imag == 0:

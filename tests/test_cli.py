@@ -235,6 +235,16 @@ def test_mellin_past_binary64_is_one_error_line(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("z, code", [("nan", 2), ("inf", 2), ("1e308", 1)])
+def test_mellin_refuses_a_z_that_is_not_a_number(capsys, z, code):
+    # a non-finite z is a usage error; at 1e308 log-gamma overflows to inf
+    # before exp does, which is a value past binary64
+    got, out, err = run(capsys, "mellin", "gamma:1:1", "--z", z)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_without_scipy():
     code = ("import sys\n"
             "sys.modules['scipy'] = None\n"

@@ -13,10 +13,10 @@ import momentforge
 from momentforge import (DomainError, generating_G, hermite, hermite_H,
                          hermite_eval, hermite_h, positivity_scan)
 from momentforge.errors import BudgetError, RangeError
-from momentforge.hermite import (_add_up, _coefficients, _float_column,
-                                 _float_point, _float_row,
-                                 _fixed_point_majorant, _fixed_point_scale,
-                                 _sum_float, _sum_mp, _terms_needed)
+from momentforge.hermite import (_add_up, _backward_point, _coefficients,
+                                 _column_bound, _float_column, _float_point,
+                                 _float_row, _fixed_point_scale, _sum_float,
+                                 _sum_mp, _terms_needed)
 
 U = 2.0 ** -53
 DEFAULT_T = [round(-0.95 + 0.05 * i, 12) for i in range(39)]
@@ -248,10 +248,11 @@ def test_G_without_mpmath():
 @settings(max_examples=100, deadline=None)
 def test_coefficients_equal_the_direct_isqrt(bits, k):
     # floor(floor(z) / 2^m) = floor(z / 2^m), and isqrt(floor(y)) is
-    # floor(sqrt(y)): a table entry at any larger scale, shifted, is exact
-    alpha, beta = list(_coefficients(bits, k + 1))[k]
+    # floor(sqrt(y)): a table entry at any larger scale, shifted, is exact;
+    # the backward loop starts at k = n - 1 with (alpha_k, beta_{k+1})
+    alpha, beta = next(_coefficients(bits, k + 1))
     assert alpha == math.isqrt((2 << 2 * bits) // (k + 1))
-    assert beta == math.isqrt((k << 2 * bits) // (k + 1))
+    assert beta == math.isqrt(((k + 1) << 2 * bits) // (k + 2))
 
 
 def test_sum_mp_does_not_depend_on_the_table_history():
@@ -276,9 +277,9 @@ def test_coefficient_table_stays_within_its_cap():
     n = hermite._TABLE_CAP // bits + 1
     coefficients = list(_coefficients(bits, n))
     assert len(coefficients) == n
-    alpha, beta = coefficients[n - 1]
+    alpha, beta = coefficients[0]
     assert alpha == math.isqrt((2 << 2 * bits) // n)
-    assert beta == math.isqrt(((n - 1) << 2 * bits) // n)
+    assert beta == math.isqrt((n << 2 * bits) // (n + 1))
     assert hermite._table is kept
     assert hermite._table[0] * len(hermite._table[1]) <= hermite._TABLE_CAP
 
@@ -348,9 +349,16 @@ def test_scan_points_equal_generating_G():
         assert positivity_scan([t], [x]).points == (generating_G(t, x),)
 
 
-def _scale_used(t, x, tol=1e-10):
+def _backward(t, x, tol=1e-10):
+    """The term count and the _backward_point of (t, x), as the grid
+    pass computes them."""
     n = _terms_needed(t, x, tol)
-    return _fixed_point_scale(_fixed_point_majorant(t, x, n), tol)
+    column, row = _float_column(x, n), _float_row(t, n)
+    return n, _backward_point(_column_bound(column, x), row, t, x, n)
+
+
+def _scale_used(t, x, tol=1e-10):
+    return _fixed_point_scale(_backward(t, x, tol)[1][3], tol)
 
 
 @pytest.mark.parametrize("t, x", [(0.5, 40.0), (0.3, 37.0), (0.9, 30.0),
@@ -366,13 +374,12 @@ def test_exact_path_within_roundoff_bound_past_binary64(t, x):
 def test_fixed_point_scale_is_the_least_that_meets_tol():
     tol = 1e-10
     for t, x in [(0.95, -10.0), (-0.7, 6.0), (0.5, 40.0), (0.3, 37.0)]:
-        n = _terms_needed(t, x, tol)
-        majorant = _fixed_point_majorant(t, x, n)
-        bits = _fixed_point_scale(majorant, tol)
-        assert _sum_mp(t, x, n, bits, majorant)[1] <= tol / 8
+        n, (_, _, weights, estimate) = _backward(t, x, tol)
+        bits = _fixed_point_scale(estimate, tol)
+        assert _sum_mp(t, x, n, bits, weights)[1] <= tol / 8
         if bits > 65:
-            assert _sum_mp(t, x, n, bits - 1, majorant)[1] > tol / 8
-        assert _sum_mp(t, x, n, bits) == _sum_mp(t, x, n, bits, majorant)
+            assert _sum_mp(t, x, n, bits - 1, weights)[1] > tol / 8
+        assert _sum_mp(t, x, n, bits) == _sum_mp(t, x, n, bits, weights)
 
 
 @given(st.floats(0.0, 1e300), st.floats(0.0, 1e300))
@@ -383,3 +390,123 @@ def test_add_up_rounds_up(a, b):
     assert Fraction(s) >= exact
     assert s == a + b or s == math.nextafter(a + b, math.inf)
     assert _add_up(b, a) == s
+
+
+def test_hermite_h_all_equals_hermite_h_bit_for_bit():
+    xs = np.arange(-6.0, 6.0001, 0.1)
+    table = hermite._hermite_h_all(200, xs)
+    assert table.shape == (201, len(xs))
+    # every entry that verify's szasz check reads (n = 0, 5, ..., 200),
+    # and a few orders between
+    for n in sorted(set(range(0, 201, 5)) | {1, 2, 77}):
+        for i, x in enumerate(xs):
+            assert table[n, i] == hermite_h(n, float(x)), (n, x)
+    assert hermite._hermite_h_all(0, [3.0]).tolist() == [[1.0]]
+    with pytest.raises(DomainError):
+        hermite._hermite_h_all(5, [0.0, math.nan])
+
+
+def _forward_fixed_point(t, x, n, bits):
+    """sum_{k<=n} h_k(x) t^k by the forward recurrence on Python ints at
+    scale 2^bits, with isqrt coefficients: an oracle independent of the
+    backward recurrence, accurate to far below 1e-30 at the bits used."""
+    xt = Fraction(x) * Fraction(t)
+    t2 = Fraction(t) ** 2
+    prev, curr = 0, 1 << bits
+    total = curr
+    for k in range(n):
+        alpha = math.isqrt((2 << 2 * bits) // (k + 1))
+        beta = math.isqrt((k << 2 * bits) // (k + 1))
+        prev, curr = curr, (curr * alpha * xt.numerator
+                            // (xt.denominator << bits)
+                            - prev * beta * t2.numerator
+                            // (t2.denominator << bits))
+        total += curr
+    return total / (1 << bits)
+
+
+@pytest.mark.parametrize("t, x", [(0.95, -10.0), (-0.95, -10.0),
+                                  (0.5, 3.0), (-0.7, 6.0)])
+def test_sum_mp_agrees_with_the_forward_recurrence(t, x):
+    n = _terms_needed(t, x, 1e-10)
+    value, bound = _sum_mp(t, x, n, 1200)
+    assert bound < 1e-200
+    assert value == pytest.approx(_forward_fixed_point(t, x, n, 1200),
+                                  rel=4 * U, abs=1e-30)
+
+
+def test_exact_path_candidates_within_roundoff_bound():
+    # every point of a subsampled default grid that the binary64 filter
+    # hands on (decided by the reference loop, not by the code under
+    # test), the four corners among them, against _sum_mp 128 bits above
+    # the scale the point's estimate asks for
+    tol = 1e-10
+    ts = sorted(set(DEFAULT_T[::3]) | {DEFAULT_T[0], DEFAULT_T[-1]})
+    xs = sorted(set(DEFAULT_X[::4]) | {DEFAULT_X[0], DEFAULT_X[-1]})
+    candidates = {(t, x) for t in ts if t != 0.0 for x in xs
+                  if U * _reference_sum_float(
+                      t, x, _terms_needed(t, x, tol))[1] > 0.25 * tol}
+    corners = {(t, x) for t in (ts[0], ts[-1]) for x in (xs[0], xs[-1])}
+    assert corners <= candidates and len(candidates) > 100
+    checked = 0
+    for g in positivity_scan(ts, xs, tol=tol).points:
+        if (g.t, g.x) in candidates:
+            assert _close_to_reference(g, _scale_used(g.t, g.x) + 128), g
+            checked += 1
+    assert checked == len(candidates)
+
+
+@pytest.mark.parametrize("t, x", [(0.4, 6.0), (0.3, 8.25), (0.7, 3.75),
+                                  (0.75, -5.25), (0.45, -10.0)])
+def test_roundoff_bound_within_16x_of_the_actual_error(t, x):
+    # the first three stay in binary64 on the backward recurrence, the
+    # last two take the fixed-point path at 65 bits; a bound that
+    # lost a term would fall below the error somewhere near here
+    g = generating_G(t, x)
+    assert _close_to_reference(g, 200)
+    ref, ref_bound = _sum_mp(t, x, g.terms_used - 1, 200)
+    least_error = abs(g.value - ref) - ref_bound - U * abs(ref)
+    assert 0.0 < g.roundoff_bound <= 16.0 * least_error
+
+
+def test_a_value_past_binary64_at_too_low_a_scale_sums_again(monkeypatch):
+    # at 65 bits the fixed-point error alone passes binary64 at (-0.5, 62),
+    # where G is about 0.0068; the pass is repeated, not refused
+    expected = generating_G(-0.5, 62.0)
+    runs = []
+    scale = hermite._fixed_point_scale
+    sum_mp = hermite._sum_mp
+
+    def too_low_once(bound, tol):
+        return scale(bound, tol) if runs else 65
+
+    def counted(t, x, n_terms, bits, *args):
+        runs.append(sum_mp(t, x, n_terms, bits, *args))
+        return runs[-1]
+
+    monkeypatch.setattr(hermite, "_fixed_point_scale", too_low_once)
+    monkeypatch.setattr(hermite, "_sum_mp", counted)
+    assert generating_G(-0.5, 62.0) == expected
+    assert runs[0] == (-math.inf, math.inf)
+    # a value past binary64 at a scale whose bound meets tol/8 is refused
+    with pytest.raises(RangeError):
+        generating_G(0.5, 62.0)
+
+
+def test_a_missed_estimate_sums_again_at_the_scale_the_bound_asks(
+        monkeypatch):
+    # an estimate 2^8 too low picks too few bits; the bound read off that
+    # run names the scale of the second
+    expected = generating_G(0.95, -10.0)
+    bits = _scale_used(0.95, -10.0)
+    scales = []
+    sum_mp = hermite._sum_mp
+
+    def counted(t, x, n_terms, bits, *args):
+        scales.append(bits)
+        return sum_mp(t, x, n_terms, bits, *args)
+
+    monkeypatch.setattr(hermite, "_sum_mp", counted)
+    monkeypatch.setattr(hermite, "_MARGIN", 2.0 ** -8)
+    assert generating_G(0.95, -10.0) == expected
+    assert scales == [bits - 8, bits]

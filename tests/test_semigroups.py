@@ -213,6 +213,10 @@ def test_loggamma_matches_scipy():
     (gamma_mellin, GammaFamily(1.0), 171),
     (beta_mellin, BetaFamily(1.0, 1.5, 500.0), -1.0 + 1e-6),
     (vc_mellin, LogNormalQFamily(0.5), 60),
+    # log-gamma itself overflows to inf, or gives nan, before exp
+    (gamma_mellin, GammaFamily(1.0), 1e308),
+    (gamma_mellin, GammaFamily(1.0), math.inf),
+    (gamma_mellin, GammaFamily(1.0), math.nan),
 ])
 def test_mellin_past_binary64_is_a_range_error(mellin_of, fam, z):
     with pytest.raises(RangeError):
