@@ -7,6 +7,7 @@ digits.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -217,9 +218,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on first use and kept for the process:
+    parse_args leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except (DomainError, UnsupportedError, BudgetError, KeyError) as exc:

@@ -23,9 +23,14 @@ exceeds a quarter of the tolerance is summed again by the backward
 whose error is its local errors weighted by the terms h_k(x) t^k
 themselves (_backward_point), so it does not grow with the recurrence.
 In binary64 that bound meets tol/4 at many of these points; the rest are
-summed by the same recurrence exactly in fixed point on Python ints
-(_sum_mp), at a scale 2^B estimated from the binary64 pass and proven
-afterwards from the integers the loop computed.
+summed by the same recurrence in fixed point on Python ints (_sum_mp), at
+a scale 2^B estimated from the binary64 pass and proven afterwards from
+the integers the loop computed.  The fixed-point loop resumes from the
+binary64 pass (_exact_point): the steps from k = N - 1 down whose binary64
+errors add up to at most a quarter of the fixed-point error expected keep
+their binary64 values, and the integers run only the steps below.  On the
+default scan grid that leaves 1008 points 129,258 integer steps of their
+273,958.
 """
 
 import math
@@ -396,9 +401,12 @@ def _backward_point(capped, row, t, x, n_terms):
     """The partial sum s_N (N = n_terms) by the backward recurrence in
     binary64, from the _column_bound of the point's x column and its t
     row (capped at least N - 1 long, row at least N + 1): (value, bound,
-    weights, estimate), with |s_N - value| <= bound, the _weights of the
-    point, and an estimate (s, e) of the error of _sum_mp, s 2^(e - B)
-    at scale 2^B, for _fixed_point_scale.
+    weights, estimate, steps), with |s_N - value| <= bound, the _weights
+    of the point, an estimate (s, e) of the error of _sum_mp, s 2^(e - B)
+    at scale 2^B, for _fixed_point_scale, and the steps that _exact_point
+    resumes from: the weighted local error bounds
+    omega_k (1 + |p_k| + |q_k|) for k = N-1..0 and the array of
+    W_{N+1-j}, or None where the proviso below fails or W overflows.
 
     u_k = h_k t^k obeys u_{k+1} = x t a_k u_k - t^2 b_k u_{k-1}, u_0 = 1,
     a_k = sqrt(2/(k+1)), b_k = sqrt(k/(k+1)).  Let W_{N+1} = W_{N+2} = 0
@@ -456,7 +464,8 @@ def _backward_point(capped, row, t, x, n_terms):
     for c, d in zip((up if xt >= 0.0 else -up).tolist(), down.tolist()):
         curr, prev = 1.0 + c * curr - d * prev, curr
         keep(curr)
-    w = np.abs(np.fromiter(w, float, n + 2))
+    signed = np.fromiter(w, float, n + 2)
+    w = np.abs(signed)
     with np.errstate(over="ignore", invalid="ignore"):
         # |W_{k+1}| and |W_{k+2}| for k = N-1..0
         above, far = w[1:n + 1], w[:n]
@@ -470,17 +479,21 @@ def _backward_point(capped, row, t, x, n_terms):
         down *= far
         up += down
         up += 1.0
-        total = float((up * omega).sum()) * (1.0 + 32.0 * (n + 1) * _U)
+        # omega_k (1 + |p_k| + |q_k|), the weighted local error of step k
+        up *= omega
+        total = float(up.sum()) * (1.0 + 32.0 * (n + 1) * _U)
     bound = math.inf
+    steps = None
     if (abs(row[0][n]) >= _TINY and (x == 0.0 or abs(xt) >= _TINY)
             and total < math.inf):
+        steps = up, signed
         try:
             # 8u = 2^-50; one ulp up covers a rounding below the normal range
             bound = math.nextafter(math.ldexp(total, sigma - 50), math.inf)
         except OverflowError:
             pass
     return (curr, bound, weights,
-            (estimate if estimate < math.inf else head, sigma))
+            (estimate if estimate < math.inf else head, sigma), steps)
 
 
 def _fixed_point_scale(bound, tol):
@@ -534,13 +547,16 @@ def _coefficients(bits, n_terms):
                map(rshift, beta[1:needed][::-1], repeat(shift)))
 
 
-def _sum_mp(t, x, n_terms, bits, weights=None):
+def _sum_mp(t, x, n_terms, bits, weights=None, start=None):
     """The partial sum s_N = sum_{k<=N} h_k(x) t^k (N = n_terms) by the
     backward recurrence in fixed point with scale 2^bits on Python ints:
     that sum rounded to binary64 (+-inf past binary64), and a bound on the
     error before that rounding (inf where it overflows).  The rounding
     adds at most 2^-53 |value|.  ``weights`` is the point's _weights,
-    computed here if not given.
+    computed here if not given.  ``start`` = (K, W~_{K+1}, W~_{K+2})
+    resumes the recurrence at k = K from those binary64 values of
+    _backward_point.  The default, (N - 1, 1, 0), is exact (W_N = 1,
+    W_{N+1} = 0) and runs the whole loop.
 
     x and t are taken exactly (binary64 values are dyadic rationals).
     With Y_{N+1} = Y_{N+2} = 0, for k = N..0
@@ -560,18 +576,35 @@ def _sum_mp(t, x, n_terms, bits, weights=None):
     from an estimate (_backward_point), and a caller whose bound misses
     its target sums again at a larger scale.
 
-    The bound 2^(sigma - bits) sum_k omega_k (1 + |x t| |Y_{k+1}| 2^-bits
-    + t^2 |Y_{k+2}| 2^-bits) runs in binary64 in units of 2^lambda, for
-    the least integer lambda >= 0 that keeps every |Y_k| 2^-bits as read
-    below 2^lambda, so that no term exceeds 1 + |x t| + t^2.  |Y_k| is
-    read as the float nearest to it, or past binary64 as the float
-    nearest to (|Y_k| >> s) + 1 times 2^s, each at most a factor 1 - u
-    below it.
-    Each scaled |Y_k|, |x t| and t^2 is floored at 2^-1022, which keeps it
-    a bound; a product that still underflows loses at most 2^-1075, and
-    2^-1022 added to the sum covers all 3 N of them.  The rest is built
-    from nonnegative values along chains of at most 11 N + 14 roundings,
-    so the sum is padded by 1 + 32 (N + 1) u, as S is in _sum_float.
+    With a start, Y_{K+1} = floor(W~_{K+1} 2^bits) and Y_{K+2} =
+    floor(W~_{K+2} 2^bits), exactly (W~ is dyadic), and the loop runs
+    k = K..0.  Take Z_k = W~_k for k > K + 2 and Z_k = Y_k 2^-bits for
+    k <= K + 2.  _backward_point's identity W_0 = s_N + sum_k u_k r_k
+    holds for any sequence, with r_k its local errors: the fixed-point
+    ones for k <= K; the binary64 ones for k > K + 2; and for k = K + 2
+    and K + 1 the binary64 ones plus d_{K+2} and
+    d_{K+1} - x t a_{K+1} d_{K+2}, where d_k = Y_k 2^-bits - W~_k lies in
+    (-2^-bits, 0].  By the forward recurrence u_{K+2} - x t a_{K+1}
+    u_{K+1} = -t^2 b_{K+1} u_K, so those extra terms add
+        u_{K+1} d_{K+1} - t^2 b_{K+1} u_K d_{K+2},
+    the handoff error, below 2^(sigma - bits) (omega_{K+1} + t^2 omega_K)
+    as b_{K+1} < 1, and 0 at K = N - 1.  The bound returned is the
+    fixed-point one over k <= K plus the handoff error; the binary64
+    errors of k > K are _exact_point's prefix.
+
+    The bound 2^(sigma - bits) (sum_{k<=K} omega_k (1 + |x t| |Y_{k+1}|
+    2^-bits + t^2 |Y_{k+2}| 2^-bits) + omega_{K+1} + t^2 omega_K) runs in
+    binary64 in units of 2^lambda, for the least integer lambda >= 0 that
+    keeps every |Y_k| 2^-bits as read below 2^lambda, so that no term
+    exceeds 1 + |x t| + t^2.  |Y_k| is read as the float nearest to it,
+    or past binary64 as the float nearest to (|Y_k| >> s) + 1 times 2^s,
+    each at most a factor 1 - u below it.
+    Each scaled |Y_k|, |x t|, t^2 and 2^-lambda is floored at 2^-1022,
+    which keeps it a bound; a product that still underflows loses at most
+    2^-1075, and 2^-1022 added to the sum covers all 3 N + 2 of them.  The
+    rest is built from nonnegative values along chains of at most
+    11 N + 17 roundings, so the sum is padded by 1 + 32 (N + 1) u, as S is
+    in _sum_float.
 
     The coefficients come from one table at the largest scale P seen so
     far (_coefficients).  Since floor(floor(z) / 2^m) = floor(z / 2^m),
@@ -593,11 +626,15 @@ def _sum_mp(t, x, n_terms, bits, weights=None):
     xt_num, xt_shift = x_num * t_num, bits + (x_den * t_den).bit_length() - 1
     t2_num, t2_shift = t_num * t_num, bits + 2 * t_den.bit_length() - 2
     one = 1 << bits
-    # ys[j] = Y_{N+1-j}
-    ys = [0, one]
+    # W_N = 1 and W_{N+1} = 0 start the whole loop exactly
+    top, above, far = (n - 1, 1.0, 0.0) if start is None else start
+    # m steps, k = m-1..0; ys[j] = Y_{m+1-j}
+    m = top + 1
+    curr, prev = [(num << bits) // den for num, den in
+                  (above.as_integer_ratio(), far.as_integer_ratio())]
+    ys = [prev, curr]
     keep = ys.append
-    curr, prev = one, 0
-    for alpha, beta in _coefficients(bits, n):
+    for alpha, beta in _coefficients(bits, m):
         curr, prev = (one + (curr * alpha * xt_num >> xt_shift)
                       - (prev * beta * t2_num >> t2_shift)), curr
         keep(curr)
@@ -606,22 +643,28 @@ def _sum_mp(t, x, n_terms, bits, weights=None):
     except OverflowError:
         value = -math.inf if curr < 0 else math.inf
     omega, sigma = weights
-    # |Y_k| <= mags[N+1-k] 2^shift / (1 - u): int to float rounds to nearest
+    # |Y_k| <= mags[m+1-k] 2^shift / (1 - u): int to float rounds to nearest
     try:
         shift = 0
-        mags = np.fromiter(map(float, ys), float, n + 2)
+        mags = np.fromiter(map(float, ys), float, m + 2)
     except OverflowError:
         shift = max(map(int.bit_length, ys)) - 1000
         mags = np.fromiter([float((abs(y) >> shift) + 1) for y in ys],
-                           float, n + 2)
+                           float, m + 2)
     np.abs(mags, out=mags)
     lam = max(0, math.frexp(mags[:-1].max())[1] + shift - bits)
     powers = np.ldexp(mags, shift - bits - lam)
     np.maximum(powers, _FLOOR, out=powers)
-    near, far = powers[1:n + 1] * omega, powers[:n] * omega
-    total = (max(math.ldexp(1.0, -lam), _FLOOR) * float(omega.sum())
+    lower = omega[n - m:]
+    near, far = powers[1:m + 1] * lower, powers[:m] * lower
+    unit = max(math.ldexp(1.0, -lam), _FLOOR)
+    t2 = max(t * t, _FLOOR)
+    total = (unit * float(lower.sum())
              + max(abs(x * t), _FLOOR) * float(near.sum())
-             + max(t * t, _FLOOR) * float(far.sum()) + _FLOOR)
+             + t2 * float(far.sum()) + _FLOOR)
+    if m < n:
+        # the handoff error
+        total += unit * (omega[n - m - 1] + t2 * omega[n - m])
     total *= 1.0 + 32.0 * (n + 1) * _U
     try:
         bound = math.ldexp(total, sigma + lam - bits)
@@ -640,24 +683,82 @@ def _add_up(a, b):
     return s if s - big >= small else math.nextafter(s, math.inf)
 
 
-def _exact_point(t, x, n_terms, weights, estimate, tol):
-    """(value, roundoff) of _sum_mp at the scale that _fixed_point_scale
-    takes from the estimate of _backward_point.  Should the proven bound
-    still pass tol/8, the point is summed again at the scale that bound
-    asks for, at least one bit more (an inf bound asks for
-    1 - log2(tol/8) more).  The loop ends: once the |Y_k| 2^-bits of
-    _sum_mp settle near |w_k|, the bound halves with each bit.  A value
+def _prefix(steps, sigma, estimate, bits, tol):
+    """(start, bound) for the longest run of binary64 steps k = N-1..K+1
+    of _backward_point (``steps``) whose error bound is at most a quarter
+    of the smaller of tol/8 and s 2^(e - bits), the fixed-point error that
+    the estimate (s, e) expects at scale 2^bits: the start
+    (K, W~_{K+1}, W~_{K+2}) of _sum_mp, and that bound.  (None, 0.0)
+    where no step fits or the steps are None.
+
+    By _backward_point's analysis those steps contribute at most
+    2^(sigma - 50) sum_{k>K} omega_k (1 + |p_k| + |q_k|) to the error.
+    The sums run in order from k = N - 1 down, cover at most N - 1 steps
+    (K >= 0), and are padded by 1 + 32 (N + 1) u, as that bound is.
+    """
+    if steps is None:
+        return None, 0.0
+    contributions, signed = steps
+    n = len(contributions)
+    s, e = estimate
+    # the cap in units of 2^(sigma - 50); ldexp is exact in the normal
+    # range, and only tol near the top of binary64 can overflow it
+    try:
+        tol_cap = math.ldexp(tol, 45 - sigma)
+    except OverflowError:
+        tol_cap = math.inf
+    cap = min(math.ldexp(s, e - sigma + 48 - bits), tol_cap)
+    if not cap >= _FLOOR:
+        return None, 0.0
+    # a Python loop that stops at K, where numpy would page in more of
+    # itself for these sums alone
+    pad = 1.0 + 32.0 * (n + 1) * _U
+    j, total = 0, 0.0
+    for c in memoryview(contributions)[:n - 1]:
+        if not (total + c) * pad <= cap:
+            break
+        j, total = j + 1, total + c
+    if not j:
+        return None, 0.0
+    bound = math.nextafter(math.ldexp(total * pad, sigma - 50), math.inf)
+    return (n - 1 - j, float(signed[j + 1]), float(signed[j])), bound
+
+
+def _exact_point(t, x, n_terms, weights, estimate, tol, steps):
+    """(value, roundoff) of the backward recurrence that keeps the
+    binary64 steps of _backward_point (``steps``) while their error is
+    small and runs the rest in fixed point (_sum_mp).
+
+    The scale 2^B is the one _fixed_point_scale takes from the estimate
+    (s, e) of _backward_point.  The binary64 prefix is the longest run of
+    steps k = N-1..K+1 whose bound is at most a quarter of s 2^(e - B),
+    the fixed-point error that estimate expects, and of tol/8 (_prefix);
+    without one, K = N - 1 and _sum_mp runs its whole loop.  _sum_mp
+    resumes at k = K from the binary64 W~_{K+1}, W~_{K+2} and bounds its
+    own error and the handoff.  By _backward_point's identity, which holds
+    whatever arithmetic each step uses, the error of the value is the sum
+    of the prefix's binary64 errors, the handoff error and the
+    fixed-point errors of k <= K, so the roundoff reported is the sum of
+    the two bounds and the rounding to binary64.
+
+    Should _sum_mp's bound still pass tol/8, the point is summed again,
+    from the same K, at the scale that bound asks for, at least one bit
+    more (an inf bound asks for 1 - log2(tol/8) more).  The loop ends:
+    once the |Y_k| 2^-bits of _sum_mp settle near |w_k|, the bound
+    halves with each bit.  The roundoff is then at most tol/8 + tol/32
+    + 2^-53 |value|, up to the upward rounding of those sums.  A value
     past binary64 is a RangeError only from a pass whose bound met tol/8;
     at a lower scale it may be the error alone."""
     bits = _fixed_point_scale(estimate, tol)
-    value, bound = _sum_mp(t, x, n_terms, bits, weights)
+    start, prefix = _prefix(steps, weights[1], estimate, bits, tol)
+    value, bound = _sum_mp(t, x, n_terms, bits, weights, start)
     while not bound <= 0.125 * tol:
         bits = max(bits + 1, _fixed_point_scale((bound, bits), tol))
-        value, bound = _sum_mp(t, x, n_terms, bits, weights)
+        value, bound = _sum_mp(t, x, n_terms, bits, weights, start)
     if math.isinf(value):
         raise RangeError("G(%g, %g) overflows binary64" % (t, x))
     # the rounding to binary64 adds at most 2^-53 |value|
-    return value, _add_up(bound, _U * abs(value))
+    return value, _add_up(_add_up(bound, prefix), _U * abs(value))
 
 
 def _evaluate_grid(t_grid, x_grid, tol, max_terms):
@@ -708,11 +809,13 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
             if not roundoff <= 0.25 * tol:
                 if capped is None:
                     capped = _column_bound(column, x)
-                value, roundoff, weights, estimate = _backward_point(
+                value, roundoff, weights, estimate, steps = _backward_point(
                     capped, rows[i], t, x, n_top)
                 if not roundoff <= 0.25 * tol:
                     value, roundoff = _exact_point(t, x, n_top, weights,
-                                                   estimate, tol)
+                                                   estimate, tol, steps)
+                # freed here, not at the next point: the C heap stays lower
+                steps = None
             grid[i][j] = GenFunValue(t, x, value, tail, n_top + 1, roundoff)
     return grid
 

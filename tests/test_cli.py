@@ -352,3 +352,29 @@ def test_qratio_near_one_is_usage_error(argv):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error:")
+
+
+def test_main_in_one_process_matches_fresh_processes(capsys):
+    # main builds its parser once per process: calls one after another,
+    # usage errors among them, print and exit as fresh processes do, and
+    # no option of one call carries into the next
+    argvs = [["moments", "beta:1:2.5:0.5", "--n-max", "3"],
+             ["verify", "nosuch"],
+             ["mellin", "gamma:1:2", "--z", "2+1j", "--output", "json"],
+             ["moments", "beta:1:2.5:0.5"],
+             ["moments", "beta:1:2.5:0.5", "--n-max", "x"],
+             ["hermite-scan", "--tmin=-0.5", "--tmax=0.5", "--tstep=0.5",
+              "--xmin=-1", "--xmax=1", "--xstep=1"],
+             ["mellin", "gamma:1:2", "--z", "2+1j"]]
+    src = os.path.dirname(os.path.dirname(momentforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "momentforge.cli"]
+                               + argv, capture_output=True, text=True,
+                               env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

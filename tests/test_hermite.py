@@ -15,8 +15,8 @@ from momentforge import (DomainError, generating_G, hermite, hermite_H,
 from momentforge.errors import BudgetError, RangeError
 from momentforge.hermite import (_add_up, _backward_point, _coefficients,
                                  _column_bound, _float_column, _float_point,
-                                 _float_row, _fixed_point_scale, _sum_float,
-                                 _sum_mp, _terms_needed)
+                                 _float_row, _fixed_point_scale, _prefix,
+                                 _sum_float, _sum_mp, _terms_needed)
 
 U = 2.0 ** -53
 DEFAULT_T = [round(-0.95 + 0.05 * i, 12) for i in range(39)]
@@ -374,7 +374,7 @@ def test_exact_path_within_roundoff_bound_past_binary64(t, x):
 def test_fixed_point_scale_is_the_least_that_meets_tol():
     tol = 1e-10
     for t, x in [(0.95, -10.0), (-0.7, 6.0), (0.5, 40.0), (0.3, 37.0)]:
-        n, (_, _, weights, estimate) = _backward(t, x, tol)
+        n, (_, _, weights, estimate, _) = _backward(t, x, tol)
         bits = _fixed_point_scale(estimate, tol)
         assert _sum_mp(t, x, n, bits, weights)[1] <= tol / 8
         if bits > 65:
@@ -435,17 +435,26 @@ def test_sum_mp_agrees_with_the_forward_recurrence(t, x):
                                   rel=4 * U, abs=1e-30)
 
 
+#: a 14 x 21 subsample of the default grid, its corners among it
+SUB_T = sorted(set(DEFAULT_T[::3]) | {DEFAULT_T[0], DEFAULT_T[-1]})
+SUB_X = sorted(set(DEFAULT_X[::4]) | {DEFAULT_X[0], DEFAULT_X[-1]})
+
+
+def _subsample_candidates(tol):
+    """The points of the subsample that the binary64 filter hands on,
+    decided by the reference loop, not by the code under test."""
+    return {(t, x) for t in SUB_T if t != 0.0 for x in SUB_X
+            if U * _reference_sum_float(
+                t, x, _terms_needed(t, x, tol))[1] > 0.25 * tol}
+
+
 def test_exact_path_candidates_within_roundoff_bound():
-    # every point of a subsampled default grid that the binary64 filter
-    # hands on (decided by the reference loop, not by the code under
-    # test), the four corners among them, against _sum_mp 128 bits above
-    # the scale the point's estimate asks for
+    # every candidate of the subsample, the four corners among them,
+    # against _sum_mp 128 bits above the scale the point's estimate asks
+    # for
     tol = 1e-10
-    ts = sorted(set(DEFAULT_T[::3]) | {DEFAULT_T[0], DEFAULT_T[-1]})
-    xs = sorted(set(DEFAULT_X[::4]) | {DEFAULT_X[0], DEFAULT_X[-1]})
-    candidates = {(t, x) for t in ts if t != 0.0 for x in xs
-                  if U * _reference_sum_float(
-                      t, x, _terms_needed(t, x, tol))[1] > 0.25 * tol}
+    ts, xs = SUB_T, SUB_X
+    candidates = _subsample_candidates(tol)
     corners = {(t, x) for t in (ts[0], ts[-1]) for x in (xs[0], xs[-1])}
     assert corners <= candidates and len(candidates) > 100
     checked = 0
@@ -510,3 +519,102 @@ def test_a_missed_estimate_sums_again_at_the_scale_the_bound_asks(
     monkeypatch.setattr(hermite, "_MARGIN", 2.0 ** -8)
     assert generating_G(0.95, -10.0) == expected
     assert scales == [bits - 8, bits]
+
+
+@pytest.mark.parametrize("t, x, n, bits, expected", [
+    (0.95, -10.0, 1483, 112, (0.02721913245762291, 8.784369510610672e-12)),
+    (-0.7, 6.0, 119, 80, (0.07222310782304207, 1.133882533778052e-18)),
+    (0.45, -10.0, 93, 65, (0.06719659477621738, 7.780145381193257e-12)),
+    (0.3, 37.0, 588, 900, (1.0038215665883938e+50, 1.885864471077253e-218))])
+def test_a_start_at_the_top_is_the_whole_loop_bit_for_bit(t, x, n, bits,
+                                                         expected):
+    # W_N = 1 and W_{N+1} = 0 are exact: no handoff error; the expected
+    # pairs are those of the whole loop before it could resume
+    assert _sum_mp(t, x, n, bits) == expected
+    assert _sum_mp(t, x, n, bits, None, (n - 1, 1.0, 0.0)) == expected
+
+
+def test_binary64_prefix_within_a_quarter_of_the_estimate():
+    # every exact-path point of the subsample: the binary64 steps kept
+    # cost at most a quarter of the fixed-point error expected at the
+    # point's scale, and the value stays within its bound
+    tol = 1e-10
+    candidates = _subsample_candidates(tol)
+    resumed = exact = 0
+    for g in positivity_scan(SUB_T, SUB_X, tol=tol).points:
+        if (g.t, g.x) not in candidates:
+            continue
+        n, (_, bound, weights, estimate, steps) = _backward(g.t, g.x, tol)
+        if bound <= 0.25 * tol:
+            continue
+        exact += 1
+        bits = _fixed_point_scale(estimate, tol)
+        start, prefix = _prefix(steps, weights[1], estimate, bits, tol)
+        s, e = estimate
+        assert prefix <= 0.25 * min(math.ldexp(s, e - bits), tol / 8), g
+        if start is not None:
+            resumed += 1
+            assert 0 <= start[0] < n - 1 and prefix > 0.0
+        assert _close_to_reference(g, 200), g
+        assert g.roundoff_bound <= 5 * tol / 32 + U * abs(g.value), g
+    assert exact > 50 and resumed > 0.9 * exact
+
+
+@pytest.mark.parametrize("t, x", [(0.95, -10.0), (-0.9, 7.5), (0.5, 3.0),
+                                  (0.45, -10.0)])
+def test_sum_mp_bounds_the_distance_to_the_exact_continuation(t, x):
+    # from any binary64 start, _sum_mp's bound covers its distance to the
+    # exact recurrence from that start, here taken as _sum_mp 500 bits
+    # finer: the prefix start of the point at its scale, and at 65 bits a
+    # start at K = 0 whose W~_1 is below one unit and whose W~_2 all but
+    # cancels the 1 of step 0, so that the handoff error dominates a value
+    # near 0
+    n, (_, _, weights, estimate, steps) = _backward(t, x)
+    bits = _fixed_point_scale(estimate, 1e-10)
+    start, _ = _prefix(steps, weights[1], estimate, bits, 1e-10)
+    assert start is not None
+    handoff = (0, math.ldexp(1.0 - 2.0 ** -20, -65), math.sqrt(2.0) / (t * t))
+    for begin, scale in ((start, bits), (handoff, 65)):
+        value, bound = _sum_mp(t, x, n, scale, weights, begin)
+        ref, ref_bound = _sum_mp(t, x, n, scale + 500, weights, begin)
+        assert ref_bound < 1e-150
+        assert abs(value - ref) <= bound + ref_bound + U * abs(ref), begin
+
+
+def test_the_roundoff_bound_covers_the_binary64_prefix(monkeypatch):
+    # with the fixed-point steps run 400 bits finer, the error left is
+    # nearly all the binary64 prefix's, which the reported bound covers
+    sum_mp = hermite._sum_mp
+    starts = []
+
+    def finer(t, x, n_terms, bits, weights=None, start=None):
+        starts.append(start)
+        return sum_mp(t, x, n_terms, bits + 400, weights, start)
+
+    monkeypatch.setattr(hermite, "_sum_mp", finer)
+    for t, x in [(0.95, -10.0), (-0.95, -4.0), (0.9, 9.5), (0.45, -10.0),
+                 (0.75, -5.25), (-0.6, 8.0)]:
+        g = generating_G(t, x)
+        assert starts[-1] is not None, (t, x)
+        assert _close_to_reference(g, 800), g
+
+
+def test_a_point_whose_binary64_w_overflows_takes_the_whole_loop(
+        monkeypatch):
+    # at tol = 1e100 the proviso of the binary64 pass holds at (-0.9, 41),
+    # but its W overflows: every fixed-point pass starts at k = N - 1
+    tol = 1e100
+    n, (_, bound, _, _, steps) = _backward(-0.9, 41.0, tol)
+    assert abs(_float_row(-0.9, n)[0][n]) >= 2.0 ** -900
+    assert bound == math.inf and steps is None
+    sum_mp = hermite._sum_mp
+    starts = []
+
+    def counted(t, x, n_terms, bits, weights=None, start=None):
+        starts.append(start)
+        return sum_mp(t, x, n_terms, bits, weights, start)
+
+    monkeypatch.setattr(hermite, "_sum_mp", counted)
+    g = generating_G(-0.9, 41.0, tol=tol)
+    assert starts and starts == [None] * len(starts)
+    assert g.roundoff_bound <= 5 * tol / 32 + U * abs(g.value)
