@@ -3,7 +3,7 @@
 Submodules
 ----------
 measures    atomic/density measures, integrals, moments, Mellin, convolutions
-quadrature  adaptive Gauss-Kronrod G10/K21 integration with substitutions
+quadrature  nested double-exponential integration (tanh-sinh, exp-sinh)
 hankel      Hankel PSD tests, Carleman diagnostics, power transforms
 bernstein   Bernstein-function catalog, kappa/sigma measures, psi
 semigroups  Gamma/Beta/q-log-normal families and the T-transform

@@ -77,7 +77,7 @@ def affine(a):
         catalog_id="affine:%g" % a, a=float(a), b=1.0, levy=None,
         closed_form=lambda s: a + s, deriv=lambda s: 1.0,
         kappa_factory=lambda tol=0.0: DensityMeasure(
-            lambda x: np.exp(-a * x), (0.0, math.inf), "exponential-decay",
+            lambda x: np.exp(-a * x), (0.0, math.inf),
             catalog_id="kappa:affine", params=(("a", a),)),
         params=(a,)))
 
@@ -89,8 +89,7 @@ def linear():
         closed_form=lambda s: s, deriv=lambda s: 1.0,
         kappa_factory=lambda tol=0.0: DensityMeasure(
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            (0.0, math.inf), "exponential-decay",
-            catalog_id="kappa:linear", params=()),
+            (0.0, math.inf), catalog_id="kappa:linear", params=()),
         params=()))
 
 
@@ -99,28 +98,27 @@ def ratio(a, b):
     if not 0 < a < b:
         raise DomainError("ratio catalog entry needs 0 < a < b")
     levy = DensityMeasure(lambda x: (b - a) * np.exp(-b * x),
-                          (0.0, math.inf), "exponential-decay")
+                          (0.0, math.inf))
     return _self_test(BernsteinFunction(
         catalog_id="ratio:%g:%g" % (a, b), a=a / b, b=0.0, levy=levy,
         closed_form=lambda s: (a + s) / (b + s),
         deriv=lambda s: (b - a) / (b + s) ** 2,
         kappa_factory=lambda tol=0.0: DensityMeasure(
             lambda x: np.exp(-a * x) - np.exp(-b * x),
-            (0.0, math.inf), "exponential-decay",
+            (0.0, math.inf),
             catalog_id="kappa:ratio", params=(("a", a), ("b", b))),
         params=(a, b)))
 
 
 def mobius():
     """f(s) = s/(s + 1); kappa density 1 - e^{-x}."""
-    levy = DensityMeasure(lambda x: np.exp(-x), (0.0, math.inf),
-                          "exponential-decay")
+    levy = DensityMeasure(lambda x: np.exp(-x), (0.0, math.inf))
     return _self_test(BernsteinFunction(
         catalog_id="mobius", a=0.0, b=0.0, levy=levy,
         closed_form=lambda s: s / (s + 1.0),
         deriv=lambda s: 1.0 / (s + 1.0) ** 2,
         kappa_factory=lambda tol=0.0: DensityMeasure(
-            lambda x: -np.expm1(-x), (0.0, math.inf), "exponential-decay",
+            lambda x: -np.expm1(-x), (0.0, math.inf),
             catalog_id="kappa:mobius", params=()),
         params=()))
 
@@ -270,7 +268,7 @@ def sigma_of(f, alpha, beta, tol=1e-14):
         return (dens_kappa(x) * np.exp((alpha / beta - 1.0) * np.log(u))
                 / (-np.log(u) * (1.0 - u)))
 
-    return DensityMeasure(sigma_density, (0.0, 1.0), "finite-interval",
+    return DensityMeasure(sigma_density, (0.0, 1.0),
                           catalog_id="sigma:%s:%g:%g" % (f.catalog_id,
                                                          alpha, beta))
 

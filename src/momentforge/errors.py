@@ -18,9 +18,10 @@ class UnsupportedError(MomentForgeError):
 
 
 class QuadratureError(MomentForgeError):
-    """Adaptive quadrature failed to reach the tolerance within budget.
+    """Quadrature did not reach the tolerance by its last level.
 
-    Carries the best value and the residual error estimate.
+    Carries the value of the last level and the residual: its difference
+    from the level before plus the outermost terms counted.
     """
 
     def __init__(self, message, value=None, residual=None):

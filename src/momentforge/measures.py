@@ -3,12 +3,13 @@
 Two carriers are provided: :class:`AtomicMeasure` for finite weighted sums
 of point masses (with an optional mass at zero and a recorded bound on
 discarded tail mass), and :class:`DensityMeasure` for nonnegative densities
-with a quadrature recipe; an atomic measure is merged by one sort when
-built and stores its locations and weights as read-only float64 arrays.
-:func:`integral` is the one place that chooses between a sum over the
-atoms and quadrature; moments, Mellin and Laplace transforms go through it
-and report an absolute error estimate alongside the value.  Product
-convolution and the three pushforward maps operate on atomic measures.
+on an interval or a half-line; an atomic measure is merged by one sort
+when built and stores its locations and weights as read-only float64
+arrays.  :func:`integral` is the one place that chooses between a sum over
+the atoms and quadrature over the density's support; moments, Mellin and
+Laplace transforms go through it and report an absolute error estimate
+alongside the value.  Product convolution and the three pushforward maps
+operate on atomic measures.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate, integrate_exp_decay, integrate_log_sub
+from .quadrature import integrate
 
 #: relative tolerance under which two neighbouring atom locations merge; exact
 #: powers of one q collide bit-exactly, this only has to absorb roundoff
@@ -152,17 +153,16 @@ class AtomicMeasure:
 
 @dataclass(frozen=True)
 class DensityMeasure:
-    """Nonnegative density on an interval with a quadrature recipe.
+    """Nonnegative density on ``support``, a finite interval (a, b) or a
+    half-line (a, inf); the support alone picks the quadrature rule.
 
-    ``quadrature_hint`` is one of ``finite-interval``, ``exponential-decay``
-    or ``log-substitution``.  ``strip_min_re`` records the left edge of the
-    Mellin integrability strip when known (e.g. -a for the Gamma density).
+    ``strip_min_re`` records the left edge of the Mellin integrability
+    strip when known (e.g. -a for the Gamma density).
     ``catalog_id``/``params`` identify catalog entries for serialization.
     """
 
     density: Callable
     support: Tuple[float, float]
-    quadrature_hint: str
     strip_min_re: Optional[float] = None
     catalog_id: Optional[str] = None
     params: Optional[tuple] = None
@@ -194,9 +194,12 @@ def integral(m, g, tol=1e-12):
     atoms lie beyond the largest kept location, where a growing |g| is
     larger, so there it is not a bound.
 
-    For a density it integrates g * density by the rule that
-    ``quadrature_hint`` names, and the error is the quadrature estimate of
-    each component.
+    For a density it integrates g * density over the support by
+    :func:`quadrature.integrate`, tanh-sinh on a finite interval and
+    exp-sinh on the half-line, and the error is the level-difference
+    estimate of each component.  It raises :class:`QuadratureError` where
+    the rule does not converge, as where x or g * density leaves binary64
+    before the terms are negligible.
     """
     if isinstance(m, AtomicMeasure):
         loc = m.locations()
@@ -212,14 +215,7 @@ def integral(m, g, tol=1e-12):
         return (g(x).T * m.density(x)).T
 
     lo, hi = m.support
-    hint = m.quadrature_hint
-    if hint == "finite-interval":
-        return integrate(f, lo, hi, tol=tol)
-    if hint == "exponential-decay":
-        return integrate_exp_decay(f, tol=tol)
-    if hint == "log-substitution":
-        return integrate_log_sub(f, tol=tol)
-    raise DomainError("unknown quadrature hint %r" % hint)
+    return integrate(f, lo, hi, tol=tol)
 
 
 def moment(m, n, tol=1e-12):

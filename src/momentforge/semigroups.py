@@ -116,7 +116,7 @@ def gamma_density(fam):
         x = np.asarray(x, dtype=float)
         return np.exp((a - 1.0) * np.log(x) - x - log_norm)
 
-    return DensityMeasure(density, (0.0, math.inf), "exponential-decay",
+    return DensityMeasure(density, (0.0, math.inf),
                           strip_min_re=-a, catalog_id="gamma",
                           params=(("a", a), ("c", 1.0)))
 
@@ -142,7 +142,7 @@ def beta_density(fam):
         return np.exp((a - 1.0) * np.log(x)
                       + (b - a - 1.0) * np.log1p(-x) - log_norm)
 
-    return DensityMeasure(density, (0.0, 1.0), "finite-interval",
+    return DensityMeasure(density, (0.0, 1.0),
                           strip_min_re=-a, catalog_id="beta",
                           params=(("a", a), ("b", b), ("c", 1.0)))
 
@@ -171,7 +171,7 @@ def vc_density(fam):
         logx = np.log(x)
         return norm * np.exp(-0.5 * logx - logx * logx / (2.0 * L))
 
-    return DensityMeasure(density, (0.0, math.inf), "log-substitution",
+    return DensityMeasure(density, (0.0, math.inf),
                           catalog_id="vclognormal",
                           params=(("q", fam.q), ("c", fam.c)))
 

@@ -10,8 +10,8 @@ from momentforge import (AtomicMeasure, DomainError, UnsupportedError,
 from momentforge.bernstein import (_stable_centered_power, lk_log_moment,
                                    lk_rep_of)
 from momentforge.errors import PreconditionError
-from momentforge.measures import DensityMeasure
-from momentforge.quadrature import integrate, integrate_exp_decay
+from momentforge.measures import DensityMeasure, integral
+from momentforge.quadrature import integrate
 
 CATALOG = [
     affine(1.0),
@@ -68,9 +68,9 @@ def test_levy_representation_matches_closed_form():
     for f in (ratio(1.0, 2.0), mobius()):
         for s in (0.25, 1.0, 4.0):
             nu = f.levy
-            val, _ = integrate_exp_decay(
+            val, _ = integrate(
                 lambda x, s=s: (-np.expm1(-s * x)) * nu.density(x),
-                tol=1e-12)
+                0.0, math.inf, tol=1e-12)
             assert f.a + f.b * s + val == pytest.approx(f(s), abs=1e-10)
 
 
@@ -99,8 +99,9 @@ def test_kappa_is_laplace_transform_of_log_derivative():
     kappa = kappa_of(f)
     for s in (0.5, 1.0, 2.0):
         lhs = f.deriv(s) / f(s)
-        val, _ = integrate_exp_decay(
-            lambda x, s=s: np.exp(-s * x) * kappa.density(x), tol=1e-12)
+        val, _ = integrate(
+            lambda x, s=s: np.exp(-s * x) * kappa.density(x),
+            0.0, math.inf, tol=1e-12)
         assert lhs == pytest.approx(val, abs=1e-10)
 
 
@@ -186,6 +187,19 @@ def test_lk_log_moment_matches_rep():
     seq = power_moments(f, 1.0, 1.0)
     for n in (2, 5):
         assert lk_log_moment(rep, n) == pytest.approx(seq.log(n), abs=1e-8)
+
+
+def test_sigma_integral_of_linear_covers_its_error():
+    # sigma's density is u^{-3/4} / (-log u) at 0: the nodes must reach
+    # far below 1e-38 for order 15 to meet 1e-12
+    f = linear()
+    seq = power_moments(f, 0.5, 2.0)
+    values = log_moment_via_rep(f, 0.5, 2.0, range(16))
+    assert max(abs(values[n] - seq.log(n)) for n in range(16)) <= 1e-12
+    value, err = integral(sigma_of(f, 0.5, 2.0),
+                          lambda u: _stable_centered_power(u, 15), 1e-11)
+    exact = seq.log(15) - 15 * math.log(f(0.5))
+    assert abs(value - exact) <= err + 4 * 2.0 ** -52 * abs(exact)
 
 
 def test_self_test_rejects_bad_levy_density():

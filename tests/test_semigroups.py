@@ -9,7 +9,7 @@ from momentforge import (BetaFamily, DomainError, GammaFamily,
                          beta_density, beta_mellin, gamma_density,
                          gamma_mellin, mellin, moment, t_transform,
                          vc_density, vc_mellin)
-from momentforge.errors import RangeError
+from momentforge.errors import QuadratureError, RangeError
 from momentforge.semigroups import _loggamma
 
 
@@ -145,11 +145,33 @@ def test_family_validation():
     (LogNormalQFamily(0.5), vc_density, vc_mellin),
 ])
 def test_density_mellin_at_complex_z(fam, density, closed):
-    # one family per quadrature hint: exponential-decay, finite-interval,
-    # log-substitution
+    # one family per kind of support: a half-line with exponential decay,
+    # a finite interval, a half-line with a log-normal tail
     z = 2.0 + 1.0j
     target = closed(fam, z)
     assert abs(mellin(density(fam), z).value - target) <= 1e-9 * abs(target)
+
+
+@pytest.mark.parametrize("a,z", [(0.05, n) for n in range(7)]
+                         + [(0.5, n) for n in range(7)]
+                         + [(1.5, -1.0), (1.5, -1.4), (2.0, -1.9 + 1j)])
+def test_gamma_density_singular_at_zero(a, z):
+    # x^{a-1+z} is singular at 0; a = 0.05 holds 5e-16 of its mass below
+    # 1e-303, so the nodes must reach that far
+    fam = GammaFamily(a)
+    dens = gamma_density(fam)
+    value = (moment(dens, z) if isinstance(z, int) else mellin(dens, z)).value
+    target = gamma_mellin(fam, z)
+    assert abs(value - target) <= 1e-11 * abs(target)
+
+
+def test_unresolvable_beta_mass_raises():
+    # (1 - x)^{-0.9} puts 2 % of the mass within 2^-53 of 1, where no
+    # binary64 x resolves it
+    with pytest.raises(QuadratureError) as info:
+        moment(beta_density(BetaFamily(0.5, 0.6)), 0)
+    assert np.shape(info.value.value) == np.shape(info.value.residual) == ()
+    assert info.value.residual > 0.01
 
 
 def _within(value, reference, rel):
