@@ -32,6 +32,9 @@ def _grid(lo, hi, step):
     count = int(round((hi - lo) / step)) + 1
     if count < 1:
         raise DomainError("empty grid: [%g, %g] step %g" % (lo, hi, step))
+    if count == 1:
+        # rounding to 12 decimals would turn a point such as 1e-300 into 0
+        return [lo]
     return [round(lo + i * step, 12) for i in range(count)]
 
 

@@ -7,34 +7,44 @@ The partial sum carries the explicit tail majorant
 e^{x^2/2} |t|^{N+1}/(1-|t|) and a proven bound on its own roundoff, so
 every scan value comes with a certified lower bound.
 
-A scan is one pass over its grid (_evaluate_grid), and generating_G is a
-1 x 1 grid.  Summation runs in binary64 with a running error bound: the
-values h~_k and their error majorant E_k depend on x only and are
-computed once per x column, the powers t~_k and their errors g_k once
-per t row, and each point then takes elementwise products and sequential
-cumulative sums of those arrays (_sum_float).  That majorant takes the
-recurrence coefficients in absolute value, so it grows like
-e^{sqrt(2k)|x|}; it is only the first, cheap filter.  A point where it
-exceeds a quarter of the tolerance is summed again by the backward
-(Clenshaw) recurrence
+A scan runs in three phases over its grid (_evaluate_grid), and
+generating_G is a 1 x 1 grid.
 
-    w_k = 1 + x t a_k w_{k+1} - t^2 b_{k+1} w_{k+2},  w_0 = s_N,
+1. A forward pass in binary64 with a running error bound: the values
+   h~_k and their error majorant E_k depend on x only and are computed
+   once per x column, the powers t~_k and their errors g_k once per t
+   row, and each point then takes elementwise products and sequential
+   cumulative sums of those arrays (_sum_float).  That majorant takes
+   the recurrence coefficients in absolute value, so it grows like
+   e^{sqrt(2k)|x|}; it is only the first, cheap filter.
+2. A point where it exceeds a quarter of the tolerance is summed again
+   by the backward (Clenshaw) recurrence
 
-whose error is its local errors weighted by the terms h_k(x) t^k
-themselves (_backward_point), so it does not grow with the recurrence.
-In binary64 that bound meets tol/4 at many of these points; the rest are
-summed by the same recurrence in fixed point on Python ints (_sum_mp), at
-a scale 2^B estimated from the binary64 pass and proven afterwards from
-the integers the loop computed.  The fixed-point loop resumes from the
-binary64 pass (_exact_point): the steps from k = N - 1 down whose binary64
-errors add up to at most a quarter of the fixed-point error expected keep
-their binary64 values, and the integers run only the steps below.  On the
-default scan grid that leaves 1008 points 129,258 integer steps of their
-273,958.
+       w_k = 1 + x t a_k w_{k+1} - t^2 b_{k+1} w_{k+2},  w_0 = s_N,
+
+   in binary64, whose error is its local errors weighted by the terms
+   h_k(x) t^k themselves (_backward_point), so it does not grow with the
+   recurrence.  Where those points' term counts add up to more than
+   _BATCH_RATIO times the largest, one pass runs all of them as array
+   steps, largest N first (_backward_batch); otherwise each point runs
+   alone.  Both give the same results bit for bit.
+3. In binary64 that bound meets tol/4 at many of these points; the rest
+   are summed by the same recurrence in fixed point on Python ints
+   (_sum_mp), at a scale 2^B estimated from the binary64 pass and proven
+   afterwards from the integers the loop computed.  The fixed-point loop
+   resumes from the binary64 pass (_exact_point): the steps from
+   k = N - 1 down whose binary64 errors add up to at most a quarter of
+   the fixed-point error expected keep their binary64 values, and the
+   integers run only the steps below.
+
+On the default scan grid 1638 of the 3078 points with t != 0 stay in
+phase 1 and 432 end in phase 2; the 1008 of phase 3 run 129,258
+integer steps of their 273,958.
 """
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
@@ -60,6 +70,14 @@ _FLOOR = sys.float_info.min
 #: the retained coefficient table of _sum_mp holds at most this many
 #: scale bits times terms (a little over 2 MiB of alpha_k and beta_k)
 _TABLE_CAP = 1 << 23
+#: the batched backward pass keeps its state every this many steps
+#: (see _backward_batch)
+_CHECKPOINT = 64
+#: a grid takes the batched backward pass when its points' term counts
+#: add up to more than this many times the largest (see _evaluate_grid):
+#: on the default scan grid's points, in random subsets, the batched pass
+#: costs as much as the scalar one where that ratio is 60 to 85
+_BATCH_RATIO = 72
 #: (P, alpha_k, beta_k) for k below the table length, from
 #: _coefficient_table; replaced whole, never mutated
 _table = (0, (), ())
@@ -268,6 +286,13 @@ def _float_row(t, n_terms):
     return powers, g, np.abs(powers[:n_terms]) + _U * g
 
 
+def _in_order(values):
+    """The sum of ``values`` added in order, as a float: cumsum adds in
+    order where np.sum adds pairwise (and Python's sum, from 3.12,
+    compensates)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def _float_point(column, row, x, n_terms):
     """_sum_float at one point from the arrays of its x column and t row
     (each at least n_terms long); see _sum_float."""
@@ -285,8 +310,7 @@ def _float_point(column, row, x, n_terms):
         gain += abs_h[:n] * tk_err[:n]
         gain += err[:n] * tk_pad[:n]
         gain += np.abs(sums[1:])
-        # cumsum adds in order where np.sum would add pairwise
-        gain = float(np.cumsum(gain)[-1]) if n else 0.0
+        gain = _in_order(gain)
     total = float(sums[n])
     if not (gain < math.inf and abs(tk[n]) >= _TINY
             and (x == 0.0 or abs(x) >= _TINY)):
@@ -436,9 +460,12 @@ def _backward_point(capped, row, t, x, n_terms):
     |r_k| <= 8u (1 + |p_k| + |q_k|).  The coefficients may not, so the
     bound is inf, which hands the point to _sum_mp, unless x = 0 or
     |x t| >= 2^-900, and |t~_(N+1)| >= 2^-900 (whence t^2 >= 2^-900).  It
-    is inf where W overflows too.  The bound is summed from nonnegative
-    values along chains of at most 11 N + 10 roundings, so, as S in
-    _sum_float, it is padded by 1 + 32 (N + 1) u.
+    is inf where W overflows too.  The bound adds nonnegative values in
+    order from k = N - 1 down: the term of step k meets the 10 k + 6
+    roundings of omega_k and three more, then N - 1 additions if it is
+    the first and k + 1 otherwise, so no chain is longer than 11 N - 2
+    roundings and, as S in _sum_float, the bound is padded by
+    1 + 32 (N + 1) u.  The estimate's three sums run in the same order.
 
     The estimate reads |Y_k| 2^-B in _sum_mp's local error as |W_k|, as
     Y_k is about 2^B w_k, with a margin of 2^-20 over the padding and the
@@ -469,11 +496,10 @@ def _backward_point(capped, row, t, x, n_terms):
     with np.errstate(over="ignore", invalid="ignore"):
         # |W_{k+1}| and |W_{k+2}| for k = N-1..0
         above, far = w[1:n + 1], w[:n]
-        head = float(omega.sum())
         # products and sums, not a BLAS dot, which the scan would page in
         # for these alone
-        estimate = (head + abs(xt) * float((above * omega).sum())
-                    + tt * float((far * omega).sum())) * _MARGIN
+        head = _in_order(omega)
+        near, far_sum = _in_order(above * omega), _in_order(far * omega)
         # the loop's own products, rounded as it rounded them
         up *= above
         down *= far
@@ -481,19 +507,31 @@ def _backward_point(capped, row, t, x, n_terms):
         up += 1.0
         # omega_k (1 + |p_k| + |q_k|), the weighted local error of step k
         up *= omega
-        total = float(up.sum()) * (1.0 + 32.0 * (n + 1) * _U)
+        sums = _in_order(up), head, near, far_sum
+    proven, bound, estimate = _backward_bounds(sums, row, t, x, n, sigma)
+    return curr, bound, weights, estimate, (up, signed) if proven else None
+
+
+def _backward_bounds(sums, row, t, x, n_terms, sigma):
+    """(proven, bound, estimate) of _backward_point from its four sums
+    over k = N-1..0, each added in order: of the weighted local error
+    bounds omega_k (1 + |p_k| + |q_k|), of omega_k, of |W~_{k+1}| omega_k
+    and of |W~_{k+2}| omega_k.  proven is whether the proviso holds and
+    the first sum, padded, is finite."""
+    local, head, near, far = sums
+    xt = x * t
+    estimate = (head + abs(xt) * near + t * t * far) * _MARGIN
+    total = local * (1.0 + 32.0 * (n_terms + 1) * _U)
+    proven = (abs(row[0][n_terms]) >= _TINY
+              and (x == 0.0 or abs(xt) >= _TINY) and total < math.inf)
     bound = math.inf
-    steps = None
-    if (abs(row[0][n]) >= _TINY and (x == 0.0 or abs(xt) >= _TINY)
-            and total < math.inf):
-        steps = up, signed
+    if proven:
         try:
             # 8u = 2^-50; one ulp up covers a rounding below the normal range
             bound = math.nextafter(math.ldexp(total, sigma - 50), math.inf)
         except OverflowError:
             pass
-    return (curr, bound, weights,
-            (estimate if estimate < math.inf else head, sigma), steps)
+    return proven, bound, (estimate if estimate < math.inf else head, sigma)
 
 
 def _fixed_point_scale(bound, tol):
@@ -683,6 +721,19 @@ def _add_up(a, b):
     return s if s - big >= small else math.nextafter(s, math.inf)
 
 
+def _prefix_cap(sigma, estimate, bits, tol):
+    """The cap of _prefix in units of 2^(sigma - 50): a quarter of the
+    smaller of tol/8 and s 2^(e - bits) for the estimate (s, e)."""
+    s, e = estimate
+    # ldexp is exact in the normal range, and only tol near the top of
+    # binary64 can overflow it
+    try:
+        tol_cap = math.ldexp(tol, 45 - sigma)
+    except OverflowError:
+        tol_cap = math.inf
+    return min(math.ldexp(s, e - sigma + 48 - bits), tol_cap)
+
+
 def _prefix(steps, sigma, estimate, bits, tol):
     """(start, bound) for the longest run of binary64 steps k = N-1..K+1
     of _backward_point (``steps``) whose error bound is at most a quarter
@@ -700,14 +751,7 @@ def _prefix(steps, sigma, estimate, bits, tol):
         return None, 0.0
     contributions, signed = steps
     n = len(contributions)
-    s, e = estimate
-    # the cap in units of 2^(sigma - 50); ldexp is exact in the normal
-    # range, and only tol near the top of binary64 can overflow it
-    try:
-        tol_cap = math.ldexp(tol, 45 - sigma)
-    except OverflowError:
-        tol_cap = math.inf
-    cap = min(math.ldexp(s, e - sigma + 48 - bits), tol_cap)
+    cap = _prefix_cap(sigma, estimate, bits, tol)
     if not cap >= _FLOOR:
         return None, 0.0
     # a Python loop that stops at K, where numpy would page in more of
@@ -724,10 +768,215 @@ def _prefix(steps, sigma, estimate, bits, tol):
     return (n - 1 - j, float(signed[j + 1]), float(signed[j])), bound
 
 
-def _exact_point(t, x, n_terms, weights, estimate, tol, steps):
+def _backward_scalar(capped, row, t, x, n_terms, tol):
+    """_backward_point at one point, as the grid keeps it: (value, bound,
+    estimate, cut).  cut is None where the bound meets tol/4, and
+    otherwise (B, start, prefix): the scale _fixed_point_scale takes from
+    the estimate, and the _prefix of the point's steps at that scale.
+    The steps are dropped here, so that one point's arrays are held at a
+    time."""
+    value, bound, (_, sigma), estimate, steps = _backward_point(
+        capped, row, t, x, n_terms)
+    if bound <= 0.25 * tol:
+        return value, bound, estimate, None
+    bits = _fixed_point_scale(estimate, tol)
+    return (value, bound, estimate,
+            (bits,) + _prefix(steps, sigma, estimate, bits, tol))
+
+
+def _backward_batch(bounds, points, tol):
+    """Yield the _backward_scalar record of each of ``points``, in order,
+    bit for bit, from one binary64 pass over all of them.  A point is
+    (start, sigma, row, t, x, n_terms), and the _column_bound of its
+    column is (bounds[start:], sigma): ``bounds`` holds the bounds of the
+    columns the points use, each as far as its points read it.
+
+    The points are sorted by N, largest first, so the points that run
+    step k, those with N > k, are always the first ones.  k runs from the
+    largest N - 1 down to 0, and each step is a few numpy operations over
+    those points, each the elementwise operation _backward_point does on
+    the same operands, in its order; the four sums of _backward_bounds
+    are added in order, step by step.  omega_k is the product of m[k-1],
+    gathered from ``bounds``, and max(|t~_k| + u g_k, 2^-1021), gathered
+    from a copy of each row's as far as its largest N reads it, floored
+    at 2^-1022: the _weights of every point.
+
+    Every _CHECKPOINT steps the pass keeps, for the points running, the
+    running sum of the local error bounds and W~_{k+1}, W~_{k+2}.  That
+    sum is the one _prefix adds, in the same order, and it only grows.
+    So once its estimate gives a point whose bound passes tol/4 its scale
+    and cap, _prefix's cut lies within _CHECKPOINT steps below the lowest
+    checkpoint still within the cap (or below the point's first step),
+    and those steps are replayed for all such points at once.
+
+    The pass runs when the first record is asked for and keeps, besides
+    ``bounds``, the rows' copy, the checkpoints and a few values per
+    point; each record is built as it is yielded.  Sorting and counting
+    are left to Python: numpy's would page in code the scan uses nowhere
+    else, which counts in its peak memory.
+    """
+    count = len(points)
+    order = sorted(range(count), key=lambda p: -points[p][5])
+    ns = [points[p][5] for p in order]
+    # omega_k = max(bounds[index[0] + k] pads[index[1] + k], 2^-1022)
+    # for k >= 1
+    index = np.empty((2, count), dtype=np.intp)
+    starts, fills, size = {}, [], 0
+    for s, p in enumerate(order):
+        start, _, row, _, _, n = points[p]
+        begin = starts.get(id(row))
+        if begin is None:
+            # a row's first point has its largest N
+            begin = starts[id(row)] = size
+            fills.append((begin, row[2][:n - 1]))
+            size += n - 1
+        index[:, s] = start - 1, begin - 1
+    pads = np.empty(size)
+    for begin, pad in fills:
+        np.maximum(pad, 2.0 * _FLOOR, out=pads[begin:begin + len(pad)])
+    del fills
+    omega_0 = np.maximum([math.ldexp(1.0, -min(points[p][1], 1074))
+                          for p in order], _FLOOR)
+    # x t and t^2 of each point
+    xt = np.array([[points[p][4] * points[p][3] for p in order],
+                   [points[p][3] * points[p][3] for p in order]])
+    top = ns[0]
+    # the step coefficients sqrt(2/(k+1)) and sqrt((k+1)/(k+2)), rounded
+    # as _backward_point rounds them
+    up = np.arange(1.0, top + 1.0)
+    coefficients = np.empty((top, 2, 1))
+    coefficients[:, 0, 0] = np.sqrt(2.0 / up)
+    coefficients[:, 1, 0] = np.sqrt(up / (up + 1.0))
+    # W~_{k+1} and W~_{k+2} before step k; W_N = 1 and W_{N+1} = 0
+    w = np.zeros((2, count))
+    w[0] = 1.0
+    sums = np.zeros((4, count))
+    # 1 + |p_k| + |q_k|, 1, |W~_{k+1}| and |W~_{k+2}|, to be times omega_k
+    terms = np.ones((4, count))
+    pqs, mags_, products = (np.empty((2, count)), np.empty((2, count)),
+                            np.empty((4, count)))
+    saved = []
+    a = width = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(top - 1, -1, -1):
+            while a < count and ns[a] > k:
+                a += 1
+            if a != width:
+                # views of the a points running, rebuilt as a grows
+                width = a
+                now, term, total = w[:, :a], terms[:, :a], sums[:, :a]
+                high, low = now
+                local, sizes = term[0], term[2:]
+                pair, cols, rws = xt[:, :a], index[0, :a], index[1, :a]
+                pq, mags, product = pqs[:, :a], mags_[:, :a], products[:, :a]
+                p, q = pq
+            if not k % _CHECKPOINT and k:
+                saved.append((k, np.vstack((total[0], now))))
+            if k:
+                omega = bounds.take(cols + k)
+                omega *= pads.take(rws + k)
+                np.maximum(omega, _FLOOR, out=omega)
+            else:
+                omega = omega_0
+            # p_k = c_k W~_{k+1} and q_k = d_k W~_{k+2}
+            np.multiply(coefficients[k], pair, out=pq)
+            pq *= now
+            np.abs(now, out=sizes)
+            np.abs(pq, out=mags)
+            np.add(mags[0], mags[1], out=local)
+            local += 1.0
+            total += np.multiply(term, omega, out=product)
+            np.copyto(low, high)
+            p += 1.0
+            np.subtract(p, q, out=high)
+    del terms, coefficients, pqs, mags_, products
+    bound, scale = np.empty(count), np.empty(count)
+    bits = np.zeros(count, dtype=np.intp)
+    # position, cap and padding of each point whose cut is replayed
+    at, caps, padding = [], [], []
+    for s, p in enumerate(order):
+        _, sigma, row, t, x, n = points[p]
+        proven, b, estimate = _backward_bounds(
+            sums[:, s].tolist(), row, t, x, n, sigma)
+        bound[s], scale[s] = b, estimate[0]
+        if not b <= 0.25 * tol:
+            bits[s] = scale_bits = _fixed_point_scale(estimate, tol)
+            cap = _prefix_cap(sigma, estimate, scale_bits, tol)
+            if proven and cap >= _FLOOR:
+                at.append(s)
+                caps.append(cap)
+                padding.append(1.0 + 32.0 * (n + 1) * _U)
+    del sums
+    # k, the running sum, W~_{k+1} and W~_{k+2} before step k, from the
+    # lowest checkpoint within the cap, or from the point's first step
+    k = np.array([ns[s] - 1.0 for s in at])
+    state = np.zeros((3, len(at)))
+    state[1] = 1.0
+    caps, padding = np.array(caps), np.array(padding)
+    where = np.array(at, dtype=np.intp)
+    open_ = np.ones(len(at), dtype=bool)
+    for checkpoint, kept in reversed(saved):
+        # the replayed points among those the checkpoint holds
+        inside = np.flatnonzero(open_[:bisect_left(at, kept.shape[1])])
+        held = kept[:, where[inside]]
+        within = held[0] * padding[inside] <= caps[inside]
+        inside = inside[within]
+        k[inside] = checkpoint
+        state[:, inside] = held[:, within]
+        open_[inside] = False
+    del saved, at, ns
+    # step each point on until the step that would pass its cap, K = k,
+    # or to k = 0
+    live = np.arange(len(where))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            live = live[k[live] > 0.0]
+            if not live.size:
+                break
+            step = k[live]
+            place = index[:, where[live]] + step.astype(np.intp)
+            omega = bounds.take(place[0])
+            omega *= pads.take(place[1])
+            np.maximum(omega, _FLOOR, out=omega)
+            up = step + 1.0
+            pq = np.sqrt(np.vstack((2.0 / up, up / (up + 1.0))))
+            pq *= xt[:, where[live]]
+            pq *= state[1:, live]
+            mags = np.abs(pq)
+            total = state[0, live] + ((mags[0] + mags[1]) + 1.0) * omega
+            go = total * padding[live] <= caps[live]
+            live, pq = live[go], pq[:, go]
+            state[2, live] = state[1, live]
+            state[1, live] = pq[0] + 1.0 - pq[1]
+            state[0, live] = total[go]
+            k[live] -= 1.0
+    del pads, index, xt
+    # the replayed point at each position, or -1, and each point's position
+    replayed = np.full(count, -1, dtype=np.intp)
+    replayed[where] = np.arange(len(where))
+    position = np.empty(count, dtype=np.intp)
+    position[order] = np.arange(count)
+    del order
+    for (_, sigma, _, _, _, n), s in zip(points, position.tolist()):
+        value, b = float(w[0, s]), float(bound[s])
+        cut = None
+        if not b <= 0.25 * tol:
+            cut = int(bits[s]), None, 0.0
+            e = int(replayed[s])
+            if e >= 0 and float(k[e]) < n - 1:
+                total, above, far = state[:, e].tolist()
+                prefix = math.nextafter(
+                    math.ldexp(total * float(padding[e]), sigma - 50),
+                    math.inf)
+                cut = cut[0], (int(k[e]), above, far), prefix
+        yield value, b, (float(scale[s]), sigma), cut
+
+
+def _exact_point(t, x, n_terms, weights, cut, tol):
     """(value, roundoff) of the backward recurrence that keeps the
-    binary64 steps of _backward_point (``steps``) while their error is
-    small and runs the rest in fixed point (_sum_mp).
+    binary64 steps of _backward_point while their error is small and runs
+    the rest in fixed point (_sum_mp), from the cut (B, start, prefix) of
+    the point's _backward_scalar record.
 
     The scale 2^B is the one _fixed_point_scale takes from the estimate
     (s, e) of _backward_point.  The binary64 prefix is the longest run of
@@ -749,8 +998,7 @@ def _exact_point(t, x, n_terms, weights, estimate, tol, steps):
     + 2^-53 |value|, up to the upward rounding of those sums.  A value
     past binary64 is a RangeError only from a pass whose bound met tol/8;
     at a lower scale it may be the error alone."""
-    bits = _fixed_point_scale(estimate, tol)
-    start, prefix = _prefix(steps, weights[1], estimate, bits, tol)
+    bits, start, prefix = cut
     value, bound = _sum_mp(t, x, n_terms, bits, weights, start)
     while not bound <= 0.125 * tol:
         bits = max(bits + 1, _fixed_point_scale((bound, bits), tol))
@@ -761,16 +1009,33 @@ def _exact_point(t, x, n_terms, weights, estimate, tol, steps):
     return value, _add_up(_add_up(bound, prefix), _U * abs(value))
 
 
+def _tail_bound(t, x, n_top):
+    """e^{x^2/2} |t|^(N+1)/(1-|t|) for N = n_top."""
+    at = abs(t)
+    return math.exp(0.5 * x * x + (n_top + 1) * math.log(at)
+                    - math.log1p(-at))
+
+
 def _evaluate_grid(t_grid, x_grid, tol, max_terms):
     """GenFunValue rows, one per t, over the grid t_grid x x_grid.
 
-    The term count of every point is fixed first, in row order.  Then
-    each x column takes _float_column once, to its largest count, and
-    each point with t != 0 combines it with its row's _float_row.  Points
-    whose binary64 bound passes tol/4 take the backward recurrence in
-    binary64 (_backward_point) from the same column and row, and where
-    its bound passes tol/4 too, the fixed-point sum (_exact_point).  Only
-    one column's arrays are held at a time.
+    The term count of every point is fixed first, in row order, and each
+    t row takes _float_row once, to its largest count.  Then three phases:
+
+    1. Each x column takes _float_column once, to its largest count, and
+       each point with t != 0 combines it with its row (_float_point).  A
+       column with points whose binary64 bound passes tol/4 keeps its
+       _column_bound, which x and -x share; its other arrays are dropped
+       with the column.
+    2. Those points take the backward recurrence in binary64: in one
+       batched pass (_backward_batch) where their term counts add up to
+       more than _BATCH_RATIO times the largest, one point at a time
+       (_backward_scalar) otherwise.  Both give the same records.
+    3. Where that bound passes tol/4 too, the point is summed in fixed
+       point (_exact_point), in column order.
+
+    The rows' arrays are held throughout, and the kept column bounds
+    from phase 1 to the end.
     """
     ts = [float(t) for t in t_grid]
     xs = [float(x) for x in x_grid]
@@ -792,31 +1057,60 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
         counts.append(row)
     rows = [_float_row(t, max(row, default=0)) for t, row in zip(ts, counts)]
     grid = [[None] * len(xs) for _ in ts]
+    tops = [max((row[j] for row in counts), default=0)
+            for j in range(len(xs))]
+    # the _column_bound of each column with points in phase 2, as far as
+    # they read it, one after another; x and -x share theirs, since |h~_k|
+    # and E_k depend on |x| alone (the recurrence is odd in x, bit for bit)
+    bounds = np.empty(sum(tops))
+    size = 0
+    kept = {}
+    # (j, [i, ...]) of each column with points in phase 2, and
+    # (start, sigma, row, t, x, n_top) of each of those points
+    late, points = [], []
     for j, x in enumerate(xs):
-        column = _float_column(
-            x, max((row[j] for row in counts), default=0))
-        capped = None
+        column = _float_column(x, tops[j])
+        pending = []
         for i, t in enumerate(ts):
             if t == 0.0:
                 grid[i][j] = GenFunValue(t, x, 1.0, 0.0, 1)
                 continue
             n_top = counts[i][j]
-            at = abs(t)
-            tail = math.exp(0.5 * x * x + (n_top + 1) * math.log(at)
-                            - math.log1p(-at))
             value, gain = _float_point(column, rows[i], x, n_top)
             roundoff = _U * gain
-            if not roundoff <= 0.25 * tol:
-                if capped is None:
-                    capped = _column_bound(column, x)
-                value, roundoff, weights, estimate, steps = _backward_point(
-                    capped, rows[i], t, x, n_top)
-                if not roundoff <= 0.25 * tol:
-                    value, roundoff = _exact_point(t, x, n_top, weights,
-                                                   estimate, tol, steps)
-                # freed here, not at the next point: the C heap stays lower
-                steps = None
-            grid[i][j] = GenFunValue(t, x, value, tail, n_top + 1, roundoff)
+            if roundoff <= 0.25 * tol:
+                grid[i][j] = GenFunValue(t, x, value,
+                                         _tail_bound(t, x, n_top),
+                                         n_top + 1, roundoff)
+            else:
+                pending.append(i)
+        if pending:
+            read = max(counts[i][j] for i in pending) - 1
+            start, sigma, held = kept.get(abs(x), (size, 0, -1))
+            if held < read:
+                m, sigma = _column_bound(column, x)
+                start = size
+                bounds[start:start + read] = m[:read]
+                size += read
+                kept[abs(x)] = start, sigma, read
+            late.append((j, pending))
+            points += [(start, sigma, rows[i], ts[i], x, counts[i][j])
+                       for i in pending]
+    steps = [point[5] for point in points]
+    if sum(steps) > _BATCH_RATIO * max(steps, default=0):
+        records = _backward_batch(bounds, points, tol)
+    else:
+        records = (_backward_scalar((bounds[start:], sigma), row, t, x, n,
+                                    tol)
+                   for start, sigma, row, t, x, n in points)
+    cells = ((i, j) for j, pending in late for i in pending)
+    for (i, j), (start, sigma, row, t, x, n_top), (value, roundoff, _, cut) \
+            in zip(cells, points, records):
+        if cut is not None:
+            weights = _weights((bounds[start:], sigma), row, n_top)
+            value, roundoff = _exact_point(t, x, n_top, weights, cut, tol)
+        grid[i][j] = GenFunValue(t, x, value, _tail_bound(t, x, n_top),
+                                 n_top + 1, roundoff)
     return grid
 
 

@@ -128,6 +128,17 @@ def test_hermite_scan_csv(capsys):
         assert tail <= 1e-10 or t == 0.0
 
 
+def test_hermite_scan_one_point_is_the_point_given(capsys):
+    # a multi-point grid rounds to 12 decimals; a single point is not
+    # rounded, so x = 1e-300 is evaluated and printed, not x = 0
+    code, out, _ = run(capsys, "hermite-scan", "--tmin=-0.5", "--tmax=-0.5",
+                       "--xmin=1e-300", "--xmax=1e-300")
+    assert code == 0
+    t, x, g, _ = out.strip().splitlines()[1].split(",")
+    assert (float(t), float(x)) == (-0.5, 1e-300)
+    assert float(g) == momentforge.generating_G(-0.5, 1e-300).value
+
+
 def test_hermite_scan_rejects_t_outside(capsys):
     code, _, err = run(capsys, "hermite-scan", "--tmin", "-2.0",
                        "--tmax", "0.0", "--tstep", "1.0")

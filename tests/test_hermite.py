@@ -13,10 +13,10 @@ import momentforge
 from momentforge import (DomainError, generating_G, hermite, hermite_H,
                          hermite_eval, hermite_h, positivity_scan)
 from momentforge.errors import BudgetError, RangeError
-from momentforge.hermite import (_add_up, _backward_point, _coefficients,
-                                 _column_bound, _float_column, _float_point,
-                                 _float_row, _fixed_point_scale, _prefix,
-                                 _sum_float, _sum_mp, _terms_needed)
+from momentforge.hermite import (_add_up, _backward_batch, _backward_point,
+                                 _coefficients, _column_bound, _float_column,
+                                 _float_point, _float_row, _fixed_point_scale,
+                                 _prefix, _sum_float, _sum_mp, _terms_needed)
 
 U = 2.0 ** -53
 DEFAULT_T = [round(-0.95 + 0.05 * i, 12) for i in range(39)]
@@ -335,7 +335,30 @@ def test_sum_float_matches_the_per_point_loop(t, x, n):
     assert _sum_float(t, x, n) == _reference_sum_float(t, x, n)
 
 
-def test_scan_points_equal_generating_G():
+def _spy_on_backward_passes(monkeypatch):
+    """Counts of the scalar and batched backward passes run from here."""
+    calls = {"scalar": 0, "batched": 0}
+    scalar, batched = hermite._backward_point, hermite._backward_batch
+
+    def counted_scalar(*args):
+        calls["scalar"] += 1
+        return scalar(*args)
+
+    def counted_batched(*args):
+        calls["batched"] += 1
+        return batched(*args)
+
+    monkeypatch.setattr(hermite, "_backward_point", counted_scalar)
+    monkeypatch.setattr(hermite, "_backward_batch", counted_batched)
+    return calls
+
+
+#: a grid whose binary64 fallback points take the batched backward pass
+BATCH_T = [-0.7, -0.6, -0.5, 0.5, 0.6, 0.7]
+BATCH_X = [round(-10.0 + 0.25 * i, 12) for i in range(81)]
+
+
+def test_scan_points_equal_generating_G(monkeypatch):
     tol = 1e-10
     ts = [-0.95, -0.5, 0.0, 0.3, 0.9]
     xs = [-10.0, -2.5, 0.0, 1.5, 7.5]
@@ -347,6 +370,80 @@ def test_scan_points_equal_generating_G():
                            for t in ts for x in xs)
     for t, x in [(-0.95, 10.0), (0.9, -3.0), (0.0, 4.0)]:
         assert positivity_scan([t], [x]).points == (generating_G(t, x),)
+    # a grid large enough for the batched backward pass gives the same
+    # points as the scalar pass of generating_G
+    calls = _spy_on_backward_passes(monkeypatch)
+    points = positivity_scan(BATCH_T, BATCH_X, tol=tol).points
+    assert calls == {"scalar": 0, "batched": 1}
+    assert points == tuple(generating_G(t, x, tol=tol)
+                           for t in BATCH_T for x in BATCH_X)
+    assert calls["batched"] == 1 and calls["scalar"] > 100
+
+
+def test_the_batched_pass_only_where_its_steps_outweigh_its_overhead(
+        monkeypatch):
+    # one point, or a few, take the scalar pass; the default grid's 1440
+    # fallback points, 342k steps against a largest count of 1483, the
+    # batched one
+    calls = _spy_on_backward_passes(monkeypatch)
+    generating_G(0.95, -10.0)
+    positivity_scan([-0.9], [7.5])
+    assert calls == {"scalar": 2, "batched": 0}
+    positivity_scan(DEFAULT_T, DEFAULT_X)
+    assert calls == {"scalar": 2, "batched": 1}
+
+
+def _batch_input(ts, xs, tol, keep):
+    """(bounds, points) of _backward_batch for the points (t, x), t != 0,
+    that ``keep`` selects (all if it is None), each x column's bound laid
+    out whole in bounds, and the _backward_point arguments of each."""
+    counts = {(t, x): _terms_needed(t, x, tol)
+              for t in ts if t != 0.0 for x in xs}
+    rows = {t: _float_row(t, max(counts[t, x] for x in xs))
+            for t in ts if t != 0.0}
+    bounds, points, scalar = [], [], []
+    start = 0
+    for x in xs:
+        column = _float_column(x, max(counts[t, x] for t in rows))
+        capped = _column_bound(column, x)
+        for t, row in rows.items():
+            n = counts[t, x]
+            gain = _float_point(column, row, x, n)[1]
+            if keep is None or keep(gain):
+                points.append((start, capped[1], row, t, x, n))
+                scalar.append((capped, row, t, x, n))
+        bounds.append(capped[0])
+        start += len(capped[0])
+    return np.concatenate(bounds), points, scalar
+
+
+@pytest.mark.parametrize("ts, xs, tol, keep", [
+    # every fallback point of the default grid
+    (DEFAULT_T, DEFAULT_X, 1e-10,
+     lambda gain: not U * gain <= 0.25 * 1e-10),
+    # an x = 0 column, and x = 1e-300, where |x t| >= 2^-900 fails
+    ([-0.95, -0.5, 0.3, 0.9], [0.0, 1e-300, -4.0], 1e-10, None),
+    # W overflows at (-0.9, 41): no steps to resume from
+    ([-0.9, 0.5], [41.0, 6.0], 1e100, None)])
+def test_the_batched_pass_equals_the_scalar_pass(ts, xs, tol, keep):
+    # value, bound, estimate, and the scale, start (K, W~_{K+1}, W~_{K+2})
+    # and prefix bound of every point whose bound passes tol/4, bit for
+    # bit, against _backward_point and _prefix at each point alone
+    bounds, points, scalar = _batch_input(ts, xs, tol, keep)
+    batched = list(_backward_batch(bounds, points, tol))
+    expected = [hermite._backward_scalar(*point, tol) for point in scalar]
+    # repr tells -0.0 from 0.0
+    assert repr(batched) == repr(expected)
+    cuts = [record[3] for record in expected]
+    if keep is not None:
+        assert len(points) == 1440 and sum(map(bool, cuts)) == 1008
+        assert all(cut[1] is not None for cut in cuts if cut)
+    else:
+        assert any(cut and cut[1] is None for cut in cuts)
+    if tol == 1e100:
+        at_41 = [record for (_, _, _, t, x, _), record
+                 in zip(points, expected) if (t, x) == (-0.9, 41.0)]
+        assert at_41[0][1] == math.inf and at_41[0][3][1] is None
 
 
 def _backward(t, x, tol=1e-10):
