@@ -7,39 +7,34 @@ The partial sum carries the explicit tail majorant
 e^{x^2/2} |t|^{N+1}/(1-|t|) and a proven bound on its own roundoff, so
 every scan value comes with a certified lower bound.
 
-A scan runs in three phases over its grid (_evaluate_grid), and
+A scan runs in two phases over its grid (_evaluate_grid), and
 generating_G is a 1 x 1 grid.
 
-1. A forward pass in binary64 with a running error bound: the values
-   h~_k and their error majorant E_k depend on x only and are computed
-   once per x column, the powers t~_k and their errors g_k once per t
-   row, and each point then takes elementwise products and sequential
-   cumulative sums of those arrays (_sum_float).  That majorant takes
-   the recurrence coefficients in absolute value, so it grows like
-   e^{sqrt(2k)|x|}; it is only the first, cheap filter.
-2. A point where it exceeds a quarter of the tolerance is summed again
-   by the backward (Clenshaw) recurrence
+1. Every point with t != 0 is summed by the backward (Clenshaw)
+   recurrence
 
        w_k = 1 + x t a_k w_{k+1} - t^2 b_{k+1} w_{k+2},  w_0 = s_N,
 
    in binary64, whose error is its local errors weighted by the terms
    h_k(x) t^k themselves (_backward_point), so it does not grow with the
-   recurrence.  Where those points' term counts add up to more than
-   _BATCH_RATIO times the largest, one pass runs all of them as array
-   steps, largest N first (_backward_batch); otherwise each point runs
-   alone.  Both give the same results bit for bit.
-3. In binary64 that bound meets tol/4 at many of these points; the rest
-   are summed by the same recurrence in fixed point on Python ints
-   (_sum_mp), at a scale 2^B estimated from the binary64 pass and proven
-   afterwards from the integers the loop computed.  The fixed-point loop
-   resumes from the binary64 pass (_exact_point): the steps from
-   k = N - 1 down whose binary64 errors add up to at most a quarter of
-   the fixed-point error expected keep their binary64 values, and the
-   integers run only the steps below.
+   recurrence.  The weights bound |h_k(x)| by the binary64 values h~_k
+   and their error majorant E_k (see _sum_float), computed once per |x|
+   (_float_column), and |t^k| by the powers of t and their errors, once
+   per t row (_float_row).  Where the points' term counts add up to more
+   than _BATCH_RATIO times the largest, one pass runs all of them as
+   array steps, largest N first (_backward_batch); otherwise each point
+   runs alone.  Both give the same results bit for bit.
+2. That bound meets tol/4 at many points; the rest are summed by the
+   same recurrence in fixed point on Python ints (_sum_mp), at a scale
+   2^B estimated from the binary64 pass and proven afterwards from the
+   integers the loop computed.  The fixed-point loop resumes from the
+   binary64 pass (_exact_point): the steps from k = N - 1 down whose
+   binary64 errors add up to at most a quarter of the fixed-point error
+   expected keep their binary64 values, and the integers run only the
+   steps below.
 
-On the default scan grid 1638 of the 3078 points with t != 0 stay in
-phase 1 and 432 end in phase 2; the 1008 of phase 3 run 129,258
-integer steps of their 273,958.
+On the default scan grid 2070 of the 3078 points with t != 0 end in
+phase 1; the 1008 of phase 2 run 129,258 integer steps of their 273,958.
 """
 
 import math
@@ -62,7 +57,7 @@ _U = 2.0 ** -53
 _C = 7.0
 #: relative margin of the fixed-point estimate (see _backward_point)
 _MARGIN = 1.0 + 2.0 ** -20
-#: magnitudes below this leave the binary64 path (see _sum_float)
+#: magnitudes below this leave the binary64 path (see _backward_point)
 _TINY = 2.0 ** -900
 #: smallest normal binary64; the backward-recurrence bounds floor their
 #: values here so that no rounding in them underflows (see _weights)
@@ -75,9 +70,10 @@ _TABLE_CAP = 1 << 23
 _CHECKPOINT = 64
 #: a grid takes the batched backward pass when its points' term counts
 #: add up to more than this many times the largest (see _evaluate_grid):
-#: on the default scan grid's points, in random subsets, the batched pass
-#: costs as much as the scalar one where that ratio is 60 to 85
-_BATCH_RATIO = 72
+#: on random subsets of the default scan grid's 3078 points with t != 0,
+#: the batched pass costs as much as the scalar one where that ratio is
+#: 45 to 50 (one CPU, Python 3.11, warm, best of 3)
+_BATCH_RATIO = 48
 #: (P, alpha_k, beta_k) for k below the table length, from
 #: _coefficient_table; replaced whole, never mutated
 _table = (0, (), ())
@@ -293,31 +289,6 @@ def _in_order(values):
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-def _float_point(column, row, x, n_terms):
-    """_sum_float at one point from the arrays of its x column and t row
-    (each at least n_terms long); see _sum_float."""
-    h, abs_h, err = column
-    tk, tk_err, tk_pad = row
-    n = n_terms
-    with np.errstate(over="ignore", invalid="ignore"):
-        # sums[k] = s~_k = fl(s~_{k-1} + term~_k), added in order
-        sums = np.empty(n + 1)
-        sums[0] = 1.0
-        terms = np.multiply(h[:n], tk[:n], out=sums[1:])
-        gain = np.abs(terms)
-        np.cumsum(sums, out=sums)
-        # the summands of S, each in _sum_float's order of operations
-        gain += abs_h[:n] * tk_err[:n]
-        gain += err[:n] * tk_pad[:n]
-        gain += np.abs(sums[1:])
-        gain = _in_order(gain)
-    total = float(sums[n])
-    if not (gain < math.inf and abs(tk[n]) >= _TINY
-            and (x == 0.0 or abs(x) >= _TINY)):
-        return total, math.inf
-    return total, gain * (1.0 + 32.0 * (n + 1) * _U)
-
-
 def _sum_float(t, x, n_terms):
     """The partial sum s_N = sum_{k<=N} h_k(x) t^k (N = n_terms) in
     binary64, and a gain S with |s_N - returned sum| <= u S, u = 2^-53.
@@ -354,18 +325,39 @@ def _sum_float(t, x, n_terms):
       the returned S is padded by 1 + 32 (N + 1) u, which covers them and
       its own rounding for N <= _MAX_TERMS.
 
-    h~_k and E_k come from _float_column, t~_k and g_k from _float_row,
-    and _float_point forms the terms, the sums s~_k and the summands of S
-    elementwise and adds each in order with a cumulative sum, so a grid
-    computes each column and row once.  Every operation is the one above
-    on the same operands, so the sum and S do not depend on how the grid
-    shares them, and the sum does not depend on the bound.  S is inf,
-    which hands the point to _backward_point, when it overflows, and when
-    |t^(N+1)| or a nonzero |x| is below 2^-900, so that the terms and the
-    first values of the recurrence stay clear of the underflow range.
+    h~_k and E_k come from _float_column, t~_k and g_k from _float_row;
+    the terms, the sums s~_k and the summands of S are formed elementwise
+    and each added in order with a cumulative sum.  Every operation is the
+    one above on the same operands, so the sum does not depend on the
+    bound.  S is inf when it overflows, and when |t^(N+1)| or a nonzero
+    |x| is below 2^-900, so that the terms and the first values of the
+    recurrence stay clear of the underflow range.
+
+    The scan does not call this sum: its binary64 path is the backward
+    recurrence (_backward_point), whose bound is the sharper one.  It
+    reads E_k through _column_bound, and this forward sum stays as the
+    reference that its bound is compared with.
     """
-    return _float_point(_float_column(x, n_terms), _float_row(t, n_terms),
-                        x, n_terms)
+    h, abs_h, err = _float_column(x, n_terms)
+    tk, tk_err, tk_pad = _float_row(t, n_terms)
+    n = n_terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sums[k] = s~_k = fl(s~_{k-1} + term~_k), added in order
+        sums = np.empty(n + 1)
+        sums[0] = 1.0
+        terms = np.multiply(h, tk[:n], out=sums[1:])
+        gain = np.abs(terms)
+        np.cumsum(sums, out=sums)
+        # the summands of S, in the order of operations above
+        gain += abs_h * tk_err
+        gain += err * tk_pad
+        gain += np.abs(sums[1:])
+        gain = _in_order(gain)
+    total = float(sums[n])
+    if not (gain < math.inf and abs(tk[n]) >= _TINY
+            and (x == 0.0 or abs(x) >= _TINY)):
+        return total, math.inf
+    return total, gain * (1.0 + 32.0 * (n + 1) * _U)
 
 
 def _column_bound(column, x):
@@ -1019,29 +1011,29 @@ def _tail_bound(t, x, n_top):
 def _evaluate_grid(t_grid, x_grid, tol, max_terms):
     """GenFunValue rows, one per t, over the grid t_grid x x_grid.
 
-    The term count of every point is fixed first, in row order, and each
-    t row takes _float_row once, to its largest count.  Then three phases:
+    The term count of every point is fixed first, in row order.  Each t
+    row takes _float_row once, to its largest count, and each |x| takes
+    _float_column once, as far as its points with t != 0 read it, and
+    keeps only its _column_bound: x and -x share it, since |h~_k| and E_k
+    depend on |x| alone (the recurrence is odd in x, bit for bit).  Then
+    two phases over the points with t != 0, in column order:
 
-    1. Each x column takes _float_column once, to its largest count, and
-       each point with t != 0 combines it with its row (_float_point).  A
-       column with points whose binary64 bound passes tol/4 keeps its
-       _column_bound, which x and -x share; its other arrays are dropped
-       with the column.
-    2. Those points take the backward recurrence in binary64: in one
+    1. Every point takes the backward recurrence in binary64: in one
        batched pass (_backward_batch) where their term counts add up to
        more than _BATCH_RATIO times the largest, one point at a time
        (_backward_scalar) otherwise.  Both give the same records.
-    3. Where that bound passes tol/4 too, the point is summed in fixed
-       point (_exact_point), in column order.
+    2. Where that bound passes tol/4, the point is summed in fixed point
+       (_exact_point).
 
-    The rows' arrays are held throughout, and the kept column bounds
-    from phase 1 to the end.
+    The rows' arrays and the column bounds are held throughout.
     """
     ts = [float(t) for t in t_grid]
     xs = [float(x) for x in x_grid]
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be a finite positive number")
     counts = []
+    # how far each |x| reads its column bound: N - 1 for its largest N
+    reads = {}
     for t in ts:
         if not abs(t) < 1.0:
             raise DomainError("generating_G needs |t| < 1, got t = %g" % t)
@@ -1054,48 +1046,30 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
                     "reaching tol = %g at (t, x) = (%g, %g) needs %d "
                     "terms, budget is %d" % (tol, t, x, n_top, max_terms))
             row.append(n_top)
+            if t != 0.0:
+                reads[abs(x)] = max(reads.get(abs(x), 0), n_top - 1)
         counts.append(row)
     rows = [_float_row(t, max(row, default=0)) for t, row in zip(ts, counts)]
+    # the column bounds one after another, and (start, sigma) of each
+    bounds = np.empty(sum(reads.values()))
+    kept, size = {}, 0
+    for ax, read in reads.items():
+        m, sigma = _column_bound(_float_column(ax, read), ax)
+        bounds[size:size + read] = m
+        kept[ax] = size, sigma
+        size += read
     grid = [[None] * len(xs) for _ in ts]
-    tops = [max((row[j] for row in counts), default=0)
-            for j in range(len(xs))]
-    # the _column_bound of each column with points in phase 2, as far as
-    # they read it, one after another; x and -x share theirs, since |h~_k|
-    # and E_k depend on |x| alone (the recurrence is odd in x, bit for bit)
-    bounds = np.empty(sum(tops))
-    size = 0
-    kept = {}
-    # (j, [i, ...]) of each column with points in phase 2, and
-    # (start, sigma, row, t, x, n_top) of each of those points
-    late, points = [], []
+    # (start, sigma, row, t, x, n_top) of each point with t != 0
+    points = []
     for j, x in enumerate(xs):
-        column = _float_column(x, tops[j])
-        pending = []
         for i, t in enumerate(ts):
             if t == 0.0:
                 grid[i][j] = GenFunValue(t, x, 1.0, 0.0, 1)
-                continue
-            n_top = counts[i][j]
-            value, gain = _float_point(column, rows[i], x, n_top)
-            roundoff = _U * gain
-            if roundoff <= 0.25 * tol:
-                grid[i][j] = GenFunValue(t, x, value,
-                                         _tail_bound(t, x, n_top),
-                                         n_top + 1, roundoff)
             else:
-                pending.append(i)
-        if pending:
-            read = max(counts[i][j] for i in pending) - 1
-            start, sigma, held = kept.get(abs(x), (size, 0, -1))
-            if held < read:
-                m, sigma = _column_bound(column, x)
-                start = size
-                bounds[start:start + read] = m[:read]
-                size += read
-                kept[abs(x)] = start, sigma, read
-            late.append((j, pending))
-            points += [(start, sigma, rows[i], ts[i], x, counts[i][j])
-                       for i in pending]
+                points.append(kept[abs(x)] + (rows[i], t, x, counts[i][j]))
+    # their (i, j), made as the records are: a list would add to the peak
+    cells = ((i, j) for j in range(len(xs))
+             for i, t in enumerate(ts) if t != 0.0)
     steps = [point[5] for point in points]
     if sum(steps) > _BATCH_RATIO * max(steps, default=0):
         records = _backward_batch(bounds, points, tol)
@@ -1103,7 +1077,6 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
         records = (_backward_scalar((bounds[start:], sigma), row, t, x, n,
                                     tol)
                    for start, sigma, row, t, x, n in points)
-    cells = ((i, j) for j, pending in late for i in pending)
     for (i, j), (start, sigma, row, t, x, n_top), (value, roundoff, _, cut) \
             in zip(cells, points, records):
         if cut is not None:
@@ -1118,12 +1091,11 @@ def generating_G(t, x, tol=1e-10, max_terms=_MAX_TERMS):
     """Certified evaluation of G(t, x) = sum h_k(x) t^k for |t| < 1.
 
     The number of terms is fixed in advance from the Szasz tail majorant.
-    The sum runs in binary64 with the running bound of _sum_float; where
-    that bound exceeds tol/4 it is redone by the backward recurrence in
-    binary64 (_backward_point), and where that bound exceeds tol/4 too,
-    in fixed point by _sum_mp, at a scale whose proven bound is at most
-    tol/8.  The bound of the path taken is ``roundoff_bound``.  This is
-    the 1 x 1 grid of positivity_scan.
+    The sum runs by the backward recurrence in binary64 (_backward_point,
+    one point alone), and where its bound exceeds tol/4, in fixed point by
+    _sum_mp, at a scale whose proven bound is at most tol/8.  The bound of
+    the path taken is ``roundoff_bound``.  This is the 1 x 1 grid of
+    positivity_scan.
     """
     return _evaluate_grid([t], [x], tol, max_terms)[0][0]
 

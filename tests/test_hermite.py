@@ -15,8 +15,8 @@ from momentforge import (DomainError, generating_G, hermite, hermite_H,
 from momentforge.errors import BudgetError, RangeError
 from momentforge.hermite import (_add_up, _backward_batch, _backward_point,
                                  _coefficients, _column_bound, _float_column,
-                                 _float_point, _float_row, _fixed_point_scale,
-                                 _prefix, _sum_float, _sum_mp, _terms_needed)
+                                 _float_row, _fixed_point_scale, _prefix,
+                                 _sum_float, _sum_mp, _terms_needed)
 
 U = 2.0 ** -53
 DEFAULT_T = [round(-0.95 + 0.05 * i, 12) for i in range(39)]
@@ -314,19 +314,16 @@ def _reference_sum_float(t, x, n_terms):
     return total, gain * (1.0 + 32.0 * (n_terms + 1) * U)
 
 
-def test_grid_pass_is_bit_identical_to_the_per_point_loop():
-    # columns and rows run to the largest count they serve, as in the scan
-    ts = [t for t in DEFAULT_T if t != 0.0]
-    counts = {(t, x): _terms_needed(t, x, 1e-10)
-              for t in ts for x in DEFAULT_X}
-    rows = {t: _float_row(t, max(counts[t, x] for x in DEFAULT_X))
-            for t in ts}
+def test_x_and_minus_x_share_one_column_bound():
+    # the grid computes one column per |x|, as far as its longest point
+    # reads it; every point reads the bound of its own x bit for bit
     for x in DEFAULT_X:
-        column = _float_column(x, max(counts[t, x] for t in ts))
-        for t in ts:
-            n = counts[t, x]
-            assert (_float_point(column, rows[t], x, n)
-                    == _reference_sum_float(t, x, n)), (t, x)
+        n = max(_terms_needed(t, x, 1e-10) for t in DEFAULT_T if t != 0.0)
+        m, sigma = _column_bound(_float_column(x, n), x)
+        shared, shared_sigma = _column_bound(_float_column(abs(x), n + 9),
+                                             abs(x))
+        assert sigma == shared_sigma
+        assert m.tobytes() == shared[:n].tobytes(), x
 
 
 @pytest.mark.parametrize("t, x, n", [(0.5, 1.0, 0), (0.5, 1.0, 1),
@@ -362,7 +359,7 @@ def test_scan_points_equal_generating_G(monkeypatch):
     tol = 1e-10
     ts = [-0.95, -0.5, 0.0, 0.3, 0.9]
     xs = [-10.0, -2.5, 0.0, 1.5, 7.5]
-    exact = [U * _sum_float(t, x, _terms_needed(t, x, tol))[1] > 0.25 * tol
+    exact = [_backward(t, x, tol)[1][1] > 0.25 * tol
              for t in ts if t != 0.0 for x in xs]
     assert any(exact) and not all(exact)
     points = positivity_scan(ts, xs, tol=tol).points
@@ -382,9 +379,8 @@ def test_scan_points_equal_generating_G(monkeypatch):
 
 def test_the_batched_pass_only_where_its_steps_outweigh_its_overhead(
         monkeypatch):
-    # one point, or a few, take the scalar pass; the default grid's 1440
-    # fallback points, 342k steps against a largest count of 1483, the
-    # batched one
+    # one point, or a few, take the scalar pass; the default grid's 3078
+    # points with t != 0, against a largest count of 1483, the batched one
     calls = _spy_on_backward_passes(monkeypatch)
     generating_G(0.95, -10.0)
     positivity_scan([-0.9], [7.5])
@@ -393,10 +389,10 @@ def test_the_batched_pass_only_where_its_steps_outweigh_its_overhead(
     assert calls == {"scalar": 2, "batched": 1}
 
 
-def _batch_input(ts, xs, tol, keep):
+def _batch_input(ts, xs, tol):
     """(bounds, points) of _backward_batch for the points (t, x), t != 0,
-    that ``keep`` selects (all if it is None), each x column's bound laid
-    out whole in bounds, and the _backward_point arguments of each."""
+    each x column's bound laid out whole in bounds, and the
+    _backward_point arguments of each."""
     counts = {(t, x): _terms_needed(t, x, tol)
               for t in ts if t != 0.0 for x in xs}
     rows = {t: _float_row(t, max(counts[t, x] for x in xs))
@@ -408,35 +404,32 @@ def _batch_input(ts, xs, tol, keep):
         capped = _column_bound(column, x)
         for t, row in rows.items():
             n = counts[t, x]
-            gain = _float_point(column, row, x, n)[1]
-            if keep is None or keep(gain):
-                points.append((start, capped[1], row, t, x, n))
-                scalar.append((capped, row, t, x, n))
+            points.append((start, capped[1], row, t, x, n))
+            scalar.append((capped, row, t, x, n))
         bounds.append(capped[0])
         start += len(capped[0])
     return np.concatenate(bounds), points, scalar
 
 
-@pytest.mark.parametrize("ts, xs, tol, keep", [
-    # every fallback point of the default grid
-    (DEFAULT_T, DEFAULT_X, 1e-10,
-     lambda gain: not U * gain <= 0.25 * 1e-10),
+@pytest.mark.parametrize("ts, xs, tol, counts", [
+    # every point of the default grid: (points, fixed-point points)
+    (DEFAULT_T, DEFAULT_X, 1e-10, (3078, 1008)),
     # an x = 0 column, and x = 1e-300, where |x t| >= 2^-900 fails
     ([-0.95, -0.5, 0.3, 0.9], [0.0, 1e-300, -4.0], 1e-10, None),
     # W overflows at (-0.9, 41): no steps to resume from
     ([-0.9, 0.5], [41.0, 6.0], 1e100, None)])
-def test_the_batched_pass_equals_the_scalar_pass(ts, xs, tol, keep):
+def test_the_batched_pass_equals_the_scalar_pass(ts, xs, tol, counts):
     # value, bound, estimate, and the scale, start (K, W~_{K+1}, W~_{K+2})
     # and prefix bound of every point whose bound passes tol/4, bit for
     # bit, against _backward_point and _prefix at each point alone
-    bounds, points, scalar = _batch_input(ts, xs, tol, keep)
+    bounds, points, scalar = _batch_input(ts, xs, tol)
     batched = list(_backward_batch(bounds, points, tol))
     expected = [hermite._backward_scalar(*point, tol) for point in scalar]
     # repr tells -0.0 from 0.0
     assert repr(batched) == repr(expected)
     cuts = [record[3] for record in expected]
-    if keep is not None:
-        assert len(points) == 1440 and sum(map(bool, cuts)) == 1008
+    if counts is not None:
+        assert (len(points), sum(map(bool, cuts))) == counts
         assert all(cut[1] is not None for cut in cuts if cut)
     else:
         assert any(cut and cut[1] is None for cut in cuts)
@@ -444,6 +437,44 @@ def test_the_batched_pass_equals_the_scalar_pass(ts, xs, tol, keep):
         at_41 = [record for (_, _, _, t, x, _), record
                  in zip(points, expected) if (t, x) == (-0.9, 41.0)]
         assert at_41[0][1] == math.inf and at_41[0][3][1] is None
+
+
+def test_the_backward_bound_meets_tol_wherever_the_forward_one_did():
+    # the grid sends every point to the backward pass: on the default grid
+    # each point whose forward gain S met u S <= tol/4 meets tol/4 under
+    # the backward bound too, and the two sums agree within the sum of
+    # their bounds
+    tol = 1e-10
+    bounds, points, _ = _batch_input(DEFAULT_T, DEFAULT_X, tol)
+    forward = 0
+    for (_, _, _, t, x, n), (value, bound, _, cut) in zip(
+            points, _backward_batch(bounds, points, tol)):
+        total, gain = _sum_float(t, x, n)
+        if U * gain <= 0.25 * tol:
+            forward += 1
+            assert cut is None and bound <= 0.25 * tol, (t, x)
+            assert abs(total - value) <= U * gain + bound, (t, x)
+    assert forward == 1638
+
+
+@pytest.mark.parametrize("t, x", [(0.5, 0.0), (0.9, -3.0)])
+def test_a_one_point_grid_takes_the_scalar_pass(monkeypatch, t, x):
+    # points that the forward sum used to keep in binary64: alone, they
+    # take _backward_scalar, whose record is the batched one bit for bit
+    records = []
+    scalar = hermite._backward_scalar
+
+    def kept(*args):
+        records.append(scalar(*args))
+        return records[-1]
+
+    monkeypatch.setattr(hermite, "_backward_scalar", kept)
+    g = generating_G(t, x)
+    bounds, points, _ = _batch_input([t], [x], 1e-10)
+    batched = list(_backward_batch(bounds, points, 1e-10))
+    assert repr(records) == repr(batched)
+    value, bound, _, cut = records[0]
+    assert cut is None and (g.value, g.roundoff_bound) == (value, bound)
 
 
 def _backward(t, x, tol=1e-10):
@@ -538,8 +569,9 @@ SUB_X = sorted(set(DEFAULT_X[::4]) | {DEFAULT_X[0], DEFAULT_X[-1]})
 
 
 def _subsample_candidates(tol):
-    """The points of the subsample that the binary64 filter hands on,
-    decided by the reference loop, not by the code under test."""
+    """The points of the subsample whose forward binary64 sum misses
+    tol/4, where the terms cancel most, decided by the reference loop,
+    not by the code under test."""
     return {(t, x) for t in SUB_T if t != 0.0 for x in SUB_X
             if U * _reference_sum_float(
                 t, x, _terms_needed(t, x, tol))[1] > 0.25 * tol}
