@@ -21,17 +21,18 @@ class CatalogObject:
     """A resolved catalog entry with whatever evaluators it supports."""
 
     object_id: str
-    moment_fn: Optional[Callable] = None
+    #: n_max -> the moments of orders 0..n_max, as a list of floats
+    moments_fn: Optional[Callable] = None
     mellin_fn: Optional[Callable] = None
     measure_factory: Optional[Callable] = None
 
     def moments(self, n_max):
-        if self.moment_fn is None:
+        if self.moments_fn is None:
             raise UnsupportedError(
                 "%s does not expose a moment sequence" % self.object_id)
         if n_max < 0:
             raise DomainError("n_max must be nonnegative, got %d" % n_max)
-        return [self.moment_fn(n) for n in range(n_max + 1)]
+        return self.moments_fn(n_max)
 
     def mellin(self, z):
         if self.mellin_fn is None:
@@ -53,7 +54,7 @@ def _bernstein(make):
         f = make(*args)
         seq = bernstein.power_moments(f, float(params.get("alpha", 1.0)),
                                       float(params.get("beta", 1.0)))
-        return dict(moment_fn=seq, measure_factory=f.kappa_factory)
+        return dict(moments_fn=seq.values, measure_factory=f.kappa_factory)
     return build
 
 
@@ -62,7 +63,8 @@ def _family(make, mellin, density):
     at the integers."""
     def build(params, *args):
         fam = make(*args)
-        return dict(moment_fn=lambda n: mellin(fam, n).real,
+        return dict(moments_fn=lambda n_max: [
+                        mellin(fam, n).real for n in range(n_max + 1)],
                     mellin_fn=lambda z: mellin(fam, z),
                     measure_factory=lambda: density(fam))
     return build
@@ -70,10 +72,11 @@ def _family(make, mellin, density):
 
 def _measure(make):
     """Row builder for an explicit measure, built once and queried for
-    moments and Mellin values."""
+    moments, all orders in one call, and Mellin values."""
     def build(params, *args):
         m = make(*args)
-        return dict(moment_fn=lambda n: moment(m, n).value,
+        return dict(moments_fn=lambda n_max: moment(
+                        m, range(n_max + 1)).value.tolist(),
                     mellin_fn=lambda z: measure_mellin(m, z).value,
                     measure_factory=lambda: m)
     return build
@@ -81,22 +84,14 @@ def _measure(make):
 
 def _qbeta(params, a, b, q, c):
     p = qseries.QParams(a, b, q)
-    return dict(moment_fn=qseries.qbeta_moment_sequence(p, c),
+    return dict(moments_fn=qseries.qbeta_moment_sequence(p, c).values,
                 mellin_fn=lambda z: qseries.mellin_qbeta(p, c, z),
                 measure_factory=lambda: qseries.mu_c(p, c))
 
 
 def _hp(params, p, q):
-    # c_n does not depend on the length of the series, so keep the longest
-    # one built and rebuild it, twice as long, only for an n past its end
-    series = []
-
-    def coefficient(n):
-        if n >= len(series):
-            series[:] = qseries.hp_coefficients(
-                p, q, max(n, 2 * len(series))).coefficients
-        return series[n]
-    return dict(moment_fn=coefficient)
+    return dict(moments_fn=lambda n_max: list(
+        qseries.hp_coefficients(p, q, n_max).coefficients))
 
 
 #: id head -> (parameter names, builder).  A builder takes the extra

@@ -4,12 +4,14 @@ Two carriers are provided: :class:`AtomicMeasure` for finite weighted sums
 of point masses (with an optional mass at zero and a recorded bound on
 discarded tail mass), and :class:`DensityMeasure` for nonnegative densities
 on an interval or a half-line; an atomic measure is merged by one sort
-when built and stores its locations and weights as read-only float64
-arrays.  :func:`integral` is the one place that chooses between a sum over
-the atoms and quadrature over the density's support; moments, Mellin and
-Laplace transforms go through it and report an absolute error estimate
-alongside the value.  Product convolution and the three pushforward maps
-operate on atomic measures.
+when built, which input already in order with distinct locations skips,
+and stores its locations and weights as read-only float64 arrays.
+:func:`integral` is the one place that chooses between a sum over the
+atoms and quadrature over the density's support; moments, of one order or
+of a sequence of orders in one call, Mellin and Laplace transforms go
+through it and report an absolute error estimate alongside the value.
+Product convolution and the three pushforward maps operate on atomic
+measures.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -53,7 +55,9 @@ def geometric_cut(log_head, log_ratio, tol):
 
 @dataclass(frozen=True)
 class MellinValue:
-    """A transform value together with an absolute error estimate."""
+    """A transform value together with an absolute error estimate; both
+    are arrays, one entry per order, for :func:`moment` of a sequence of
+    orders."""
 
     value: complex
     abs_error: float = 0.0
@@ -66,7 +70,9 @@ class MellinValue:
 def _merged(pairs):
     """(locations, weights) of n (location, weight) pairs: zero weights
     dropped, sorted, and each run of locations within MERGE_RTOL of their
-    neighbours merged into one atom at its first location."""
+    neighbours merged into one atom at its first location.  Pairs whose
+    locations already increase by more than MERGE_RTOL at every step are
+    returned as they are: the sort and the merge would not change them."""
     try:
         pairs = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
     except (TypeError, ValueError):
@@ -74,6 +80,10 @@ def _merged(pairs):
     kept = pairs[pairs[:, 1] != 0.0]
     if not (np.isfinite(pairs).all() and (kept > 0).all()):
         raise DomainError("atoms must be finite, locations > 0, weights >= 0")
+    loc, wt = kept.T.copy()
+    # the test that starts a new atom below, on the pairs as given
+    if (loc[1:] - loc[:-1] > MERGE_RTOL * loc[1:]).all():
+        return loc, wt
     loc, wt = kept[np.lexsort(kept.T[::-1])].T
     first = np.diff(loc, prepend=-np.inf) > MERGE_RTOL * loc
     # bincount adds each group's weights in sorted order
@@ -221,15 +231,30 @@ def integral(m, g, tol=1e-12):
 def moment(m, n, tol=1e-12):
     """n'th moment of a measure, with its error estimate, as a MellinValue.
 
-    The error is the one :func:`integral` reports.
+    ``n`` may be a sequence of orders: they share one :func:`integral`
+    call, and the value and the error are then arrays with one entry per
+    order.  The error is the one :func:`integral` reports.
     """
-    if n < 0 or n != int(n):
+    orders = np.asarray(n, dtype=float)
+    if not (orders.ndim <= 1 and np.isfinite(orders).all()
+            and (orders >= 0).all() and (orders == np.floor(orders)).all()):
         raise DomainError("moment order must be a nonnegative integer")
-    n = int(n)
-    value, err = integral(m, lambda x: x ** float(n), tol)
-    if n == 0:
-        value += m.zero_mass
-    return MellinValue(float(value), err)
+    ks = np.atleast_1d(orders).tolist()
+
+    def powers(x):
+        # x ** k one order at a time, as numpy squares exactly at k = 2
+        # where an array of exponents calls pow; the transpose keeps each
+        # order's atoms contiguous, so that integral adds them in the order
+        # it would for that order alone
+        table = np.array([x ** k for k in ks]).T
+        return table.reshape(x.shape + orders.shape)
+
+    value, err = integral(m, powers, tol)
+    value = np.where(orders == 0, value + m.zero_mass, value)
+    err = np.broadcast_to(err, orders.shape)
+    if not orders.ndim:
+        return MellinValue(float(value), float(err))
+    return MellinValue(value, err)
 
 
 def mellin(m, z, tol=1e-12):
@@ -315,11 +340,13 @@ def pushforward(m, mapping, param=None):
             raise DomainError("beta must be positive")
         image = np.exp(-beta * loc)
         kept = image > 0.0
-        # the atom at 0 maps to exp(0) = 1; images lie in (0, 1], so mass
-        # whose image underflows adds at most its weight to any moment
+        # the images reversed, so that they ascend and need no sort in
+        # from_pairs, then the atom at 0, which maps to exp(0) = 1; images
+        # lie in (0, 1], so mass whose image underflows adds at most its
+        # weight to any moment
         return AtomicMeasure.from_pairs(
-            np.column_stack((np.append(image[kept], 1.0),
-                             np.append(wt[kept], m.zero_mass))),
+            np.column_stack((np.append(image[kept][::-1], 1.0),
+                             np.append(wt[kept][::-1], m.zero_mass))),
             truncation_error=m.truncation_error + sum(wt[~kept].tolist()))
     if mapping == "neg-log":
         if m.zero_mass > 0:
@@ -327,8 +354,9 @@ def pushforward(m, mapping, param=None):
         if (loc > 1.0).any():
             raise DomainError("-log maps location %g below 0" % loc[-1])
         below = loc < 1.0  # an atom at 1 maps to the mass at 0
+        # reversed: ascending images need no sort in from_pairs
         return AtomicMeasure.from_pairs(
-            np.column_stack((-np.log(loc[below]), wt[below])),
+            np.column_stack((-np.log(loc[below]), wt[below]))[::-1],
             zero_mass=wt[~below].sum(), truncation_error=m.truncation_error)
     if mapping == "scale":
         gamma = float(param)

@@ -7,7 +7,9 @@ against geometric tail majorants and carry the resulting bound in
 ``truncation_error``.  Lattice measures live on multiples of log(1/q);
 their additive convolution (:func:`measures.additive_convolve`) forms all
 pairwise sums of locations, and ``from_pairs`` sorts them once and merges
-sums whose sorted neighbours agree within ``MERGE_RTOL``.
+sums whose sorted neighbours agree within ``MERGE_RTOL``.  The lattices
+built here hand ``from_pairs`` their locations in ascending order, and
+input already in order with distinct locations skips the sort.
 """
 
 import cmath
@@ -121,8 +123,9 @@ def mu_abq(p, tol=DEFAULT_TOL):
     kept = qk > 0.0
     lost = weights[~kept].sum()
     _require_representable(lost, tol)
+    # reversed: ascending locations need no sort in from_pairs
     return AtomicMeasure.from_pairs(
-        np.column_stack((qk[kept], weights[kept])),
+        np.column_stack((qk[kept], weights[kept]))[::-1],
         truncation_error=tail + lost)
 
 
@@ -183,11 +186,14 @@ def _exp_series(jl, c0=1.0):
     jl = (m L_m for m = 1..M), by the power-series recurrence
     n c_n = sum_{j<=n} j L_j c_{n-j} (Knuth, TAOCP vol. 2, 4.7).  c_n does
     not depend on M."""
-    c = np.zeros(len(jl) + 1)
-    c[0] = c0
-    for n in range(1, len(c)):
-        c[n] = np.dot(jl[:n], c[n - 1::-1]) / n
-    return c
+    # c_n sits at rev[M - n], so that c_{n-1}, ..., c_0 are the contiguous
+    # slice that np.dot pairs with jl[:n]
+    M = len(jl)
+    rev = np.zeros(M + 1)
+    rev[M] = c0
+    for n in range(1, M + 1):
+        rev[M - n] = float(jl[:n].dot(rev[M - n + 1:])) / n
+    return rev[::-1].copy()
 
 
 def _radii(lo, hi):
@@ -258,11 +264,16 @@ def qbeta_moment_sequence(p, c=1.0):
         raise DomainError("c must be positive")
     a, b, q = p.a, p.b, p.q
 
+    # log_cache[n] is sum_{k<n} log((1 - a q^k)/(1 - b q^k)), added term by
+    # term in the order of k up to the largest n asked for so far
+    log_cache = [0.0]
+
     def log_fn(n):
-        total = 0.0
-        for k in range(n):
-            total += math.log1p(-a * q ** k) - math.log1p(-b * q ** k)
-        return c * total
+        while len(log_cache) <= n:
+            k = len(log_cache) - 1
+            log_cache.append(log_cache[-1] + (math.log1p(-a * q ** k)
+                                              - math.log1p(-b * q ** k)))
+        return c * log_cache[n]
 
     return MomentSequence(log_fn=log_fn, normalized=True)
 
@@ -335,7 +346,10 @@ def sigma_abgamma(p, gamma=None, K=None):
     with r the best of a fixed set of radii.  K = None takes the smallest
     K whose bound, divided by a lower bound on h_p(a), is at most
     DEFAULT_TOL; ids whose cut :func:`measures.geometric_cut` refuses, or
-    whose weights overflow, are refused.
+    whose weights overflow, are refused.  ``truncation_error`` is that
+    bound divided by the sum of the kept weights, both evaluated in
+    binary64 with no allowance for their rounding: an estimate of the
+    dropped mass, not a proven bound.
     """
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
@@ -365,6 +379,8 @@ def sigma_abgamma(p, gamma=None, K=None):
         raise DomainError("sigma_abgamma weights overflow")
     log_tail = float(np.min(log_head + (K + 1) * log_ratio)) - math.log(norm)
     tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
+    locations = gamma * q ** np.arange(K + 1)
+    # reversed: ascending locations need no sort in from_pairs
     return AtomicMeasure.from_pairs(
-        np.column_stack((gamma * q ** np.arange(K + 1), weights / norm)),
+        np.column_stack((locations, weights / norm))[::-1],
         truncation_error=tail)

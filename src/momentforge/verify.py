@@ -176,6 +176,12 @@ def qbinom_product(p, n):
     return math.exp(total)
 
 
+def _worst_gap(values, seq):
+    """max |values[n] - seq(n)| over the orders n of ``values``."""
+    targets = [seq(n) for n in range(len(values))]
+    return float(np.max(np.abs(values - targets)))
+
+
 def suite_qseries(tol=None):
     results = []
     worst = 0.0
@@ -183,8 +189,7 @@ def suite_qseries(tol=None):
         p = qseries.QParams(a, b, q)
         mu = qseries.mu_abq(p)
         seq = qseries.qbeta_moment_sequence(p)
-        for n in range(11):
-            worst = max(worst, abs(moment(mu, n).value - seq(n)))
+        worst = max(worst, _worst_gap(moment(mu, range(11)).value, seq))
     _check(results, "qseries", "qbeta-atomic-moments", worst, 1e-12, tol)
     worst = 0.0
     for a, b, q in _ABQ_GRID:
@@ -192,8 +197,7 @@ def suite_qseries(tol=None):
         for c in (0.5, 1.0, 2.0, 3.0):
             mu = qseries.mu_c(p, c)
             seq = qseries.qbeta_moment_sequence(p, c)
-            for n in range(11):
-                worst = max(worst, abs(moment(mu, n).value - seq(n)))
+            worst = max(worst, _worst_gap(moment(mu, range(11)).value, seq))
     _check(results, "qseries", "qbeta-semigroup-moments", worst, 1e-10, tol)
     p = qseries.QParams(0.5, 0.25, 0.5)
     tau = qseries.tau_c(p, 1.0)
@@ -216,11 +220,10 @@ def suite_qseries(tol=None):
             series = qseries.hp_coefficients(pp, q, 50)
             neg = max(neg, -min(series.coefficients))
     _check(results, "qseries", "hp-nonnegative", neg, 1e-14, tol)
-    sig = qseries.sigma_abgamma(p)
+    sig = moment(qseries.sigma_abgamma(p), range(7)).value
     tseq = semigroups.t_transform(qseries.qbeta_moment_sequence(p))
-    worst_t = max(abs(moment(sig, n).value - tseq(n)) for n in range(7))
-    worst_p = max(abs(moment(sig, n).value - qbinom_product(p, n))
-                  for n in range(7))
+    worst_t = _worst_gap(sig, tseq)
+    worst_p = _worst_gap(sig, lambda n: qbinom_product(p, n))
     _check(results, "qseries", "sigmaq-vs-t-transform", worst_t, 1e-9, tol)
     _check(results, "qseries", "sigmaq-vs-product", worst_p, 1e-9, tol)
     return results
@@ -241,11 +244,11 @@ def suite_semigroup(tol=None):
         tau_sum = qseries.tau_c(p, c + d)
         mu_cd = product_convolve(qseries.mu_c(p, c), qseries.mu_c(p, d))
         mu_sum = qseries.mu_c(p, c + d)
-        for n in range(7):
-            worst_tau = max(worst_tau, abs(moment(tau_cd, n).value
-                                           - moment(tau_sum, n).value))
-            worst_mu = max(worst_mu, abs(moment(mu_cd, n).value
-                                         - moment(mu_sum, n).value))
+        orders = range(7)
+        worst_tau = max(worst_tau, float(np.max(np.abs(
+            moment(tau_cd, orders).value - moment(tau_sum, orders).value))))
+        worst_mu = max(worst_mu, float(np.max(np.abs(
+            moment(mu_cd, orders).value - moment(mu_sum, orders).value))))
     _check(results, "semigroup", "tau-additive", worst_tau, 1e-9, tol)
     _check(results, "semigroup", "mu-product", worst_mu, 1e-9, tol)
     worst = 0.0
@@ -253,11 +256,10 @@ def suite_semigroup(tol=None):
         for c in (0.5, 1.0, 2.0):
             fam = semigroups.LogNormalQFamily(q, c)
             dens = semigroups.vc_density(fam)
-            for n in range(7):
+            values = moment(dens, range(7), tol=1e-11).value
+            for n, value in enumerate(values.tolist()):
                 target = semigroups.vc_mellin(fam, n).real
-                worst = max(worst,
-                            abs(moment(dens, n, tol=1e-11).value - target)
-                            / target)
+                worst = max(worst, abs(value - target) / target)
     _check(results, "semigroup", "vc-quadrature-relative", worst, 1e-8, tol)
     worst = 0.0
     for a, b in ((1.0, 2.0), (0.5, 3.0)):

@@ -212,8 +212,7 @@ def test_hp_moments_are_the_series_coefficients(capsys):
     assert values == list(qseries.hp_coefficients(0.5, 0.5, 60).coefficients)
 
 
-def test_hp_moments_rebuild_the_series_only_when_it_runs_out(
-        capsys, monkeypatch):
+def test_hp_moments_build_the_series_once(capsys, monkeypatch):
     calls = []
     build = qseries.hp_coefficients
 
@@ -230,8 +229,8 @@ def test_hp_moments_rebuild_the_series_only_when_it_runs_out(
     # the coefficient of the series built for each n alone, bit for bit
     assert values == [build(0.3, 0.8, n).coefficients[n]
                       for n in range(58)]
-    # each rebuild more than doubles the series' length K + 1
-    assert calls == [0, 2, 6, 14, 30, 62]
+    # one series, as long as the orders asked for
+    assert calls == [57]
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from momentforge import (AtomicMeasure, DomainError, MomentSequence,
                          additive_convolve, integral, mellin, moment,
                          product_convolve, pushforward)
-from momentforge.measures import MERGE_RTOL, geometric_cut
-from momentforge.semigroups import GammaFamily, gamma_density
+from momentforge.measures import MERGE_RTOL, _merged, geometric_cut
+from momentforge.qseries import QParams, mu_c, tau_c
+from momentforge.semigroups import (GammaFamily, LogNormalQFamily,
+                                    gamma_density, vc_density)
 
 
 def test_dirac_moment():
@@ -119,6 +121,32 @@ def test_merge_joins_a_run_of_close_neighbours():
     assert m.atoms == ((1.0, 0.875),)
 
 
+def _merge_cases():
+    rng = np.random.default_rng(11)
+    loc = np.sort(rng.uniform(1e-3, 1e3, 50))
+    wt = rng.uniform(0.0, 1.0, 50)
+    close = loc.copy()
+    close[20] = close[19] * (1.0 + 0.5 * MERGE_RTOL)
+    return {"ascending": np.column_stack((loc, wt)),
+            "ascending-with-a-close-neighbour": np.column_stack((close, wt)),
+            "descending": np.column_stack((loc, wt))[::-1]}
+
+
+@pytest.mark.parametrize("case", sorted(_merge_cases()))
+def test_merge_of_ordered_input_equals_the_sort_path(case):
+    pairs = _merge_cases()[case]
+    # shuffled, the same pairs cannot skip the sort
+    shuffled = pairs[np.random.default_rng(3).permutation(len(pairs))]
+    merged, sorted_path = _merged(pairs), _merged(shuffled)
+    for got, want in zip(merged, sorted_path):
+        assert got.tobytes() == want.tobytes()
+    assert (AtomicMeasure.from_pairs(pairs).atoms
+            == _sequential_merge(pairs.tolist()))
+    expected = 49 if case == "ascending-with-a-close-neighbour" else 50
+    assert len(merged[0]) == expected
+    assert (np.diff(merged[0]) > 0).all()
+
+
 def test_locations_and_weights_are_stored_read_only_arrays():
     for m in (AtomicMeasure.from_pairs([(2.0, 0.5), (1.0, 0.25)]),
               AtomicMeasure(((1.0, 0.25), (2.0, 0.5))),
@@ -153,6 +181,36 @@ def test_density_moment_gamma():
     for n in range(5):
         expected = math.gamma(1.5 + n) / math.gamma(1.5)
         assert moment(dens, n).value == pytest.approx(expected, rel=1e-11)
+
+
+@pytest.mark.parametrize("make, tol", [
+    (lambda: mu_c(QParams(0.5, 0.25, 0.5), 2.0), 1e-12),
+    (lambda: tau_c(QParams(0.5, 0.25, 0.5), 1.0), 1e-12),
+    (lambda: vc_density(LogNormalQFamily(0.5, 1.0)), 1e-11),
+], ids=["mu_c", "tau_c", "vc_density"])
+def test_moment_of_all_orders_matches_each_order(make, tol):
+    m = make()
+    orders = range(9)
+    all_orders = moment(m, orders, tol)
+    assert all_orders.value.shape == all_orders.abs_error.shape == (9,)
+    for n in orders:
+        one = moment(m, n, tol)
+        assert type(one.value) is float
+        if isinstance(m, AtomicMeasure):
+            # the same powers, each order's atoms added in the same order
+            assert all_orders.value[n] == one.value
+        # the quadrature estimate leaves out rounding, hence the few ulps
+        assert (abs(all_orders.value[n] - one.value)
+                <= all_orders.abs_error[n] + 16 * 2.0 ** -52 * one.value)
+    # each is a probability; tau_c's mass at 0 counts at order 0 only
+    assert all_orders.value[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, [0, 1, -1], [0, 1.5], math.nan,
+                               [[0, 1]]])
+def test_moment_refuses_orders_that_are_not_nonnegative_integers(n):
+    with pytest.raises(DomainError):
+        moment(AtomicMeasure.dirac(2.0), n)
 
 
 @given(st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.01, 2.0)),

@@ -11,7 +11,7 @@ from momentforge import (DomainError, QParams, additive_convolve,
 from momentforge.bernstein import kappa_of, qratio
 from momentforge.errors import BudgetError
 from momentforge.measures import geometric_cut
-from momentforge.qseries import _exp_series, _radii
+from momentforge.qseries import _exp_series, _hp_log_terms, _radii
 from momentforge.verify import _ABQ_GRID
 from momentforge.semigroups import t_transform
 
@@ -361,3 +361,46 @@ def test_truncation_error_bounds_the_dropped_mass(name, a, b):
                   if loc not in kept)
     assert dropped > 0.0
     assert cut.truncation_error >= dropped
+
+
+def _exp_series_reference(jl, c0=1.0):
+    """The exp-series recurrence with c_{n-1}, ..., c_0 read as a reversed
+    slice of the coefficients."""
+    c = np.zeros(len(jl) + 1)
+    c[0] = c0
+    for n in range(1, len(c)):
+        c[n] = np.dot(jl[:n], c[n - 1::-1]) / n
+    return c
+
+
+def test_exp_series_equals_the_slice_recurrence_bit_for_bit():
+    for a, b, q in _ABQ_GRID:
+        for c in (0.5, 1.0, 2.0, 3.0):
+            tau = tau_c(QParams(a, b, q), c)
+            j = np.arange(1, len(tau.atoms) + 1)
+            jl = c * (a ** j - b ** j) / (1.0 - q ** j)
+            series = _exp_series(jl, tau.zero_mass)
+            reference = _exp_series_reference(jl, tau.zero_mass)
+            assert series.tobytes() == reference.tobytes()
+            assert series[1:].tobytes() == tau.weights().tobytes()
+    for p_ in (0.1, 0.3, 0.7):
+        for q in (0.3, 0.5, 0.8):
+            reference = _exp_series_reference(_hp_log_terms(p_, q, 50))
+            assert (hp_coefficients(p_, q, 50).coefficients
+                    == tuple(reference.tolist()))
+
+
+def _qbeta_log_reference(p, c, n):
+    total = 0.0
+    for k in range(n):
+        total += math.log1p(-p.a * p.q ** k) - math.log1p(-p.b * p.q ** k)
+    return c * total
+
+
+@pytest.mark.parametrize("calls", [[10, 3, 0, 11, 7], [0, 1, 2, 5, 4, 12]])
+def test_qbeta_moment_sequence_equals_the_loop_in_any_call_order(calls):
+    for p in (P, QParams(0.7, 0.0, 0.8)):
+        seq = qbeta_moment_sequence(p, 2.5)
+        for n in calls:
+            assert seq.log(n) == _qbeta_log_reference(p, 2.5, n)
+            assert seq(n) == math.exp(_qbeta_log_reference(p, 2.5, n))
