@@ -18,6 +18,10 @@ from .errors import DomainError, PreconditionError, UnsupportedError
 from .measures import (AtomicMeasure, DensityMeasure, MomentSequence,
                        geometric_cut, integral)
 
+#: the tolerance of the integrals over kappa and sigma behind :func:`psi`
+#: and :func:`lk_log_moment`
+REP_TOL = 1e-11
+
 
 @dataclass(frozen=True)
 class BernsteinFunction:
@@ -30,7 +34,6 @@ class BernsteinFunction:
     closed_form: Callable
     deriv: Callable
     kappa_factory: Optional[Callable] = None  # tol -> measure
-    params: tuple = ()
 
     def __call__(self, s):
         return self.closed_form(s)
@@ -49,14 +52,14 @@ class LevyKhinchinRep:
 # ---------------------------------------------------------------------------
 # catalog constructors
 
-def _self_test(f, tol=1e-7):
+def _self_test(f):
     # closed form must match a + b s + integral (1 - e^{-sx}) d nu,
     # and f must be nonnegative nondecreasing on a spot-check grid
     if f.levy is not None:
         for s in (0.1, 1.0, 10.0):
             value, err = integral(f.levy, lambda x: -np.expm1(-s * x), 1e-11)
             rep = f.a + f.b * s + value
-            if abs(rep - f(s)) > tol * max(1.0, abs(f(s))) + 10 * err:
+            if abs(rep - f(s)) > 1e-7 * max(1.0, abs(f(s))) + 10 * err:
                 raise PreconditionError(
                     "%s: integral representation mismatch at s=%g "
                     "(%.12g vs %.12g)" % (f.catalog_id, s, rep, f(s)))
@@ -78,8 +81,7 @@ def affine(a):
         closed_form=lambda s: a + s, deriv=lambda s: 1.0,
         kappa_factory=lambda tol=0.0: DensityMeasure(
             lambda x: np.exp(-a * x), (0.0, math.inf),
-            catalog_id="kappa:affine", params=(("a", a),)),
-        params=(a,)))
+            catalog_id="kappa:affine", params=(("a", a),))))
 
 
 def linear():
@@ -89,8 +91,7 @@ def linear():
         closed_form=lambda s: s, deriv=lambda s: 1.0,
         kappa_factory=lambda tol=0.0: DensityMeasure(
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            (0.0, math.inf), catalog_id="kappa:linear", params=()),
-        params=()))
+            (0.0, math.inf), catalog_id="kappa:linear", params=())))
 
 
 def ratio(a, b):
@@ -106,8 +107,7 @@ def ratio(a, b):
         kappa_factory=lambda tol=0.0: DensityMeasure(
             lambda x: np.exp(-a * x) - np.exp(-b * x),
             (0.0, math.inf),
-            catalog_id="kappa:ratio", params=(("a", a), ("b", b))),
-        params=(a, b)))
+            catalog_id="kappa:ratio", params=(("a", a), ("b", b)))))
 
 
 def mobius():
@@ -119,8 +119,7 @@ def mobius():
         deriv=lambda s: 1.0 / (s + 1.0) ** 2,
         kappa_factory=lambda tol=0.0: DensityMeasure(
             lambda x: -np.expm1(-x), (0.0, math.inf),
-            catalog_id="kappa:mobius", params=()),
-        params=()))
+            catalog_id="kappa:mobius", params=())))
 
 
 def qratio(a, b, q, tol=1e-14):
@@ -168,7 +167,7 @@ def qratio(a, b, q, tol=1e-14):
         catalog_id="qratio:%g:%g:%g" % (a, b, q),
         a=(1.0 - a) / (1.0 - b), b=0.0, levy=levy,
         closed_form=closed, deriv=deriv,
-        kappa_factory=kappa_factory, params=(a, b, q)))
+        kappa_factory=kappa_factory))
 
 
 def powertower():
@@ -182,15 +181,16 @@ def powertower():
             return 1.0
         return s * math.exp((s + 1.0) * math.log1p(1.0 / s))
 
-    def deriv(s, h=1e-6):
+    def deriv(s):
         # central difference; entry is closed-form only and the derivative
         # is used nowhere quantitative
+        h = 1e-6
         return (closed(s + h) - closed(max(s - h, 0.0))) / (
             h + min(h, s))
 
     return BernsteinFunction(
         catalog_id="powertower", a=1.0, b=0.0, levy=None,
-        closed_form=closed, deriv=deriv, kappa_factory=None, params=())
+        closed_form=closed, deriv=deriv, kappa_factory=None)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +214,8 @@ def power_moments(f, alpha, beta):
     if f(alpha) <= 0:
         raise PreconditionError(
             "%s: f(alpha)=%g must be positive" % (f.catalog_id, f(alpha)))
-    log_cache = [0.0]
-
-    def log_fn(n):
-        while len(log_cache) <= n:
-            k = len(log_cache) - 1
-            log_cache.append(log_cache[-1]
-                             + math.log(f(alpha + k * beta)))
-        return log_cache[n]
-
-    return MomentSequence(log_fn=log_fn, normalized=True)
+    return MomentSequence.from_log_steps(
+        lambda k: math.log(f(alpha + k * beta)))
 
 
 def _stable_centered_power(u, n):
@@ -243,7 +235,7 @@ def _stable_centered_power(u, n):
     return np.stack([c[k] for k in n], axis=-1)
 
 
-def sigma_of(f, alpha, beta, tol=1e-14):
+def sigma_of(f, alpha, beta):
     """The measure sigma on (0, 1): image of e^{-alpha x} d kappa(x) /
     (x (1 - e^{-beta x})) under x -> e^{-beta x}.
 
@@ -252,7 +244,7 @@ def sigma_of(f, alpha, beta, tol=1e-14):
     if alpha == 0 and f(0.0) <= 0:
         raise PreconditionError(
             "alpha = 0 requires f(0) > 0 for sigma to be integrable")
-    kappa = kappa_of(f, tol)
+    kappa = kappa_of(f)
     if isinstance(kappa, AtomicMeasure):
         x, wt = kappa.locations(), kappa.weights()
         return AtomicMeasure.from_pairs(
@@ -273,16 +265,16 @@ def sigma_of(f, alpha, beta, tol=1e-14):
                                                          alpha, beta))
 
 
-def log_moment_via_rep(f, alpha, beta, n, tol=1e-11):
+def log_moment_via_rep(f, alpha, beta, n):
     """log s_n computed from the sigma-representation:
     n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma.
 
     ``n`` may be a sequence of orders; they share one integral and give an
     array."""
-    return lk_log_moment(lk_rep_of(f, alpha, beta), n, tol)
+    return lk_log_moment(lk_rep_of(f, alpha, beta), n)
 
 
-def psi(f, alpha, beta, z, tol=1e-11):
+def psi(f, alpha, beta, z):
     """The Mellin exponent: psi(n) = -log s_n, defined for Re z >= 0.
 
     psi(z) = -z log f(alpha) + integral of
@@ -317,22 +309,22 @@ def psi(f, alpha, beta, z, tol=1e-11):
                          + (C + B / 2.0 + A / 12.0) * w * w)
         return np.where(small, series, direct) * np.exp(-alpha * x)
 
-    value, _ = integral(kappa, core, tol)
+    value, _ = integral(kappa, core, REP_TOL)
     result = head + value
     return result if z.ndim else result.item()
 
 
-def lk_rep_of(f, alpha, beta, tol=1e-14):
+def lk_rep_of(f, alpha, beta):
     """The (a, b, sigma) symbols of the log-moment representation for the
     moment product of f at (alpha, beta): a = log f(alpha), b = 0."""
     if f(alpha) <= 0:
         raise PreconditionError(
             "%s: f(alpha)=%g must be positive" % (f.catalog_id, f(alpha)))
     return LevyKhinchinRep(math.log(f(alpha)), 0.0,
-                           sigma_of(f, alpha, beta, tol))
+                           sigma_of(f, alpha, beta))
 
 
-def lk_log_moment(rep, n, tol=1e-11):
+def lk_log_moment(rep, n):
     """log s_n from a Levy-Khinchin-type representation (a, b, sigma).
 
     ``n`` may be a sequence of orders; they share one integral and give an
@@ -341,6 +333,6 @@ def lk_log_moment(rep, n, tol=1e-11):
     log_s = rep.a * orders + rep.b * orders * orders
     if rep.sigma is not None and orders.any():
         value, _ = integral(rep.sigma,
-                            lambda u: _stable_centered_power(u, n), tol)
+                            lambda u: _stable_centered_power(u, n), REP_TOL)
         log_s = log_s + value
     return log_s if orders.ndim else float(log_s)

@@ -28,6 +28,10 @@ ALL_POSITIVE = "AllPositive"
 SYMMETRIC_ZERO_ODD = "SymmetricZeroOdd"
 DIRAC_AT_ZERO = "DiracAtZero"
 
+#: the most negative pivot, relative to a unit diagonal, that
+#: :func:`stieltjes_check` still reads as PSD
+PSD_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class HankelVerdict:
@@ -124,11 +128,11 @@ def _scaled_hankel(log_s, N, shift):
     return a
 
 
-def stieltjes_check(s, N, tol=1e-9):
+def stieltjes_check(s, N):
     """Test H0 = (s_{i+j}) and H1 = (s_{i+j+1}) for PSD up to order N.
 
-    ``tol`` is relative to the rescaled matrices whose diagonal is 1.
-    Requires s_n defined up to n = 2N + 1.
+    The tolerance PSD_TOL is relative to the rescaled matrices whose
+    diagonal is 1.  Requires s_n defined up to n = 2N + 1.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -139,31 +143,29 @@ def stieltjes_check(s, N, tol=1e-9):
         # degenerate (zero-containing) sequences: test the raw matrices,
         # whose entries are bounded by max(values)
         scale = max(values)
-        worst = math.inf
-        for shift, name in ((0, "H0"), (1, "H1")):
-            h = np.array([[values[i + j + shift] for j in range(N + 1)]
-                          for i in range(N + 1)]) / scale
-            failed, pivot = _min_pivot_pivoted_cholesky(h, tol)
-            if failed is not None:
-                return HankelVerdict(FAILED_AT, N, tol, failed, name, pivot)
-            worst = min(worst, pivot)
-        return HankelVerdict(CONSISTENT_PSD, N, tol, min_pivot=worst)
-    log_s = [s.log(n) for n in range(2 * N + 2)]
+
+        def matrix(shift):
+            return np.array([[values[i + j + shift] for j in range(N + 1)]
+                             for i in range(N + 1)]) / scale
+    else:
+        log_s = [s.log(n) for n in range(2 * N + 2)]
+
+        def matrix(shift):
+            return _scaled_hankel(log_s, N, shift)
     worst = math.inf
     for shift, name in ((0, "H0"), (1, "H1")):
-        h = _scaled_hankel(log_s, N, shift)
-        failed, pivot = _min_pivot_pivoted_cholesky(h, tol)
+        failed, pivot = _min_pivot_pivoted_cholesky(matrix(shift), PSD_TOL)
         if failed is not None:
-            return HankelVerdict(FAILED_AT, N, tol, failed, name, pivot)
+            return HankelVerdict(FAILED_AT, N, PSD_TOL, failed, name, pivot)
         worst = min(worst, pivot)
-    return HankelVerdict(CONSISTENT_PSD, N, tol, min_pivot=worst)
+    return HankelVerdict(CONSISTENT_PSD, N, PSD_TOL, min_pivot=worst)
 
 
-def carleman_diagnostic(s, N, divergence_slope=0.25, decay_delta=0.05):
+def carleman_diagnostic(s, N):
     """Partial sums of s_n^{-1/(2n)} and a growth-pattern verdict.
 
-    Divergent pattern: partial sums grow at least like N^divergence_slope.
-    Convergent pattern: terms decay faster than n^{-1 - decay_delta}.
+    Divergent pattern: partial sums grow at least like N^0.25.
+    Convergent pattern: terms decay faster than n^{-1.05}.
     Both estimated from log-log slopes over the upper half of the range;
     anything in between is reported as inconclusive.  This is a heuristic
     reading of a one-sided sufficient condition, never a certificate.
@@ -182,21 +184,22 @@ def carleman_diagnostic(s, N, divergence_slope=0.25, decay_delta=0.05):
              / (math.log(N) - math.log(half)))
     term_decay = ((math.log(terms[-1]) - math.log(terms[half - 1]))
                   / (math.log(N) - math.log(half)))
-    if term_decay < -(1.0 + decay_delta):
+    if term_decay < -1.05:
         verdict = CONVERGENT
-    elif slope >= divergence_slope:
+    elif slope >= 0.25:
         verdict = DIVERGENT
     else:
         verdict = INCONCLUSIVE
     return CarlemanDiagnostic(float(partial[-1]), slope, verdict)
 
 
-def trichotomy_classify(s, N, zero_rtol=1e-13):
-    """Classify the zero pattern of s_0..s_N into the three allowed cases."""
+def trichotomy_classify(s, N):
+    """Classify the zero pattern of s_0..s_N into the three allowed cases;
+    s_n counts as zero at or below 1e-13 times the largest of them."""
     values = [s(n) for n in range(N + 1)]
     if values[0] <= 0:
         raise DomainError("s_0 must be positive")
-    threshold = zero_rtol * max(values)
+    threshold = 1e-13 * max(values)
     is_zero = [abs(v) <= threshold for v in values]
     if not any(is_zero[1:]):
         return Trichotomy(ALL_POSITIVE)

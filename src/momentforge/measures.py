@@ -398,6 +398,21 @@ class MomentSequence:
         return MomentSequence(fn=fn, normalized=(values[0] == 1.0))
 
     @staticmethod
+    def from_log_steps(step, scale=1.0):
+        """The normalized sequence with log s_n = scale sum_{k<n} step(k).
+
+        The sum runs in the order of k, as far as the largest n asked for
+        so far, so s_n does not depend on the order of the calls."""
+        partial = [0.0]
+
+        def log_fn(n):
+            while len(partial) <= n:
+                partial.append(partial[-1] + step(len(partial) - 1))
+            return scale * partial[n]
+
+        return MomentSequence(log_fn=log_fn, normalized=True)
+
+    @staticmethod
     def dirac_zero(c=1.0):
         """The degenerate sequence (c, 0, 0, ...), moments of c*delta_0."""
         return MomentSequence(fn=lambda n: c if n == 0 else 0.0,

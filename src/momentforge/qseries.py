@@ -21,7 +21,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .measures import AtomicMeasure, geometric_cut, pushforward
+from .measures import (AtomicMeasure, MomentSequence, geometric_cut,
+                       pushforward)
 
 DEFAULT_TOL = 1e-14
 
@@ -62,28 +63,29 @@ class PowerSeries:
         return len(self.coefficients) - 1
 
 
-def _factor_count(z_abs, q, tol=DEFAULT_TOL):
+def _factor_count(z_abs, q):
     """The factors k < n that (z; q)_inf keeps at |z| = z_abs: n - 1 is
-    the geometric cut of sum_{k>N} |z| q^k = |z| q^{N+1}/(1 - q) at tol.
-    A smaller |z| meets tol with the same factors."""
-    return geometric_cut(math.log(z_abs / (1.0 - q)), math.log(q), tol)[0] + 1
+    the geometric cut of sum_{k>N} |z| q^k = |z| q^{N+1}/(1 - q) at
+    DEFAULT_TOL.  A smaller |z| meets DEFAULT_TOL with the same factors."""
+    return geometric_cut(math.log(z_abs / (1.0 - q)), math.log(q),
+                         DEFAULT_TOL)[0] + 1
 
 
-def qpoch(z, q, n=math.inf, tol=DEFAULT_TOL):
+def qpoch(z, q, n=math.inf):
     """The q-shifted factorial (z; q)_n = prod_{k<n} (1 - z q^k).
 
     For n = inf the product keeps the factors k <= N, where N is the
-    geometric cut of sum_{k>N} |z| q^k = |z| q^{N+1}/(1 - q) at tol; the
-    remaining factors differ from 1 by a geometrically small amount.
-    Accepts complex z; for the infinite product |z| < 1/q is required so
-    the truncation bound applies.
+    geometric cut of sum_{k>N} |z| q^k = |z| q^{N+1}/(1 - q) at
+    DEFAULT_TOL; the remaining factors differ from 1 by a geometrically
+    small amount.  Accepts complex z; for the infinite product |z| < 1/q
+    is required so the truncation bound applies.
     """
     if not 0 < q < 1:
         raise DomainError("q must lie in (0, 1)")
     if n == math.inf:
         if abs(z) == 0:
             return 1.0
-        n = _factor_count(abs(z), q, tol)
+        n = _factor_count(abs(z), q)
     n = int(n)
     if n < 0:
         raise DomainError("n must be nonnegative or inf")
@@ -202,7 +204,7 @@ def _radii(lo, hi):
     return np.array([lo + (hi - lo) * (1.0 - 0.5 ** j) for j in range(1, 13)])
 
 
-def tau_c(p, c, tol=DEFAULT_TOL):
+def tau_c(p, c):
     """The lattice probability tau(a,b;q)_c: the convolution exponential
     ((a;q)_inf/(b;q)_inf)^c sum_k c^k (nu_a - nu_b)^{*k} / k!.
 
@@ -211,8 +213,8 @@ def tau_c(p, c, tol=DEFAULT_TOL):
     n w_n = c sum_{j<=n} (a^j - b^j)/(1 - q^j) w_{n-j} from
     w_0 = ((a;q)_inf/(b;q)_inf)^c.  The lattice is cut at the first N whose
     Cauchy bound sum_{n>N} w_n <= F(r) r^{-N-1} / (1 - 1/r), 1 < r < 1/a,
-    stays below tol after amplifying by ((N+1) log(1/q))^8 for moments up
-    to order 8; the unamplified bound is the truncation_error.
+    stays below DEFAULT_TOL after amplifying by ((N+1) log(1/q))^8 for
+    moments up to order 8; the unamplified bound is the truncation_error.
     """
     p.require_ordered()
     if c <= 0:
@@ -235,50 +237,39 @@ def tau_c(p, c, tol=DEFAULT_TOL):
     while N != last:
         last = N
         N, tail = geometric_cut(log_head, -np.log(radii),
-                                tol / max(1.0, (N + 1) * log1q) ** 8)
+                                DEFAULT_TOL / max(1.0, (N + 1) * log1q) ** 8)
     j = np.arange(1, N + 1)
     w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
     return AtomicMeasure.from_pairs(np.column_stack((j * log1q, w[1:])),
                                     zero_mass=w[0], truncation_error=tail)
 
 
-def mu_c(p, c, tol=DEFAULT_TOL):
+def mu_c(p, c):
     """The q-Beta semigroup member mu(a,b;q)_c: pushforward of tau_c under
     x -> e^{-x}; concentrated on {q^k} with moments ((a;q)_n/(b;q)_n)^c.
 
     As for :func:`mu_abq`, atoms whose image underflows join
-    truncation_error, which is then at most 2 tol, and
-    :class:`BudgetError` is raised when their mass alone exceeds tol.
+    truncation_error, which is then at most 2 DEFAULT_TOL, and
+    :class:`BudgetError` is raised when their mass alone exceeds
+    DEFAULT_TOL.
     """
-    tau = tau_c(p, c, tol=tol)
+    tau = tau_c(p, c)
     underflows = np.exp(-tau.locations()) == 0.0
-    _require_representable(tau.weights()[underflows].sum(), tol)
+    _require_representable(tau.weights()[underflows].sum(), DEFAULT_TOL)
     return pushforward(tau, "exp-neg", 1.0)
 
 
 def qbeta_moment_sequence(p, c=1.0):
     """The moment sequence ((a;q)_n/(b;q)_n)^c in closed form."""
-    from .measures import MomentSequence
     p.require_ordered()
     if c <= 0:
         raise DomainError("c must be positive")
     a, b, q = p.a, p.b, p.q
-
-    # log_cache[n] is sum_{k<n} log((1 - a q^k)/(1 - b q^k)), added term by
-    # term in the order of k up to the largest n asked for so far
-    log_cache = [0.0]
-
-    def log_fn(n):
-        while len(log_cache) <= n:
-            k = len(log_cache) - 1
-            log_cache.append(log_cache[-1] + (math.log1p(-a * q ** k)
-                                              - math.log1p(-b * q ** k)))
-        return c * log_cache[n]
-
-    return MomentSequence(log_fn=log_fn, normalized=True)
+    return MomentSequence.from_log_steps(
+        lambda k: math.log1p(-a * q ** k) - math.log1p(-b * q ** k), c)
 
 
-def mellin_qbeta(p, c, z, tol=DEFAULT_TOL):
+def mellin_qbeta(p, c, z):
     """Closed-form Mellin transform of mu(a,b;q)_c:
     ((b q^z;q)_inf/(b;q)_inf / ((a q^z;q)_inf/(a;q)_inf))^c,
     valid on the strip Re z > log a / log q ... i.e. a q^{Re z} < 1."""
@@ -292,8 +283,8 @@ def mellin_qbeta(p, c, z, tol=DEFAULT_TOL):
             "Re z = %g outside the strip Re z > %g"
             % (z.real, math.log(a) / math.log(q)))
     qz = cmath.exp(z * math.log(q))
-    ratio = (qpoch(complex(b) * qz, q, tol=tol) / qpoch(b, q, tol=tol)) \
-        / (qpoch(complex(a) * qz, q, tol=tol) / qpoch(a, q, tol=tol))
+    ratio = (qpoch(complex(b) * qz, q) / qpoch(b, q)) \
+        / (qpoch(complex(a) * qz, q) / qpoch(a, q))
     value = cmath.exp(c * cmath.log(ratio))
     if z.imag == 0:
         return complex(value.real, 0.0)
@@ -304,7 +295,11 @@ def _hp_log_terms(p_, q, M, z=1.0):
     """m L_m z^m for m = 1..M, where log h_p(z; q) = sum_m L_m z^m with
     L_m = (1 - p^m) q^m / (m (1 - q^m)^2).  Every term is nonnegative."""
     m = np.arange(1, M + 1, dtype=float)
-    return (1.0 - p_ ** m) * (q * z) ** m / (1.0 - q ** m) ** 2
+    # in place, so that z as a column of radii makes one array of terms
+    terms = (q * z) ** m
+    terms *= 1.0 - p_ ** m
+    terms /= (1.0 - q ** m) ** 2
+    return terms
 
 
 def hp_coefficients(p_, q, K):
@@ -326,23 +321,13 @@ def hp_coefficients(p_, q, K):
     return PowerSeries(tuple(float(ck) for ck in c))
 
 
-def _log_hp_upper(p_, q, r):
-    """An upper bound on log h_p(r; q) for 0 < r < 1/q: M = 2000 terms of
-    the log series plus the rest, bounded by
-    L_m r^m <= (qr)^m / (m (1-q)^2)."""
-    M = 2000
-    head = float(np.sum(_hp_log_terms(p_, q, M, r) / np.arange(1, M + 1)))
-    x = q * r
-    return head + x ** (M + 1) / ((M + 1) * (1.0 - q) ** 2 * (1.0 - x))
-
-
-def sigma_abgamma(p, gamma=None, K=None):
+def sigma_abgamma(p, K=None):
     """The probability sigma_{a,b,gamma}: atoms at gamma q^k with weights
     c_k(b/a, q) a^k / h_{b/a}(a; q), for k <= K.
 
-    With gamma = (b;q)_inf/(a;q)_inf (the default) its moments are the
-    T-transform products prod_{k<=n} (b;q)_k/(a;q)_k.  The weights past K
-    are bounded by Cauchy's estimate c_k <= h_p(r)/r^k for a < r < 1/q,
+    With gamma = (b;q)_inf/(a;q)_inf its moments are the T-transform
+    products prod_{k<=n} (b;q)_k/(a;q)_k.  The weights past K are
+    bounded by Cauchy's estimate c_k <= h_p(r)/r^k for a < r < 1/q,
     with r the best of a fixed set of radii.  K = None takes the smallest
     K whose bound, divided by a lower bound on h_p(a), is at most
     DEFAULT_TOL; ids whose cut :func:`measures.geometric_cut` refuses, or
@@ -353,22 +338,27 @@ def sigma_abgamma(p, gamma=None, K=None):
     """
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
-    if gamma is None:
-        gamma = qpoch(b, q) / qpoch(a, q)
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
+    gamma = qpoch(b, q) / qpoch(a, q)
     # sum_{k>K} c_k a^k <= h_p(r) (a/r)^{K+1} / (1 - a/r) for every radius
-    # a < r < 1/q; taken in logs because h_p(r) overflows near 1/q
+    # a < r < 1/q; taken in logs because h_p(r) overflows near 1/q.  One
+    # row of M log-series terms per radius and a last row at a; past M,
+    # L_m r^m <= (qr)^m / (m (1-q)^2).  That rest and log1p stay scalar:
+    # numpy's array pow and log1p can move the last bit
     radii = _radii(a, 1.0 / q)
-    log_head = np.array([_log_hp_upper(b / a, q, r) - math.log1p(-a / r)
-                         for r in radii])
+    M = 2000
+    terms = _hp_log_terms(b / a, q, M, np.append(radii, a)[:, None])
+    terms /= np.arange(1, M + 1)
+    log_series = terms.sum(axis=1)
+    log_head = np.array([
+        log_hp + x ** (M + 1) / ((M + 1) * (1.0 - q) ** 2 * (1.0 - x))
+        - math.log1p(-a / r)
+        for log_hp, r, x in zip(log_series, radii, q * radii)])
     log_ratio = np.log(a / radii)
     if K is None:
         # the bound is divided by the kept weights, which come close to
-        # h_p(a): every term of its log series is nonnegative, so 2000 of
+        # h_p(a): every term of its log series is nonnegative, so M of
         # them, less a margin for rounding, bound log h_p(a) from below
-        log_norm = float(np.sum(_hp_log_terms(b / a, q, 2000, a)
-                                / np.arange(1, 2001))) * (1.0 - 1e-12)
+        log_norm = float(log_series[-1]) * (1.0 - 1e-12)
         if log_norm > math.log(sys.float_info.max):
             raise DomainError("sigma_abgamma weights overflow")
         K, _ = geometric_cut(log_head - log_norm, log_ratio, DEFAULT_TOL)

@@ -188,15 +188,11 @@ def t_transform(a):
     s_n = 1/(a_1 ... a_n); log-domain accumulation."""
     if a(0) != 1.0:
         raise DomainError("input sequence must be normalized (a_0 = 1)")
-    log_cache = [0.0]
 
-    def log_fn(n):
-        while len(log_cache) <= n:
-            k = len(log_cache)
-            value = a(k)
-            if value <= 0:
-                raise DomainError("a_%d = %g must be positive" % (k, value))
-            log_cache.append(log_cache[-1] - math.log(value))
-        return log_cache[n]
+    def step(k):
+        value = a(k + 1)
+        if value <= 0:
+            raise DomainError("a_%d = %g must be positive" % (k + 1, value))
+        return -math.log(value)
 
-    return MomentSequence(log_fn=log_fn, normalized=True)
+    return MomentSequence.from_log_steps(step)

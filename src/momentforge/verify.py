@@ -124,7 +124,7 @@ def _rep_catalog():
 _AB_PAIRS = ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0))
 
 
-def suite_bernstein_rep(tol=None, n_max=15):
+def suite_bernstein_rep(tol=None):
     results = []
     for f in _rep_catalog():
         rep_worst = 0.0
@@ -135,7 +135,7 @@ def suite_bernstein_rep(tol=None, n_max=15):
             if f(alpha) <= 0.0:
                 continue
             seq = bernstein.power_moments(f, alpha, beta)
-            orders = range(n_max + 1)
+            orders = range(16)
             logs = np.array([seq.log(n) for n in orders])
             via_rep = bernstein.log_moment_via_rep(f, alpha, beta, orders)
             rep_worst = max(rep_worst, float(np.max(np.abs(via_rep - logs))))

@@ -101,8 +101,7 @@ def test_criterion_03_hankel_positivity():
     ok = True
     for seq, order in cases:
         for c in (0.5, 1.0, 2.0):
-            verdict = stieltjes_check(power_sequence(seq, c), order,
-                                      tol=1e-9)
+            verdict = stieltjes_check(power_sequence(seq, c), order)
             ok = ok and verdict.is_psd
     report(3, "hankel-positivity", ok)
 

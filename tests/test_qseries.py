@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from momentforge import (DomainError, QParams, additive_convolve,
-                         hp_coefficients, mellin, mellin_qbeta, moment,
-                         mu_abq, mu_c, nu_a, product_convolve,
-                         qbeta_moment_sequence, qbinomial_check, qpoch,
-                         sigma_abgamma, tau_c)
-from momentforge.bernstein import kappa_of, qratio
+from momentforge import (DomainError, MomentSequence, QParams,
+                         additive_convolve, hp_coefficients, mellin,
+                         mellin_qbeta, moment, mu_abq, mu_c, nu_a,
+                         product_convolve, qbeta_moment_sequence,
+                         qbinomial_check, qpoch, sigma_abgamma, tau_c)
+from momentforge.bernstein import (affine, kappa_of, power_moments,
+                                   powertower, qratio, ratio)
 from momentforge.errors import BudgetError
 from momentforge.measures import geometric_cut
 from momentforge.qseries import _exp_series, _hp_log_terms, _radii
@@ -174,6 +175,43 @@ def test_tau_cut_matches_the_head_taken_one_radius_at_a_time():
         # the heads differ by rounding and by factors within 1e-14 of 1,
         # which the 1e-12 that geometric_cut adds to each head covers
         assert tau.truncation_error == pytest.approx(tail, rel=1e-12, abs=0)
+
+
+def _sigma_cut_reference(p):
+    """sigma_abgamma's K, weights by k and truncation_error, with the
+    Cauchy head taken one radius at a time, each from its own 2000-term
+    log series."""
+    a, b, q = p.a, p.b, p.q
+    M = 2000
+
+    def log_hp_upper(r):
+        head = float(np.sum(_hp_log_terms(b / a, q, M, r)
+                            / np.arange(1, M + 1)))
+        x = q * r
+        return head + x ** (M + 1) / ((M + 1) * (1.0 - q) ** 2 * (1.0 - x))
+
+    radii = _radii(a, 1.0 / q)
+    log_head = np.array([log_hp_upper(r) - math.log1p(-a / r)
+                         for r in radii])
+    log_ratio = np.log(a / radii)
+    log_norm = float(np.sum(_hp_log_terms(b / a, q, M, a)
+                            / np.arange(1, M + 1))) * (1.0 - 1e-12)
+    K, _ = geometric_cut(log_head - log_norm, log_ratio, 1e-14)
+    weights = _exp_series(_hp_log_terms(b / a, q, K, a))
+    norm = float(weights.sum())
+    tail = math.exp(float(np.min(log_head + (K + 1) * log_ratio))
+                    - math.log(norm))
+    return K, weights / norm, tail
+
+
+def test_sigma_cut_matches_the_head_taken_one_radius_at_a_time():
+    for a, b, q in _ABQ_GRID:
+        sig = sigma_abgamma(QParams(a, b, q))
+        K, weights, tail = _sigma_cut_reference(QParams(a, b, q))
+        assert len(sig.atoms) == K + 1, (a, b, q)
+        # the atoms are in ascending location, k = K first
+        assert sig.weights().tobytes() == weights[::-1].tobytes()
+        assert sig.truncation_error == tail
 
 
 @pytest.mark.parametrize("make", [mu_abq, lambda p: mu_c(p, 1.0)],
@@ -397,10 +435,39 @@ def _qbeta_log_reference(p, c, n):
     return c * total
 
 
+def _power_log_reference(f, alpha, beta, n):
+    total = 0.0
+    for k in range(n):
+        total += math.log(f(alpha + k * beta))
+    return total
+
+
+def _t_transform_log_reference(a, n):
+    total = 0.0
+    for k in range(1, n + 1):
+        total -= math.log(a(k))
+    return total
+
+
 @pytest.mark.parametrize("calls", [[10, 3, 0, 11, 7], [0, 1, 2, 5, 4, 12]])
 def test_qbeta_moment_sequence_equals_the_loop_in_any_call_order(calls):
+    # (sequence, its log s_n summed in the order of k); the T-transforms
+    # and power_moments share qbeta_moment_sequence's running log-sum
+    cases = []
     for p in (P, QParams(0.7, 0.0, 0.8)):
-        seq = qbeta_moment_sequence(p, 2.5)
+        cases.append((qbeta_moment_sequence(p, 2.5),
+                      lambda n, p=p: _qbeta_log_reference(p, 2.5, n)))
+    for a in (qbeta_moment_sequence(P),
+              MomentSequence(log_fn=lambda n: -math.log1p(n))):
+        cases.append((t_transform(a),
+                      lambda n, a=a: _t_transform_log_reference(a, n)))
+    for f in (affine(1.0), ratio(0.5, 3.0), qratio(0.5, 0.25, 0.5),
+              powertower()):
+        for alpha, beta in ((1.0, 1.0), (0.5, 2.0)):
+            cases.append((power_moments(f, alpha, beta),
+                          lambda n, f=f, alpha=alpha, beta=beta:
+                          _power_log_reference(f, alpha, beta, n)))
+    for seq, reference in cases:
         for n in calls:
-            assert seq.log(n) == _qbeta_log_reference(p, 2.5, n)
-            assert seq(n) == math.exp(_qbeta_log_reference(p, 2.5, n))
+            assert seq.log(n) == reference(n)
+            assert seq(n) == math.exp(reference(n))
