@@ -62,18 +62,10 @@ class CarlemanDiagnostic:
     slope_estimate: float
     verdict: str
 
-    def to_json_dict(self):
-        return {"partial_sum": self.partial_sum,
-                "slope_estimate": self.slope_estimate,
-                "verdict": self.verdict}
-
 
 @dataclass(frozen=True)
 class Trichotomy:
     case: str
-
-    def to_json_dict(self):
-        return {"case": self.case}
 
 
 def _min_pivot_pivoted_cholesky(matrix, tol):
@@ -220,8 +212,5 @@ def power_sequence(s, c):
         raise DomainError("exponent must be positive")
     if s(0) != 0.0 and s(1) == 0.0:
         # degenerate c*delta_{0n}-type input: powers act on s_0 only
-        s0c = s(0) ** c
-        return MomentSequence(fn=lambda n: s0c if n == 0 else 0.0,
-                              normalized=(s0c == 1.0))
-    return MomentSequence(log_fn=lambda n: c * s.log(n),
-                          normalized=s.normalized)
+        return MomentSequence.dirac_zero(s(0) ** c)
+    return MomentSequence(log_fn=lambda n: c * s.log(n))

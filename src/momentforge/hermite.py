@@ -121,13 +121,6 @@ class ScanReport:
     argmin: Tuple[float, float]
     points: Tuple[GenFunValue, ...]
 
-    def to_json_dict(self):
-        return {"all_positive": self.all_positive,
-                "min_value": self.min_value,
-                "min_certified": self.min_certified,
-                "argmin": list(self.argmin),
-                "n_points": len(self.points)}
-
 
 def _require_finite(x, name):
     if not math.isfinite(x):

@@ -3,9 +3,11 @@
 Two carriers are provided: :class:`AtomicMeasure` for finite weighted sums
 of point masses (with an optional mass at zero and a recorded bound on
 discarded tail mass), and :class:`DensityMeasure` for nonnegative densities
-on an interval or a half-line; an atomic measure is merged by one sort
-when built, which input already in order with distinct locations skips,
-and stores its locations and weights as read-only float64 arrays.
+on an interval or a half-line.  Every way to build an atomic measure checks
+its input and merges it by one sort, which input already in order with
+distinct locations skips; the measure stores its locations and weights
+once, as read-only float64 arrays, and derives its ``atoms`` pairs from
+them when they are read.
 :func:`integral` is the one place that chooses between a sum over the
 atoms and quadrature over the density's support; moments, of one order or
 of a sequence of orders in one call, Mellin and Laplace transforms go
@@ -17,7 +19,7 @@ All values are immutable after construction and every operation is pure.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -90,39 +92,55 @@ def _merged(pairs):
     return loc[first], np.bincount(np.cumsum(first) - 1, weights=wt)
 
 
-@dataclass(frozen=True)
 class AtomicMeasure:
     """Finite weighted point-mass list on (0, inf) plus optional mass at 0.
+
+    Built from an (n, 2) array-like of (location, weight) pairs; every way
+    in checks them and merges them by :func:`_merged`, and bad input raises
+    :class:`DomainError`.  The measure stores its locations and weights
+    once, as read-only float64 arrays in ascending location; ``atoms``
+    builds the (location, weight) pairs from them when read.  Assigning an
+    attribute raises.
 
     ``truncation_error`` bounds the total mass discarded when an infinite
     atomic measure was truncated; it is carried through all operations.
     """
 
-    atoms: Tuple[Tuple[float, float], ...]
-    zero_mass: float = 0.0
-    truncation_error: float = 0.0
-    #: (locations, weights), read-only; built from ``atoms`` if not given
-    _arrays: tuple = field(default=None, compare=False, repr=False)
+    __slots__ = ("_loc", "_wt", "zero_mass", "truncation_error")
 
     #: an atomic measure integrates x^z for every z (no strip edge)
     strip_min_re = None
 
-    def __post_init__(self):
-        if self._arrays is None:
-            object.__setattr__(self, "_arrays", tuple(
-                np.array(self.atoms, dtype=float).reshape(-1, 2).T.copy()))
-        for arr in self._arrays:
-            arr.flags.writeable = False
+    def __init__(self, atoms, zero_mass=0.0, truncation_error=0.0):
+        if not (0 <= zero_mass < math.inf and truncation_error >= 0):
+            raise DomainError("zero_mass and truncation_error must be >= 0")
+        loc, wt = _merged(atoms)
+        loc.flags.writeable = wt.flags.writeable = False
+        for name, value in (("_loc", loc), ("_wt", wt),
+                            ("zero_mass", float(zero_mass)),
+                            ("truncation_error", float(truncation_error))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("an AtomicMeasure is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, AtomicMeasure):
+            return NotImplemented
+        return ((self.atoms, self.zero_mass, self.truncation_error)
+                == (other.atoms, other.zero_mass, other.truncation_error))
+
+    @property
+    def atoms(self):
+        """The (location, weight) pairs, in ascending location."""
+        return tuple(zip(self._loc.tolist(), self._wt.tolist()))
 
     @staticmethod
     def from_pairs(pairs, zero_mass=0.0, truncation_error=0.0):
         """Atoms from an (n, 2) array-like of (location, weight) pairs."""
-        if not (0 <= zero_mass < math.inf and truncation_error >= 0):
-            raise DomainError("zero_mass and truncation_error must be >= 0")
-        loc, wt = _merged(pairs)
-        return AtomicMeasure(tuple(zip(loc.tolist(), wt.tolist())),
-                             float(zero_mass), float(truncation_error),
-                             (loc, wt))
+        return AtomicMeasure(pairs, zero_mass, truncation_error)
 
     @staticmethod
     def dirac(loc, weight=1.0):
@@ -131,10 +149,10 @@ class AtomicMeasure:
         return AtomicMeasure.from_pairs([(loc, weight)])
 
     def locations(self):
-        return self._arrays[0]
+        return self._loc
 
     def weights(self):
-        return self._arrays[1]
+        return self._wt
 
     @property
     def total_mass(self):
@@ -147,7 +165,7 @@ class AtomicMeasure:
 
     def to_json_dict(self):
         return {
-            "atoms": np.column_stack(self._arrays).tolist(),
+            "atoms": np.column_stack((self._loc, self._wt)).tolist(),
             "zero_mass": self.zero_mass,
             "trunc_err": self.truncation_error,
         }
@@ -372,16 +390,15 @@ class MomentSequence:
     """Indexed access to a positive moment sequence, cached, log-capable.
 
     Values are generated either from ``log_fn`` (preferred, overflow-safe)
-    or from ``fn``.  The degenerate Stieltjes sequence c*delta_{0n} is
-    supported through :meth:`dirac_zero`.
+    or from ``fn``; the sequence holds nothing else.  The degenerate
+    Stieltjes sequence c*delta_{0n} is supported through :meth:`dirac_zero`.
     """
 
-    def __init__(self, fn=None, log_fn=None, normalized=True):
+    def __init__(self, fn=None, log_fn=None):
         if fn is None and log_fn is None:
             raise DomainError("need fn or log_fn")
         self._fn = fn
         self._log_fn = log_fn
-        self.normalized = normalized
         self._cache = {}
         self._log_cache = {}
 
@@ -395,11 +412,11 @@ class MomentSequence:
                                   % (len(values) - 1))
             return values[n]
 
-        return MomentSequence(fn=fn, normalized=(values[0] == 1.0))
+        return MomentSequence(fn=fn)
 
     @staticmethod
     def from_log_steps(step, scale=1.0):
-        """The normalized sequence with log s_n = scale sum_{k<n} step(k).
+        """The sequence with s_0 = 1 and log s_n = scale sum_{k<n} step(k).
 
         The sum runs in the order of k, as far as the largest n asked for
         so far, so s_n does not depend on the order of the calls."""
@@ -410,13 +427,12 @@ class MomentSequence:
                 partial.append(partial[-1] + step(len(partial) - 1))
             return scale * partial[n]
 
-        return MomentSequence(log_fn=log_fn, normalized=True)
+        return MomentSequence(log_fn=log_fn)
 
     @staticmethod
     def dirac_zero(c=1.0):
         """The degenerate sequence (c, 0, 0, ...), moments of c*delta_0."""
-        return MomentSequence(fn=lambda n: c if n == 0 else 0.0,
-                              normalized=(c == 1.0))
+        return MomentSequence(fn=lambda n: c if n == 0 else 0.0)
 
     def __call__(self, n):
         if n not in self._cache:

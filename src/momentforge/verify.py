@@ -45,27 +45,23 @@ def _check(results, suite, name, residual, default_tol, tol):
 # ---------------------------------------------------------------- hankel
 
 def _factorial_seq():
-    return MomentSequence(log_fn=lambda n: math.lgamma(n + 1.0),
-                          normalized=True)
+    return MomentSequence(log_fn=lambda n: math.lgamma(n + 1.0))
 
 
 def _poch_seq(a):
     return MomentSequence(
-        log_fn=lambda n: math.lgamma(a + n) - math.lgamma(a),
-        normalized=True)
+        log_fn=lambda n: math.lgamma(a + n) - math.lgamma(a))
 
 
 def _poch_ratio_seq(a, b):
     return MomentSequence(
         log_fn=lambda n: (math.lgamma(a + n) - math.lgamma(a)
-                          - math.lgamma(b + n) + math.lgamma(b)),
-        normalized=True)
+                          - math.lgamma(b + n) + math.lgamma(b)))
 
 
 def _lognormal_seq(q):
     log1q = math.log(1.0 / q)
-    return MomentSequence(log_fn=lambda n: 0.5 * n * (n + 1) * log1q,
-                          normalized=True)
+    return MomentSequence(log_fn=lambda n: 0.5 * n * (n + 1) * log1q)
 
 
 def suite_hankel(tol=None):
@@ -92,7 +88,7 @@ def suite_hankel(tol=None):
     carleman_cases = [
         ("factorial:c=1", _factorial_seq(), 1.0, hankel.DIVERGENT),
         ("factorial:c=3", _factorial_seq(), 3.0, hankel.CONVERGENT),
-        ("constant", MomentSequence(fn=lambda n: 1.0, normalized=True),
+        ("constant", MomentSequence(fn=lambda n: 1.0),
          1.0, hankel.DIVERGENT),
     ]
     for name, seq, c, expected in carleman_cases:

@@ -85,17 +85,14 @@ def test_criterion_02_psi_consistency():
 def test_criterion_03_hankel_positivity():
     log2 = math.log(2.0)
     cases = [
-        (MomentSequence(log_fn=lambda n: math.lgamma(n + 1.0),
-                        normalized=True), 6),
+        (MomentSequence(log_fn=lambda n: math.lgamma(n + 1.0)), 6),
         (MomentSequence(log_fn=lambda n: math.lgamma(1.5 + n)
-                        - math.lgamma(1.5), normalized=True), 6),
+                        - math.lgamma(1.5)), 6),
         (MomentSequence(log_fn=lambda n: (math.lgamma(1.0 + n)
                                           + math.lgamma(2.5)
-                                          - math.lgamma(2.5 + n)),
-                        normalized=True), 8),
+                                          - math.lgamma(2.5 + n))), 8),
         (qbeta_moment_sequence(P), 8),
-        (MomentSequence(log_fn=lambda n: 0.5 * n * (n + 1) * log2,
-                        normalized=True), 6),
+        (MomentSequence(log_fn=lambda n: 0.5 * n * (n + 1) * log2), 6),
         (t_transform(qbeta_moment_sequence(P)), 8),
     ]
     ok = True
@@ -221,9 +218,8 @@ def test_criterion_09_hermite_positivity():
 
 
 def test_criterion_10_carleman_sanity():
-    factorial = MomentSequence(log_fn=lambda n: math.lgamma(n + 1.0),
-                               normalized=True)
-    constant = MomentSequence(fn=lambda n: 1.0, normalized=True)
+    factorial = MomentSequence(log_fn=lambda n: math.lgamma(n + 1.0))
+    constant = MomentSequence(fn=lambda n: 1.0)
     ok = (carleman_diagnostic(factorial, 40).verdict
           == hankel_mod.DIVERGENT)
     ok = ok and (carleman_diagnostic(power_sequence(factorial, 3.0),

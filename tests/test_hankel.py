@@ -11,12 +11,11 @@ from momentforge import hankel
 
 
 def factorial_seq():
-    return MomentSequence(log_fn=lambda n: math.lgamma(n + 1.0),
-                          normalized=True)
+    return MomentSequence(log_fn=lambda n: math.lgamma(n + 1.0))
 
 
 def geometric_seq(r):
-    return MomentSequence(log_fn=lambda n: n * math.log(r), normalized=True)
+    return MomentSequence(log_fn=lambda n: n * math.log(r))
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
@@ -28,8 +27,7 @@ def test_factorial_powers_are_psd(c):
 
 def test_lognormal_sequence_psd():
     log2 = math.log(2.0)
-    s = MomentSequence(log_fn=lambda n: 0.5 * n * (n + 1) * log2,
-                       normalized=True)
+    s = MomentSequence(log_fn=lambda n: 0.5 * n * (n + 1) * log2)
     assert stieltjes_check(s, 6).is_psd
 
 
@@ -82,7 +80,7 @@ def test_carleman_factorial_cubed_convergent():
 
 
 def test_carleman_constant_divergent():
-    s = MomentSequence(fn=lambda n: 1.0, normalized=True)
+    s = MomentSequence(fn=lambda n: 1.0)
     assert carleman_diagnostic(s, 40).verdict == hankel.DIVERGENT
 
 

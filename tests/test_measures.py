@@ -56,6 +56,27 @@ def test_from_pairs_rejects_non_finite_atoms(pairs):
         AtomicMeasure.from_pairs(pairs)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AtomicMeasure(((-1.0, 0.5),)),
+    lambda: AtomicMeasure(((1.0, math.nan),)),
+    lambda: AtomicMeasure.dirac(0.0, -1.0),
+    lambda: AtomicMeasure.dirac(0.0, math.nan),
+], ids=["negative-location", "nan-weight", "dirac-negative-weight",
+        "dirac-nan-weight"])
+def test_constructor_and_dirac_reject_bad_atoms(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_constructor_sorts_and_merges_like_from_pairs():
+    pairs = ((2.0, 0.5), (1.0, 0.5))
+    m = AtomicMeasure(pairs, truncation_error=1e-3)
+    assert m == AtomicMeasure.from_pairs(pairs, truncation_error=1e-3)
+    assert m.atoms == ((1.0, 0.5), (2.0, 0.5))
+    # the error estimate reads the largest location, 2
+    assert moment(m, 3).abs_error == pytest.approx(8e-3)
+
+
 @pytest.mark.parametrize("zero_mass, truncation_error", [
     (math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0), (0.0, math.nan),
     (0.0, -1.0),
@@ -159,6 +180,8 @@ def test_locations_and_weights_are_stored_read_only_arrays():
         for arr in (m.locations(), m.weights()):
             with pytest.raises(ValueError):
                 arr[:] = 3.0
+        with pytest.raises(AttributeError):
+            m.zero_mass = 1.0
 
 
 def test_mellin_matches_moment_at_integers():
@@ -311,11 +334,10 @@ def test_moment_sequence_from_values():
     s = MomentSequence.from_values([1.0, 2.0, 6.0])
     assert s(2) == 6.0
     assert s.log(2) == pytest.approx(math.log(6.0))
-    assert s.normalized
 
 
 def test_moment_sequence_log_fn():
-    s = MomentSequence(log_fn=lambda n: n * math.log(3.0), normalized=True)
+    s = MomentSequence(log_fn=lambda n: n * math.log(3.0))
     assert s(2) == pytest.approx(9.0)
 
 
