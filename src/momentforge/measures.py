@@ -45,14 +45,27 @@ def geometric_cut(log_head, log_ratio, tol):
     raised by a relative 1e-12, which covers the rounding of the logs
     while they stay below 10^3 in magnitude.  Raises
     :class:`DomainError` when that takes more than _MAX_TERMS terms.
+
+    Two Python floats, with log rho < 0, take the same operations in plain
+    floats, which round as numpy's do.
     """
-    log_head = np.asarray(log_head, dtype=float) + 1e-12
-    steps = float(np.min((log_head - math.log(tol)) / -log_ratio))
+    if type(log_head) is float and type(log_ratio) is float \
+            and log_ratio < 0:
+        least = float
+    else:
+        log_head = np.asarray(log_head, dtype=float)
+        least = _least
+    log_head = log_head + 1e-12
+    steps = least((log_head - math.log(tol)) / -log_ratio)
     if not steps <= _MAX_TERMS:
         raise DomainError("the lattice needs more than %d terms to bound "
                           "its tail by %g" % (_MAX_TERMS, tol))
     N = max(0, math.ceil(steps) - 1)
-    return N, math.exp(float(np.min(log_head + (N + 1) * log_ratio)))
+    return N, math.exp(least(log_head + (N + 1) * log_ratio))
+
+
+def _least(values):
+    return float(values.min())
 
 
 @dataclass(frozen=True)
@@ -356,16 +369,9 @@ def pushforward(m, mapping, param=None):
         beta = 1.0 if param is None else float(param)
         if beta <= 0:
             raise DomainError("beta must be positive")
-        image = np.exp(-beta * loc)
-        kept = image > 0.0
-        # the images reversed, so that they ascend and need no sort in
-        # from_pairs, then the atom at 0, which maps to exp(0) = 1; images
-        # lie in (0, 1], so mass whose image underflows adds at most its
-        # weight to any moment
+        pairs, lost = exp_neg_image(loc, wt, m.zero_mass, beta)
         return AtomicMeasure.from_pairs(
-            np.column_stack((np.append(image[kept][::-1], 1.0),
-                             np.append(wt[kept][::-1], m.zero_mass))),
-            truncation_error=m.truncation_error + sum(wt[~kept].tolist()))
+            pairs, truncation_error=m.truncation_error + sum(lost.tolist()))
     if mapping == "neg-log":
         if m.zero_mass > 0:
             raise DomainError("-log is undefined at location 0")
@@ -384,6 +390,21 @@ def pushforward(m, mapping, param=None):
             np.column_stack((gamma * loc, wt)),
             zero_mass=m.zero_mass, truncation_error=m.truncation_error)
     raise DomainError("unknown pushforward map %r" % mapping)
+
+
+def exp_neg_image(locations, weights, zero_mass, beta=1.0):
+    """The image of atoms at ascending ``locations`` and of a mass at 0
+    under x -> exp(-beta x), as (an (n, 2) array of pairs in ascending
+    location, the weights of the atoms whose image underflows to 0).  The
+    images lie in (0, 1], so that mass adds at most its weight to any
+    moment."""
+    image = np.exp(-beta * locations)
+    kept = image > 0.0
+    # the images reversed, so that they ascend and need no sort in
+    # from_pairs, then the atom at 0, which maps to exp(0) = 1
+    return (np.column_stack((np.append(image[kept][::-1], 1.0),
+                             np.append(weights[kept][::-1], zero_mass))),
+            weights[~kept])
 
 
 class MomentSequence:

@@ -4,15 +4,22 @@ power-series measures of the T-transformed q-sequences.
 
 All infinite objects are truncated by :func:`measures.geometric_cut`
 against geometric tail majorants and carry the resulting bound in
-``truncation_error``.  Lattice measures live on multiples of log(1/q);
-their additive convolution (:func:`measures.additive_convolve`) forms all
-pairwise sums of locations, and ``from_pairs`` sorts them once and merges
-sums whose sorted neighbours agree within ``MERGE_RTOL``.  The lattices
-built here hand ``from_pairs`` their locations in ascending order, and
-input already in order with distinct locations skips the sort.
+``truncation_error``; for :func:`sigma_abgamma` that value is evaluated in
+binary64 with no allowance for rounding, so it is an estimate of the bound.
+The semigroup members tau_c and mu_c at one (a, b, q) share the c-free
+part of their Cauchy bound, and mu_c is built from tau_c's lattice
+directly, not as a pushforward of a built tau_c.
+
+Lattice measures live on multiples of log(1/q); their additive
+convolution (:func:`measures.additive_convolve`) forms all pairwise sums
+of locations, and ``from_pairs`` sorts them once and merges sums whose
+sorted neighbours agree within ``MERGE_RTOL``.  The lattices built here
+hand ``from_pairs`` their locations in ascending order, and input already
+in order with distinct locations skips the sort.
 """
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -21,8 +28,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .measures import (AtomicMeasure, MomentSequence, geometric_cut,
-                       pushforward)
+from .measures import (AtomicMeasure, MomentSequence, exp_neg_image,
+                       geometric_cut)
 
 DEFAULT_TOL = 1e-14
 
@@ -204,6 +211,52 @@ def _radii(lo, hi):
     return np.array([lo + (hi - lo) * (1.0 - 0.5 ** j) for j in range(1, 13)])
 
 
+@functools.lru_cache(maxsize=64)
+def _tau_head(p):
+    """The parts of tau_c's Cauchy bound that do not depend on c, shared by
+    every c at one (a, b, q): (log (a;q)_inf - log (b;q)_inf,
+    log (br;q)_inf - log (ar;q)_inf, log(1 - 1/r), -log r) over the
+    radii r of :func:`_radii`, the arrays read-only.  Equal QParams, as
+    with b = 0.0 and b = -0.0, give the same head."""
+    a, b, q = p.a, p.b, p.q
+    log_ab = math.log(qpoch(a, q)) - math.log(qpoch(b, q))
+    radii = _radii(1.0, 1.0 / a)
+    # log (z;q)_inf at z = b r and a r for all radii at once, each with the
+    # factors that qpoch keeps for the largest z, a r_12
+    qk = q ** np.arange(_factor_count(a * radii[-1], q))
+    log_poch = np.log1p(-np.multiply.outer(qk, np.append(b * radii,
+                                                         a * radii)))
+    log_br, log_ar = np.split(log_poch.sum(axis=0), 2)
+    head = (log_br - log_ar, np.log1p(-1.0 / radii), -np.log(radii))
+    for array in head:
+        array.flags.writeable = False
+    return (log_ab,) + head
+
+
+def _tau_lattice(p, c):
+    """tau_c as (locations, weights, w_0, truncation_error), the weights
+    w_1..w_N at locations n log(1/q) as computed, zeros included."""
+    p.require_ordered()
+    if c <= 0:
+        raise DomainError("c must be positive")
+    a, b, q = p.a, p.b, p.q
+    log1q = math.log(1.0 / q)
+    log_ab, log_ba_r, log_1m_1r, log_rho = _tau_head(p)
+    log_w0 = c * log_ab
+    # log of F(r) / (1 - 1/r), the Cauchy bound before the factor r^{-N-1}
+    log_head = log_w0 + c * log_ba_r - log_1m_1r
+    # the amplification grows with N, so cutting again at the tol it leaves
+    # at the last N climbs from below to the first N that meets it
+    N, last = 0, None
+    while N != last:
+        last = N
+        N, tail = geometric_cut(log_head, log_rho,
+                                DEFAULT_TOL / max(1.0, (N + 1) * log1q) ** 8)
+    j = np.arange(1, N + 1)
+    w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
+    return j * log1q, w[1:], w[0], tail
+
+
 def tau_c(p, c):
     """The lattice probability tau(a,b;q)_c: the convolution exponential
     ((a;q)_inf/(b;q)_inf)^c sum_k c^k (nu_a - nu_b)^{*k} / k!.
@@ -215,48 +268,32 @@ def tau_c(p, c):
     Cauchy bound sum_{n>N} w_n <= F(r) r^{-N-1} / (1 - 1/r), 1 < r < 1/a,
     stays below DEFAULT_TOL after amplifying by ((N+1) log(1/q))^8 for
     moments up to order 8; the unamplified bound is the truncation_error.
+    The c-free part of that bound is computed once per (a, b, q) and
+    shared by every c.
     """
-    p.require_ordered()
-    if c <= 0:
-        raise DomainError("c must be positive")
-    a, b, q = p.a, p.b, p.q
-    log1q = math.log(1.0 / q)
-    log_w0 = c * (math.log(qpoch(a, q)) - math.log(qpoch(b, q)))
-    radii = _radii(1.0, 1.0 / a)
-    # log (z;q)_inf at z = b r and a r for all radii at once, each with the
-    # factors that qpoch keeps for the largest z, a r_12
-    qk = q ** np.arange(_factor_count(a * radii[-1], q))
-    log_poch = np.log1p(-np.multiply.outer(qk, np.append(b * radii,
-                                                         a * radii)))
-    log_br, log_ar = np.split(log_poch.sum(axis=0), 2)
-    # log of F(r) / (1 - 1/r), the Cauchy bound before the factor r^{-N-1}
-    log_head = log_w0 + c * (log_br - log_ar) - np.log1p(-1.0 / radii)
-    # the amplification grows with N, so cutting again at the tol it leaves
-    # at the last N climbs from below to the first N that meets it
-    N, last = 0, None
-    while N != last:
-        last = N
-        N, tail = geometric_cut(log_head, -np.log(radii),
-                                DEFAULT_TOL / max(1.0, (N + 1) * log1q) ** 8)
-    j = np.arange(1, N + 1)
-    w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
-    return AtomicMeasure.from_pairs(np.column_stack((j * log1q, w[1:])),
-                                    zero_mass=w[0], truncation_error=tail)
+    locations, weights, w0, tail = _tau_lattice(p, c)
+    return AtomicMeasure.from_pairs(np.column_stack((locations, weights)),
+                                    zero_mass=w0, truncation_error=tail)
 
 
 def mu_c(p, c):
     """The q-Beta semigroup member mu(a,b;q)_c: pushforward of tau_c under
     x -> e^{-x}; concentrated on {q^k} with moments ((a;q)_n/(b;q)_n)^c.
 
-    As for :func:`mu_abq`, atoms whose image underflows join
+    Built in one construction from tau_c's lattice, with the atoms, weights
+    and truncation_error that ``pushforward(tau_c(p, c), "exp-neg")``
+    gives.  As for :func:`mu_abq`, atoms whose image underflows join
     truncation_error, which is then at most 2 DEFAULT_TOL, and
     :class:`BudgetError` is raised when their mass alone exceeds
     DEFAULT_TOL.
     """
-    tau = tau_c(p, c)
-    underflows = np.exp(-tau.locations()) == 0.0
-    _require_representable(tau.weights()[underflows].sum(), DEFAULT_TOL)
-    return pushforward(tau, "exp-neg", 1.0)
+    locations, weights, w0, tail = _tau_lattice(p, c)
+    pairs, lost = exp_neg_image(locations, weights, w0)
+    # summed in order, as pushforward sums it, where the zero weights that
+    # tau_c would drop change nothing
+    lost = sum(lost.tolist())
+    _require_representable(lost, DEFAULT_TOL)
+    return AtomicMeasure.from_pairs(pairs, truncation_error=tail + lost)
 
 
 def qbeta_moment_sequence(p, c=1.0):

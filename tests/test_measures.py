@@ -418,3 +418,30 @@ def test_geometric_cut_refuses_more_than_100000_terms():
         geometric_cut(50000.5, -0.5, 1.0)
     with pytest.raises(DomainError):
         geometric_cut(0.0, math.log(0.9999), 1e-14)
+
+
+@pytest.mark.parametrize("log_head, log_ratio, tol", [
+    (math.log(head), math.log(ratio), tol)
+    for head, ratio in ((3.0, 0.5), (2.5, 0.9), (1.0, 0.9), (1e6, 0.5),
+                        (40.0, 0.7))
+    for tol in (0.3, 1e-3, 1e-8, 1e-14)] + [
+    (math.log(1e-20), math.log(0.5), 1e-14),
+    (0.0, -math.inf, 1e-14),
+    (50000.0, -0.5, 1.0),
+])
+def test_geometric_cut_of_two_floats_equals_the_one_pair_array(
+        log_head, log_ratio, tol):
+    cut = geometric_cut(log_head, log_ratio, tol)
+    assert cut == geometric_cut(np.array([log_head]), np.array([log_ratio]),
+                                tol)
+    assert type(cut[1]) is float
+
+
+@pytest.mark.parametrize("log_head, log_ratio, tol", [
+    (50000.5, -0.5, 1.0), (0.0, math.log(0.9999), 1e-14)])
+def test_geometric_cut_of_two_floats_refuses_as_the_array_does(
+        log_head, log_ratio, tol):
+    for args in ((log_head, log_ratio),
+                 (np.array([log_head]), np.array([log_ratio]))):
+        with pytest.raises(DomainError, match="more than 100000 terms"):
+            geometric_cut(*args, tol)

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from momentforge import (DomainError, MomentSequence, QParams,
-                         additive_convolve, hp_coefficients, mellin,
-                         mellin_qbeta, moment, mu_abq, mu_c, nu_a,
-                         product_convolve, qbeta_moment_sequence,
-                         qbinomial_check, qpoch, sigma_abgamma, tau_c)
+from momentforge import (AtomicMeasure, DomainError, MomentSequence,
+                         QParams, additive_convolve, hp_coefficients,
+                         mellin, mellin_qbeta, moment, mu_abq, mu_c, nu_a,
+                         product_convolve, pushforward,
+                         qbeta_moment_sequence, qbinomial_check, qpoch,
+                         sigma_abgamma, tau_c)
 from momentforge.bernstein import (affine, kappa_of, power_moments,
                                    powertower, qratio, ratio)
 from momentforge.errors import BudgetError
 from momentforge.measures import geometric_cut
-from momentforge.qseries import _exp_series, _hp_log_terms, _radii
+from momentforge.qseries import (_exp_series, _factor_count, _hp_log_terms,
+                                 _radii, _tau_head)
 from momentforge.verify import _ABQ_GRID
 from momentforge.semigroups import t_transform
 
@@ -175,6 +177,79 @@ def test_tau_cut_matches_the_head_taken_one_radius_at_a_time():
         # the heads differ by rounding and by factors within 1e-14 of 1,
         # which the 1e-12 that geometric_cut adds to each head covers
         assert tau.truncation_error == pytest.approx(tail, rel=1e-12, abs=0)
+
+
+def _tau_c_reference(p, c):
+    """tau_c with its whole Cauchy head built afresh at every call, one c
+    at a time."""
+    a, b, q = p.a, p.b, p.q
+    log1q = math.log(1.0 / q)
+    log_w0 = c * (math.log(qpoch(a, q)) - math.log(qpoch(b, q)))
+    radii = _radii(1.0, 1.0 / a)
+    qk = q ** np.arange(_factor_count(a * radii[-1], q))
+    log_poch = np.log1p(-np.multiply.outer(qk, np.append(b * radii,
+                                                         a * radii)))
+    log_br, log_ar = np.split(log_poch.sum(axis=0), 2)
+    log_head = log_w0 + c * (log_br - log_ar) - np.log1p(-1.0 / radii)
+    N, last = 0, None
+    while N != last:
+        last = N
+        N, tail = geometric_cut(log_head, -np.log(radii),
+                                1e-14 / max(1.0, (N + 1) * log1q) ** 8)
+    j = np.arange(1, N + 1)
+    w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
+    return AtomicMeasure.from_pairs(np.column_stack((j * log1q, w[1:])),
+                                    zero_mass=w[0], truncation_error=tail)
+
+
+# 2235 and 2324 atoms of these tau_c have locations whose image e^{-x}
+# underflows; their mass, below 1e-14, joins mu_c's truncation_error
+_UNDERFLOW_TAU_ARGS = [(0.97, 0.5, 0.5, 0.5), (0.97, 0.5, 0.5, 1.0)]
+
+
+# at c = 1e-300, 1654 of the 3197 weights underflow to 0, all among the
+# 2123 whose image underflows; tau_c drops them
+@pytest.mark.parametrize("a, b, q, c", _SUITE_TAU_ARGS + _UNDERFLOW_TAU_ARGS
+                         + [(0.97, 0.5, 0.5, 1e-300)])
+def test_semigroup_lattices_equal_the_one_c_at_a_time_build(a, b, q, c):
+    p = QParams(a, b, q)
+    tau = tau_c(p, c)
+    reference = _tau_c_reference(p, c)
+    assert tau.atoms == reference.atoms
+    assert tau.zero_mass == reference.zero_mass
+    assert tau.truncation_error == reference.truncation_error
+    mu = mu_c(p, c)
+    image = pushforward(reference, "exp-neg", 1.0)
+    assert mu.atoms == image.atoms
+    assert mu.zero_mass == image.zero_mass == 0.0
+    assert mu.truncation_error == image.truncation_error
+    if (a, b, q, c) in _UNDERFLOW_TAU_ARGS:
+        assert (np.exp(-tau.locations()) == 0.0).sum() > 2000
+        assert tau.truncation_error < mu.truncation_error < 1e-14
+
+
+def test_tau_head_is_shared_whatever_the_order_of_the_calls():
+    args = [(QParams(a, b, q), c) for a, b, q in _ABQ_GRID[:4]
+            for c in (0.5, 2.0)]
+    _tau_head.cache_clear()
+    forward = [(tau_c(p, c), mu_c(p, c)) for p, c in args]
+    _tau_head.cache_clear()
+    backward = [(mu_c(p, c), tau_c(p, c)) for p, c in reversed(args)]
+    warm = [(tau_c(p, c), mu_c(p, c)) for p, c in args]
+    assert forward == [pair[::-1] for pair in reversed(backward)] == warm
+    # b = 0.0 and b = -0.0 are one QParams and share one head
+    _tau_head.cache_clear()
+    first = tau_c(QParams(0.5, -0.0, 0.5), 1.0)
+    assert _tau_head(QParams(0.5, 0.0, 0.5)) is _tau_head(
+        QParams(0.5, -0.0, 0.5))
+    _tau_head.cache_clear()
+    assert tau_c(QParams(0.5, 0.0, 0.5), 1.0) == first
+
+
+def test_tau_head_arrays_refuse_writes():
+    for array in _tau_head(P)[1:]:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def _sigma_cut_reference(p):
