@@ -32,8 +32,8 @@ from .semigroups import (BetaFamily, GammaFamily, LogNormalQFamily,
 from .qseries import (PowerSeries, QParams, hp_coefficients, mellin_qbeta,
                       mu_abq, mu_c, nu_a, qbeta_moment_sequence,
                       qbinomial_check, qpoch, sigma_abgamma, tau_c)
-from .hermite import (GenFunValue, HermiteEval, ScanReport, generating_G,
-                      hermite_H, hermite_eval, hermite_h, positivity_scan)
+from .hermite import (GenFunValue, ScanReport, generating_G, hermite_H,
+                      hermite_h, positivity_scan)
 from .catalog import CatalogObject, measure_from_json, resolve
 from .verify import CheckResult, render_report, run_suite
 

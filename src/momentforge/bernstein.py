@@ -5,7 +5,9 @@ triple (a, b, levy) of its integral representation, and, where available,
 the analytic measure kappa with f'/f as Laplace transform.  From kappa the
 module derives the measure sigma on (0, 1), the log-moment representation
 log s_n = n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma, and the
-exponent psi with psi(n) = -log s_n.
+exponent psi with psi(n) = -log s_n.  :func:`psi`, :func:`lk_log_moment`
+and :func:`log_moment_via_rep` each return a ``measures.MellinValue``: the
+value with the error estimate of its one integral.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedError
 from .measures import (AtomicMeasure, DensityMeasure, MomentSequence,
-                       geometric_cut, integral)
+                       _mellin_value, geometric_cut, integral)
 
 #: the tolerance of the integrals over kappa and sigma behind :func:`psi`
 #: and :func:`lk_log_moment`
@@ -57,8 +59,8 @@ def _self_test(f):
     # and f must be nonnegative nondecreasing on a spot-check grid
     if f.levy is not None:
         for s in (0.1, 1.0, 10.0):
-            value, err = integral(f.levy, lambda x: -np.expm1(-s * x), 1e-11)
-            rep = f.a + f.b * s + value
+            r = integral(f.levy, lambda x: -np.expm1(-s * x), 1e-11)
+            rep, err = f.a + f.b * s + r.value, r.abs_error
             if abs(rep - f(s)) > 1e-7 * max(1.0, abs(f(s))) + 10 * err:
                 raise PreconditionError(
                     "%s: integral representation mismatch at s=%g "
@@ -269,8 +271,8 @@ def log_moment_via_rep(f, alpha, beta, n):
     """log s_n computed from the sigma-representation:
     n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma.
 
-    ``n`` may be a sequence of orders; they share one integral and give an
-    array."""
+    ``n`` may be a sequence of orders; they share one integral and give
+    arrays.  Returns a MellinValue, as :func:`lk_log_moment` does."""
     return lk_log_moment(lk_rep_of(f, alpha, beta), n)
 
 
@@ -281,8 +283,9 @@ def psi(f, alpha, beta, z):
     ((1 - e^{-z beta x}) - z (1 - e^{-beta x})) e^{-alpha x}
     / (x (1 - e^{-beta x})) d kappa(x).
 
-    ``z`` may be a sequence; its values share one integral and give an
-    array.  A real z stays real, so its integral is too.
+    Returns a MellinValue with the error estimate of the integral.  ``z``
+    may be a sequence; its values share one integral and give arrays.  A
+    real z stays real, so its integral is too.
     """
     z = np.asarray(z)
     z = z.astype(complex if np.iscomplexobj(z) else float)
@@ -309,9 +312,8 @@ def psi(f, alpha, beta, z):
                          + (C + B / 2.0 + A / 12.0) * w * w)
         return np.where(small, series, direct) * np.exp(-alpha * x)
 
-    value, _ = integral(kappa, core, REP_TOL)
-    result = head + value
-    return result if z.ndim else result.item()
+    r = integral(kappa, core, REP_TOL)
+    return _mellin_value(head + r.value, r.abs_error)
 
 
 def lk_rep_of(f, alpha, beta):
@@ -325,14 +327,15 @@ def lk_rep_of(f, alpha, beta):
 
 
 def lk_log_moment(rep, n):
-    """log s_n from a Levy-Khinchin-type representation (a, b, sigma).
+    """log s_n from a Levy-Khinchin-type representation (a, b, sigma), as a
+    MellinValue with the error estimate of the integral over sigma (0
+    without one).
 
-    ``n`` may be a sequence of orders; they share one integral and give an
-    array."""
+    ``n`` may be a sequence of orders; they share one integral and give
+    arrays."""
     orders = np.asarray(n)
     log_s = rep.a * orders + rep.b * orders * orders
-    if rep.sigma is not None and orders.any():
-        value, _ = integral(rep.sigma,
-                            lambda u: _stable_centered_power(u, n), REP_TOL)
-        log_s = log_s + value
-    return log_s if orders.ndim else float(log_s)
+    if rep.sigma is None or not orders.any():
+        return _mellin_value(log_s, 0.0)
+    r = integral(rep.sigma, lambda u: _stable_centered_power(u, n), REP_TOL)
+    return _mellin_value(log_s + r.value, r.abs_error)

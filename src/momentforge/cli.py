@@ -15,7 +15,7 @@ import sys
 from . import verify
 from .catalog import resolve
 from .errors import (BudgetError, DomainError, MomentForgeError,
-                     UnsupportedError)
+                     PreconditionError, UnsupportedError)
 from .hermite import positivity_scan
 from .measures import AtomicMeasure
 
@@ -232,7 +232,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (DomainError, UnsupportedError, BudgetError, KeyError) as exc:
+    except (DomainError, PreconditionError, UnsupportedError, BudgetError,
+            KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MomentForgeError as exc:

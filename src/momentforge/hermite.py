@@ -79,16 +79,6 @@ _BATCH_RATIO = 48
 _table = (0, (), ())
 
 
-@dataclass(frozen=True)
-class HermiteEval:
-    """A joint evaluation of H_n and the orthonormal h_n at one point."""
-
-    n: int
-    x: float
-    H: float
-    h: float
-
-
 @dataclass(frozen=True, slots=True)
 class GenFunValue:
     """A certified partial sum of G(t, x).
@@ -195,21 +185,6 @@ def _hermite_h_all(n_max, x):
             h[k + 1] = ((sqrt2_x * h[k] - math.sqrt(k) * h[k - 1])
                         / math.sqrt(k + 1.0))
     return h
-
-
-def hermite_eval(n, x):
-    """Both normalizations at once; H is reconstructed from h in log
-    domain and overflows to a range error exactly when hermite_H would."""
-    h = hermite_h(n, x)
-    if h == 0.0:
-        return HermiteEval(n, x, 0.0, 0.0)
-    log_scale = 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
-    log_H = math.log(abs(h)) + log_scale
-    if log_H > math.log(sys.float_info.max):
-        raise RangeError(
-            "H_%d(%g) overflows binary64; the orthonormal value is %g"
-            % (n, x, h))
-    return HermiteEval(n, x, math.copysign(math.exp(log_H), h), h)
 
 
 def _terms_needed(t, x, tol):

@@ -9,9 +9,12 @@ distinct locations skips; the measure stores its locations and weights
 once, as read-only float64 arrays, and derives its ``atoms`` pairs from
 them when they are read.
 :func:`integral` is the one place that chooses between a sum over the
-atoms and quadrature over the density's support; moments, of one order or
-of a sequence of orders in one call, Mellin and Laplace transforms go
-through it and report an absolute error estimate alongside the value.
+atoms and quadrature over the density's support.  It returns a
+:class:`MellinValue`, the value with its absolute error estimate, and so
+do :func:`moment` (of one order, or of a sequence of orders in one call),
+:func:`mellin` and :meth:`AtomicMeasure.laplace`, which go through it; so
+do ``bernstein.psi`` and ``bernstein.lk_log_moment``.  The catalog's
+moment and Mellin evaluators still pass on the value alone.
 Product convolution and the three pushforward maps operate on atomic
 measures.
 
@@ -70,16 +73,12 @@ def _least(values):
 
 @dataclass(frozen=True)
 class MellinValue:
-    """A transform value together with an absolute error estimate; both
-    are arrays, one entry per order, for :func:`moment` of a sequence of
-    orders."""
+    """A value together with its absolute error estimate, as every
+    integral against a measure returns it; both are arrays, one entry per
+    order or argument, when the evaluator was given a sequence."""
 
     value: complex
     abs_error: float = 0.0
-
-    @property
-    def real(self):
-        return self.value.real
 
 
 def _merged(pairs):
@@ -172,9 +171,16 @@ class AtomicMeasure:
         return self.zero_mass + sum(self.weights().tolist())
 
     def laplace(self, s):
-        """sum w_k exp(-s * loc_k), the Laplace transform at s."""
-        value, _ = integral(self, lambda x: np.exp(-s * x))
-        return self.zero_mass + float(value)
+        """The Laplace transform zero_mass + sum w_k exp(-s * loc_k) at s,
+        with the error estimate of :func:`integral`, as a MellinValue.
+
+        ``s`` may be a sequence; its values share one :func:`integral`
+        call and give arrays."""
+        s = np.asarray(s, dtype=float)
+        # the transpose keeps each s's atoms contiguous in integral's sum
+        r = integral(self, lambda x: np.exp(-np.multiply.outer(s, x)).T)
+        return _mellin_value(np.full(s.shape, self.zero_mass) + r.value,
+                             r.abs_error)
 
     def to_json_dict(self):
         return {
@@ -218,7 +224,8 @@ class DensityMeasure:
 
 
 def integral(m, g, tol=1e-12):
-    """(value, error) of the integral of g over (0, inf) against m.
+    """The integral of g over (0, inf) against m, as a MellinValue of the
+    value and its error estimate.
 
     ``g`` maps an array of m points to an array of m values, or to an
     (m, K) array of K components; the value and the error then have one
@@ -245,18 +252,26 @@ def integral(m, g, tol=1e-12):
     if isinstance(m, AtomicMeasure):
         loc = m.locations()
         if not len(loc):
-            return 0.0, m.truncation_error
+            return MellinValue(0.0, m.truncation_error)
         # one call of g: the atoms, then the point the estimate reads; the
         # transposes weight each component of an (m, K) value
         vals = g(np.append(loc, max(1.0, loc[-1])))
-        return (np.sum(m.weights() * vals[:-1].T, axis=-1),
-                m.truncation_error * np.abs(vals[-1]))
+        return MellinValue(np.sum(m.weights() * vals[:-1].T, axis=-1),
+                           m.truncation_error * np.abs(vals[-1]))
 
     def f(x):
         return (g(x).T * m.density(x)).T
 
     lo, hi = m.support
-    return integrate(f, lo, hi, tol=tol)
+    return MellinValue(*integrate(f, lo, hi, tol=tol))
+
+
+def _mellin_value(value, abs_error):
+    """A MellinValue of ``value`` and ``abs_error``: a 0-d value gives two
+    Python scalars, an array value an error broadcast to its shape."""
+    if np.ndim(value):
+        return MellinValue(value, np.broadcast_to(abs_error, np.shape(value)))
+    return MellinValue(np.asarray(value).item(), float(abs_error))
 
 
 def moment(m, n, tol=1e-12):
@@ -280,12 +295,9 @@ def moment(m, n, tol=1e-12):
         table = np.array([x ** k for k in ks]).T
         return table.reshape(x.shape + orders.shape)
 
-    value, err = integral(m, powers, tol)
-    value = np.where(orders == 0, value + m.zero_mass, value)
-    err = np.broadcast_to(err, orders.shape)
-    if not orders.ndim:
-        return MellinValue(float(value), float(err))
-    return MellinValue(value, err)
+    r = integral(m, powers, tol)
+    return _mellin_value(
+        np.where(orders == 0, r.value + m.zero_mass, r.value), r.abs_error)
 
 
 def mellin(m, z, tol=1e-12):
@@ -307,10 +319,9 @@ def mellin(m, z, tol=1e-12):
             return np.ones_like(x)
         return np.exp(z * np.log(x))
 
-    value, err = integral(m, weight, tol)
-    if z == 0:
-        value += m.zero_mass
-    return MellinValue(complex(value), err)
+    r = integral(m, weight, tol)
+    value = r.value + m.zero_mass if z == 0 else r.value
+    return MellinValue(complex(value), r.abs_error)
 
 
 def product_convolve(m1, m2):

@@ -62,13 +62,6 @@ class PowerSeries:
 
     coefficients: Tuple[float, ...]
 
-    def __call__(self, z):
-        return sum(c * z ** k for k, c in enumerate(self.coefficients))
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
 
 def _factor_count(z_abs, q):
     """The factors k < n that (z; q)_inf keeps at |z| = z_abs: n - 1 is

@@ -133,9 +133,10 @@ def suite_bernstein_rep(tol=None):
             seq = bernstein.power_moments(f, alpha, beta)
             orders = range(16)
             logs = np.array([seq.log(n) for n in orders])
-            via_rep = bernstein.log_moment_via_rep(f, alpha, beta, orders)
+            via_rep = bernstein.log_moment_via_rep(f, alpha, beta,
+                                                   orders).value
             rep_worst = max(rep_worst, float(np.max(np.abs(via_rep - logs))))
-            psi_n = bernstein.psi(f, alpha, beta, orders)
+            psi_n = bernstein.psi(f, alpha, beta, orders).value
             psi_worst = max(psi_worst, float(np.max(np.abs(psi_n + logs))))
             psi0_worst = max(psi0_worst, abs(float(psi_n[0])))
             psi1_worst = max(psi1_worst,
@@ -197,7 +198,8 @@ def suite_qseries(tol=None):
     _check(results, "qseries", "qbeta-semigroup-moments", worst, 1e-10, tol)
     p = qseries.QParams(0.5, 0.25, 0.5)
     tau = qseries.tau_c(p, 1.0)
-    worst = max(abs(tau.laplace(s) - qseries.mellin_qbeta(p, 1.0, s).real)
+    worst = max(abs(tau.laplace(s).value
+                    - qseries.mellin_qbeta(p, 1.0, s).real)
                 for s in (0.5, 1.0, 2.0))
     _check(results, "qseries", "tau-laplace-closed-form", worst, 1e-10, tol)
     _check(results, "qseries", "qbinomial",

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from momentforge import (AtomicMeasure, DomainError, UnsupportedError,
-                         affine, kappa_of, linear, log_moment_via_rep,
-                         mobius, power_moments, powertower, psi, qratio,
-                         ratio, sigma_of)
+from momentforge import (AtomicMeasure, DomainError, LevyKhinchinRep,
+                         UnsupportedError, affine, kappa_of, linear,
+                         log_moment_via_rep, mobius, power_moments,
+                         powertower, psi, qratio, ratio, sigma_of)
 from momentforge.bernstein import (_stable_centered_power, lk_log_moment,
                                    lk_rep_of)
 from momentforge.errors import PreconditionError
@@ -130,7 +130,7 @@ def test_representation_identity(f):
             continue
         seq = power_moments(f, alpha, beta)
         for n in (0, 1, 2, 5, 10, 15):
-            rep = log_moment_via_rep(f, alpha, beta, n)
+            rep = log_moment_via_rep(f, alpha, beta, n).value
             assert rep == pytest.approx(seq.log(n), abs=1e-7)
 
 
@@ -141,20 +141,20 @@ def test_psi_at_integers(f):
             continue
         seq = power_moments(f, alpha, beta)
         for n in (0, 1, 2, 7, 15):
-            assert psi(f, alpha, beta, float(n)) == pytest.approx(
+            assert psi(f, alpha, beta, float(n)).value == pytest.approx(
                 -seq.log(n), abs=1e-7)
 
 
 def test_psi_normalizations_exact():
     f = ratio(1.0, 2.0)
-    assert abs(psi(f, 1.0, 1.0, 0.0)) < 1e-12
-    assert psi(f, 1.0, 1.0, 1.0) == pytest.approx(-math.log(f(1.0)),
-                                                  abs=1e-12)
+    assert abs(psi(f, 1.0, 1.0, 0.0).value) < 1e-12
+    assert psi(f, 1.0, 1.0, 1.0).value == pytest.approx(-math.log(f(1.0)),
+                                                        abs=1e-12)
 
 
 def test_psi_between_integers_is_finite_and_concaveish():
     f = affine(1.0)
-    values = [psi(f, 1.0, 1.0, z) for z in (0.5, 1.5, 2.5)]
+    values = [psi(f, 1.0, 1.0, z).value for z in (0.5, 1.5, 2.5)]
     assert all(math.isfinite(v) for v in values)
 
 
@@ -186,7 +186,8 @@ def test_lk_log_moment_matches_rep():
     rep = lk_rep_of(f, 1.0, 1.0)
     seq = power_moments(f, 1.0, 1.0)
     for n in (2, 5):
-        assert lk_log_moment(rep, n) == pytest.approx(seq.log(n), abs=1e-8)
+        assert lk_log_moment(rep, n).value == pytest.approx(seq.log(n),
+                                                            abs=1e-8)
 
 
 def test_sigma_integral_of_linear_covers_its_error():
@@ -194,12 +195,12 @@ def test_sigma_integral_of_linear_covers_its_error():
     # far below 1e-38 for order 15 to meet 1e-12
     f = linear()
     seq = power_moments(f, 0.5, 2.0)
-    values = log_moment_via_rep(f, 0.5, 2.0, range(16))
+    values = log_moment_via_rep(f, 0.5, 2.0, range(16)).value
     assert max(abs(values[n] - seq.log(n)) for n in range(16)) <= 1e-12
-    value, err = integral(sigma_of(f, 0.5, 2.0),
-                          lambda u: _stable_centered_power(u, 15), 1e-11)
+    r = integral(sigma_of(f, 0.5, 2.0),
+                 lambda u: _stable_centered_power(u, 15), 1e-11)
     exact = seq.log(15) - 15 * math.log(f(0.5))
-    assert abs(value - exact) <= err + 4 * 2.0 ** -52 * abs(exact)
+    assert abs(r.value - exact) <= r.abs_error + 4 * 2.0 ** -52 * abs(exact)
 
 
 def test_self_test_rejects_bad_levy_density():
@@ -217,15 +218,16 @@ def test_atomic_lk_log_moment_matches_per_atom_sum():
             expected = rep.a * n + rep.b * n * n + math.fsum(
                 wt * float(_stable_centered_power(u, n))
                 for u, wt in rep.sigma.atoms)
-            assert lk_log_moment(rep, n) == pytest.approx(
+            assert lk_log_moment(rep, n).value == pytest.approx(
                 expected, rel=1e-14, abs=0.0)
 
 
 def test_atomic_psi_normalizations():
     f = qratio(0.5, 0.25, 0.5)
     for alpha, beta in AB_PAIRS:
-        assert abs(psi(f, alpha, beta, 0.0)) <= 1e-12
-        assert abs(psi(f, alpha, beta, 1.0) + math.log(f(alpha))) <= 1e-12
+        assert abs(psi(f, alpha, beta, 0.0).value) <= 1e-12
+        assert abs(psi(f, alpha, beta, 1.0).value
+                   + math.log(f(alpha))) <= 1e-12
 
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.catalog_id)
@@ -235,12 +237,12 @@ def test_psi_at_real_z_is_real_and_exact_at_zero_and_one(f):
     for alpha, beta in AB_PAIRS:
         if not admissible(f, alpha):
             continue
-        values = psi(f, alpha, beta, range(4))
+        values = psi(f, alpha, beta, range(4)).value
         assert values.dtype == np.float64
         assert values[0] == 0.0
         assert values[1] == -math.log(f(alpha))
-        assert isinstance(psi(f, alpha, beta, 2), float)
-    assert psi(f, 1.0, 1.0, [1.0, 2 + 1j]).dtype == np.complex128
+        assert isinstance(psi(f, alpha, beta, 2).value, float)
+    assert psi(f, 1.0, 1.0, [1.0, 2 + 1j]).value.dtype == np.complex128
 
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.catalog_id)
@@ -248,10 +250,10 @@ def test_all_orders_in_one_call_match_the_scalar_calls(f):
     for alpha, beta in AB_PAIRS:
         if not admissible(f, alpha):
             continue
-        together = log_moment_via_rep(f, alpha, beta, range(16))
+        together = log_moment_via_rep(f, alpha, beta, range(16)).value
         assert together.shape == (16,)
         for n in range(16):
-            alone = log_moment_via_rep(f, alpha, beta, n)
+            alone = log_moment_via_rep(f, alpha, beta, n).value
             assert isinstance(alone, float)
             # both meet tol = 1e-11 relative to max(1, |I|), as estimated;
             # for linear at n = 8 they differ by 1.2e-10 at |I| = 13
@@ -264,12 +266,12 @@ def test_psi_over_a_sequence_matches_the_scalar_calls(f):
     for alpha, beta in AB_PAIRS:
         if not admissible(f, alpha):
             continue
-        together = psi(f, alpha, beta, zs)
+        together = psi(f, alpha, beta, zs).value
         assert together.shape == (5,)
         for z, value in zip(zs, together):
-            assert abs(value - psi(f, alpha, beta, z)) <= 1e-10, z
+            assert abs(value - psi(f, alpha, beta, z).value) <= 1e-10, z
         assert together.dtype == complex
-        assert psi(f, alpha, beta, zs[:2]).dtype == float
+        assert psi(f, alpha, beta, zs[:2]).value.dtype == float
 
 
 def test_psi_refuses_a_sequence_with_negative_real_part():
@@ -284,3 +286,40 @@ def test_centered_powers_in_one_pass_match_each_order():
     for column, n in enumerate([3, 0, 15, 1]):
         assert np.array_equal(together[:, column],
                               _stable_centered_power(u, n))
+
+
+# each evaluator as (scalar call, sequence call) on ratio(1, 2) at
+# alpha = beta = 1, where kappa and sigma are densities
+_REP_EVALUATORS = {
+    "psi": lambda f, x: psi(f, 1.0, 1.0, x),
+    "log_moment_via_rep": lambda f, x: log_moment_via_rep(f, 1.0, 1.0, x),
+    "lk_log_moment": lambda f, x: lk_log_moment(lk_rep_of(f, 1.0, 1.0), x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REP_EVALUATORS))
+def test_rep_evaluators_report_their_integral_error(name):
+    evaluate = _REP_EVALUATORS[name]
+    f = ratio(1.0, 2.0)
+    alone = evaluate(f, 5)
+    assert isinstance(alone.value, float)
+    assert isinstance(alone.abs_error, float)
+    assert math.isfinite(alone.abs_error) and alone.abs_error >= 0.0
+    together = evaluate(f, range(16))
+    assert together.value.shape == together.abs_error.shape == (16,)
+    assert np.isfinite(together.abs_error).all()
+    assert (together.abs_error >= 0.0).all()
+    # the quadrature's level difference, not a dropped 0
+    assert (together.abs_error > 0.0).any()
+
+
+def test_lk_log_moment_without_sigma_reports_no_error():
+    rep = LevyKhinchinRep(0.5, 0.1, None)
+    assert lk_log_moment(rep, 3).abs_error == 0.0
+    assert lk_log_moment(rep, [1, 2]).abs_error.tolist() == [0.0, 0.0]
+
+
+def test_psi_at_complex_z_reports_a_real_error():
+    r = psi(ratio(1.0, 2.0), 1.0, 1.0, 2.0 + 1.0j)
+    assert isinstance(r.value, complex)
+    assert isinstance(r.abs_error, float) and r.abs_error >= 0.0

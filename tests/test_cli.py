@@ -180,6 +180,7 @@ def test_resolve_rejects_garbage():
     ["verify", "hankel", "--tol", "nan"],
     ["verify", "hankel", "--tol", "-1"],
     ["atoms", "qbeta:0.99:0.5:0.5:1"],
+    ["moments", "linear", "--param", "alpha=0"],
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import momentforge
 from momentforge import (DomainError, generating_G, hermite, hermite_H,
-                         hermite_eval, hermite_h, positivity_scan)
+                         hermite_h, positivity_scan)
 from momentforge.errors import BudgetError, RangeError
 from momentforge.hermite import (_add_up, _backward_batch, _backward_point,
                                  _coefficients, _column_bound, _float_column,
@@ -75,9 +75,6 @@ def test_h_past_where_the_szasz_bound_overflows():
     H5 = 32 * x ** 5 - 160 * x ** 3 + 120 * x
     assert hermite_h(5, x) == pytest.approx(H5 / math.sqrt(2 ** 5 * 120),
                                             rel=1e-13)
-    ev = hermite_eval(5, x)
-    assert ev.H == pytest.approx(H5, rel=1e-13)
-    assert ev.h == hermite_h(5, x)
 
 
 def test_h_overflow_raises():
@@ -88,16 +85,10 @@ def test_h_overflow_raises():
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("f", [hermite_H, hermite_h, hermite_eval])
+@pytest.mark.parametrize("f", [hermite_H, hermite_h])
 def test_hermite_rejects_non_finite_x(f, x):
     with pytest.raises(DomainError):
         f(3, x)
-
-
-def test_hermite_eval_consistency():
-    ev = hermite_eval(10, 1.5)
-    assert ev.H == pytest.approx(hermite_H(10, 1.5), rel=1e-11)
-    assert ev.h == pytest.approx(hermite_h(10, 1.5), rel=1e-12)
 
 
 def test_orthonormality_gauss_hermite():

@@ -261,8 +261,8 @@ def test_additive_convolve_multiplies_laplace(pairs1, pairs2, s):
     m1 = AtomicMeasure.from_pairs(pairs1)
     m2 = AtomicMeasure.from_pairs(pairs2)
     m = additive_convolve(m1, m2)
-    assert m.laplace(s) == pytest.approx(m1.laplace(s) * m2.laplace(s),
-                                         rel=1e-12, abs=1e-13)
+    assert m.laplace(s).value == pytest.approx(
+        m1.laplace(s).value * m2.laplace(s).value, rel=1e-12, abs=1e-13)
 
 
 def test_additive_convolve_zero_mass_is_identity_atom():
@@ -364,20 +364,21 @@ def test_atomic_integral_sums_atoms_without_zero_mass(g):
     terms = [complex(wt * g(np.array([loc]))[0]) for loc, wt in m.atoms]
     want = complex(math.fsum(t.real for t in terms),
                    math.fsum(t.imag for t in terms))
-    value, _ = integral(m, g)
+    value = integral(m, g).value
     assert abs(value - want) <= 1e-15 * abs(want)
 
 
 def test_atomic_integral_error_scales_with_largest_location():
     m = AtomicMeasure.from_pairs([(0.5, 0.25), (3.0, 0.375)],
                                  zero_mass=0.25, truncation_error=1e-12)
-    _, err = integral(m, lambda x: x ** 3)
+    err = integral(m, lambda x: x ** 3).abs_error
     assert err == 1e-12 * 3.0 ** 3
 
 
 def test_empty_atomic_integral_is_zero_with_truncation_error():
     m = AtomicMeasure((), zero_mass=0.5, truncation_error=1e-9)
-    assert integral(m, lambda x: x ** 2) == (0.0, 1e-9)
+    r = integral(m, lambda x: x ** 2)
+    assert (r.value, r.abs_error) == (0.0, 1e-9)
 
 
 def _brute_cut(heads, ratios, tol):
@@ -445,3 +446,28 @@ def test_geometric_cut_of_two_floats_refuses_as_the_array_does(
                  (np.array([log_head]), np.array([log_ratio]))):
         with pytest.raises(DomainError, match="more than 100000 terms"):
             geometric_cut(*args, tol)
+
+
+def test_laplace_reports_the_error_of_its_integral():
+    m = tau_c(QParams(0.5, 0.25, 0.5), 1.0)
+    assert m.truncation_error > 0.0
+    for s in (0.5, 1.0, 2.0):
+        r = m.laplace(s)
+        assert isinstance(r.value, float)
+        assert isinstance(r.abs_error, float)
+        assert math.isfinite(r.abs_error) and r.abs_error > 0.0
+        assert r.abs_error == integral(m, lambda x: np.exp(-s * x)).abs_error
+
+
+def test_laplace_of_a_sequence_matches_the_scalar_calls():
+    m = AtomicMeasure.from_pairs([(0.5, 0.25), (1.5, 0.125), (3.0, 0.375)],
+                                 zero_mass=0.25, truncation_error=1e-12)
+    together = m.laplace([0.5, 1.0, 2.0])
+    assert together.value.shape == together.abs_error.shape == (3,)
+    for k, s in enumerate((0.5, 1.0, 2.0)):
+        alone = m.laplace(s)
+        assert together.value[k] == alone.value
+        assert together.abs_error[k] == alone.abs_error
+    empty = AtomicMeasure((), zero_mass=0.5).laplace([1.0, 2.0])
+    assert empty.value.tolist() == [0.5, 0.5]
+    assert empty.abs_error.tolist() == [0.0, 0.0]
