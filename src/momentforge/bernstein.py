@@ -35,7 +35,7 @@ class BernsteinFunction:
     levy: Optional[object]  # AtomicMeasure | DensityMeasure | None
     closed_form: Callable
     deriv: Callable
-    kappa_factory: Optional[Callable] = None  # tol -> measure
+    kappa_factory: Optional[Callable] = None  # () -> measure
 
     def __call__(self, s):
         return self.closed_form(s)
@@ -81,7 +81,7 @@ def affine(a):
     return _self_test(BernsteinFunction(
         catalog_id="affine:%g" % a, a=float(a), b=1.0, levy=None,
         closed_form=lambda s: a + s, deriv=lambda s: 1.0,
-        kappa_factory=lambda tol=0.0: DensityMeasure(
+        kappa_factory=lambda: DensityMeasure(
             lambda x: np.exp(-a * x), (0.0, math.inf),
             catalog_id="kappa:affine", params=(("a", a),))))
 
@@ -91,7 +91,7 @@ def linear():
     return _self_test(BernsteinFunction(
         catalog_id="linear", a=0.0, b=1.0, levy=None,
         closed_form=lambda s: s, deriv=lambda s: 1.0,
-        kappa_factory=lambda tol=0.0: DensityMeasure(
+        kappa_factory=lambda: DensityMeasure(
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
             (0.0, math.inf), catalog_id="kappa:linear", params=())))
 
@@ -106,7 +106,7 @@ def ratio(a, b):
         catalog_id="ratio:%g:%g" % (a, b), a=a / b, b=0.0, levy=levy,
         closed_form=lambda s: (a + s) / (b + s),
         deriv=lambda s: (b - a) / (b + s) ** 2,
-        kappa_factory=lambda tol=0.0: DensityMeasure(
+        kappa_factory=lambda: DensityMeasure(
             lambda x: np.exp(-a * x) - np.exp(-b * x),
             (0.0, math.inf),
             catalog_id="kappa:ratio", params=(("a", a), ("b", b)))))
@@ -119,7 +119,7 @@ def mobius():
         catalog_id="mobius", a=0.0, b=0.0, levy=levy,
         closed_form=lambda s: s / (s + 1.0),
         deriv=lambda s: 1.0 / (s + 1.0) ** 2,
-        kappa_factory=lambda tol=0.0: DensityMeasure(
+        kappa_factory=lambda: DensityMeasure(
             lambda x: -np.expm1(-x), (0.0, math.inf),
             catalog_id="kappa:mobius", params=())))
 
@@ -128,7 +128,8 @@ def qratio(a, b, q, tol=1e-14):
     """f(s) = (1 - a q^s)/(1 - b q^s), 0 <= b < a < 1, 0 < q < 1.
 
     The Levy measure and kappa are atomic on the lattice k log(1/q);
-    kappa weight at k log(1/q) is (a^k - b^k) log(1/q).
+    kappa weight at k log(1/q) is (a^k - b^k) log(1/q).  Both are cut
+    where the bound on the mass past the cut is at most ``tol``.
     """
     if not (0 <= b < a < 1):
         raise DomainError("qratio needs 0 <= b < a < 1")
@@ -155,11 +156,11 @@ def qratio(a, b, q, tol=1e-14):
         np.column_stack((k * log1q, (a - b) * b ** (k - 1))),
         truncation_error=levy_tail)
 
-    def kappa_factory(kappa_tol=None):
+    def kappa_factory():
         # a^k - b^k <= a^k: the terms past k = N+1 sum to at most
         # log(1/q) a^{N+2} / (1 - a)
         N, tail = geometric_cut(math.log(log1q * a / (1.0 - a)), math.log(a),
-                                tol if kappa_tol is None else kappa_tol)
+                                tol)
         k = np.arange(1, N + 2)
         return AtomicMeasure.from_pairs(
             np.column_stack((k * log1q, (a ** k - b ** k) * log1q)),
@@ -198,12 +199,12 @@ def powertower():
 # ---------------------------------------------------------------------------
 # operations
 
-def kappa_of(f, tol=1e-14):
+def kappa_of(f):
     """The measure with f'/f as Laplace transform, for catalog entries."""
     if f.kappa_factory is None:
         raise UnsupportedError(
             "%s has no analytic kappa in the catalog" % f.catalog_id)
-    return f.kappa_factory(tol)
+    return f.kappa_factory()
 
 
 def power_moments(f, alpha, beta):
@@ -262,9 +263,7 @@ def sigma_of(f, alpha, beta):
         return (dens_kappa(x) * np.exp((alpha / beta - 1.0) * np.log(u))
                 / (-np.log(u) * (1.0 - u)))
 
-    return DensityMeasure(sigma_density, (0.0, 1.0),
-                          catalog_id="sigma:%s:%g:%g" % (f.catalog_id,
-                                                         alpha, beta))
+    return DensityMeasure(sigma_density, (0.0, 1.0))
 
 
 def log_moment_via_rep(f, alpha, beta, n):

@@ -1,8 +1,10 @@
 """Batch command-line front-end.
 
-Subcommands: verify, moments, mellin, atoms, hermite-scan, table.  All
-output is deterministic; CSV uses '.' decimals with 17 significant
-digits.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+Subcommands: verify, moments, mellin, atoms, hermite-scan, table.  Each
+command returns its text and its exit code, and :func:`main` alone writes
+the text, to ``--out`` or stdout.  All output is deterministic; CSV uses
+'.' decimals with 17 significant digits.  Exit codes: 0 success, 1
+verification failure, 2 usage error.
 """
 
 import argparse
@@ -36,14 +38,6 @@ def _grid(lo, hi, step):
         # rounding to 12 decimals would turn a point such as 1e-300 into 0
         return [lo]
     return [round(lo + i * step, 12) for i in range(count)]
-
-
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_params(pairs):
@@ -111,8 +105,8 @@ def build_parser():
 
 def _cmd_verify(args):
     results = verify.run_suite(args.suite, tol=args.tol)
-    _emit(verify.render_report(results), args.out)
-    return 0 if verify.all_passed(results) else 1
+    return (verify.render_report(results),
+            0 if verify.all_passed(results) else 1)
 
 
 def _cmd_moments(args):
@@ -125,8 +119,7 @@ def _cmd_moments(args):
         lines = ["n,value"]
         lines.extend("%d,%s" % (n, _fmt(v)) for n, v in enumerate(values))
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def _cmd_table(args):
@@ -154,8 +147,7 @@ def _cmd_table(args):
             lines.extend("%d,%s" % (r["n"], _fmt(r["moment"]))
                          for r in rows)
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def _cmd_mellin(args):
@@ -174,8 +166,7 @@ def _cmd_mellin(args):
         text = _fmt(value.real) + "\n"
     else:
         text = "%s,%s\n" % (_fmt(value.real), _fmt(value.imag))
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def _cmd_atoms(args):
@@ -192,8 +183,7 @@ def _cmd_atoms(args):
             lines.append("0,%s" % _fmt(m.zero_mass))
         lines.extend("%s,%s" % (_fmt(loc), _fmt(wt)) for loc, wt in m.atoms)
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def _cmd_hermite_scan(args):
@@ -207,8 +197,7 @@ def _cmd_hermite_scan(args):
     lines.extend("%s,%s,%s,%s" % (_fmt(g.t), _fmt(g.x), _fmt(g.value),
                                   _fmt(g.tail_bound))
                  for g in report.points)
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.all_positive else 1
+    return "\n".join(lines) + "\n", 0 if report.all_positive else 1
 
 
 _DISPATCH = {
@@ -231,7 +220,7 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        text, code = _DISPATCH[args.command](args)
     except (DomainError, PreconditionError, UnsupportedError, BudgetError,
             KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -239,6 +228,12 @@ def main(argv=None):
     except MomentForgeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

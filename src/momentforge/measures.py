@@ -179,8 +179,7 @@ class AtomicMeasure:
         s = np.asarray(s, dtype=float)
         # the transpose keeps each s's atoms contiguous in integral's sum
         r = integral(self, lambda x: np.exp(-np.multiply.outer(s, x)).T)
-        return _mellin_value(np.full(s.shape, self.zero_mass) + r.value,
-                             r.abs_error)
+        return _mellin_value(self.zero_mass + r.value, r.abs_error)
 
     def to_json_dict(self):
         return {
@@ -251,11 +250,9 @@ def integral(m, g, tol=1e-12):
     """
     if isinstance(m, AtomicMeasure):
         loc = m.locations()
-        if not len(loc):
-            return MellinValue(0.0, m.truncation_error)
         # one call of g: the atoms, then the point the estimate reads; the
         # transposes weight each component of an (m, K) value
-        vals = g(np.append(loc, max(1.0, loc[-1])))
+        vals = g(np.append(loc, max([1.0, *loc[-1:]])))
         return MellinValue(np.sum(m.weights() * vals[:-1].T, axis=-1),
                            m.truncation_error * np.abs(vals[-1]))
 

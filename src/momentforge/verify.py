@@ -1,14 +1,17 @@
 """Named verification suites behind ``verify`` in the CLI.
 
-Every check is deterministic (no randomness anywhere in the package), so
-rendering the same suite twice gives byte-identical reports.  A check
-passes when its residual is at most its tolerance; the optional ``tol``
-argument overrides every default tolerance in the suite.
+A suite is a generator that yields ``(check name, residual, default
+tolerance)`` for each of its checks, in report order.  :func:`run_suite`
+is the one place that turns those into :class:`CheckResult` rows: it names
+each row after the suite's key in ``_SUITES`` and applies the optional
+``tol``, which overrides every default tolerance.  A check passes when its
+residual is at most its tolerance.  Every check is deterministic (no
+randomness anywhere in the package), so rendering the same suite twice
+gives byte-identical reports.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -16,8 +19,6 @@ from . import bernstein, hankel, hermite, qseries, semigroups
 from .errors import DomainError
 from .measures import (MomentSequence, additive_convolve, moment,
                        product_convolve)
-
-SUITE_NAMES = ("hankel", "bernstein-rep", "qseries", "semigroup", "hermite")
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,6 @@ class CheckResult:
         return "%s %s/%s residual=%.17g tol=%.17g" % (
             "PASS" if self.passed else "FAIL", self.suite, self.name,
             self.residual, self.tolerance)
-
-
-def _check(results, suite, name, residual, default_tol, tol):
-    results.append(CheckResult(suite, name, float(residual),
-                               default_tol if tol is None else tol))
 
 
 # ---------------------------------------------------------------- hankel
@@ -64,8 +60,7 @@ def _lognormal_seq(q):
     return MomentSequence(log_fn=lambda n: 0.5 * n * (n + 1) * log1q)
 
 
-def suite_hankel(tol=None):
-    results = []
+def suite_hankel():
     p = qseries.QParams(0.5, 0.25, 0.5)
     qb = qseries.qbeta_moment_sequence(p)
     tseq = semigroups.t_transform(qb)
@@ -83,8 +78,7 @@ def suite_hankel(tol=None):
                 hankel.power_sequence(seq, c), order)
             residual = math.inf if not verdict.is_psd \
                 else max(0.0, -verdict.min_pivot)
-            _check(results, "hankel", "psd:%s:c=%g" % (name, c),
-                   residual, 1e-9, tol)
+            yield "psd:%s:c=%g" % (name, c), residual, 1e-9
     carleman_cases = [
         ("factorial:c=1", _factorial_seq(), 1.0, hankel.DIVERGENT),
         ("factorial:c=3", _factorial_seq(), 3.0, hankel.CONVERGENT),
@@ -93,15 +87,14 @@ def suite_hankel(tol=None):
     ]
     for name, seq, c, expected in carleman_cases:
         diag = hankel.carleman_diagnostic(hankel.power_sequence(seq, c), 40)
-        _check(results, "hankel", "carleman:%s" % name,
-               0.0 if diag.verdict == expected else 1.0, 0.5, tol)
+        yield ("carleman:%s" % name,
+               0.0 if diag.verdict == expected else 1.0, 0.5)
     tri = hankel.trichotomy_classify(_factorial_seq(), 10)
-    _check(results, "hankel", "trichotomy:all-positive",
-           0.0 if tri.case == hankel.ALL_POSITIVE else 1.0, 0.5, tol)
+    yield ("trichotomy:all-positive",
+           0.0 if tri.case == hankel.ALL_POSITIVE else 1.0, 0.5)
     tri = hankel.trichotomy_classify(MomentSequence.dirac_zero(), 10)
-    _check(results, "hankel", "trichotomy:dirac-zero",
-           0.0 if tri.case == hankel.DIRAC_AT_ZERO else 1.0, 0.5, tol)
-    return results
+    yield ("trichotomy:dirac-zero",
+           0.0 if tri.case == hankel.DIRAC_AT_ZERO else 1.0, 0.5)
 
 
 # ---------------------------------------------------------- bernstein-rep
@@ -120,8 +113,7 @@ def _rep_catalog():
 _AB_PAIRS = ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0))
 
 
-def suite_bernstein_rep(tol=None):
-    results = []
+def suite_bernstein_rep():
     for f in _rep_catalog():
         rep_worst = 0.0
         psi_worst = 0.0
@@ -141,19 +133,13 @@ def suite_bernstein_rep(tol=None):
             psi0_worst = max(psi0_worst, abs(float(psi_n[0])))
             psi1_worst = max(psi1_worst,
                              abs(float(psi_n[1]) + math.log(f(alpha))))
-        _check(results, "bernstein-rep", "rep:%s" % f.catalog_id,
-               rep_worst, 1e-7, tol)
-        _check(results, "bernstein-rep", "psi:%s" % f.catalog_id,
-               psi_worst, 1e-7, tol)
-        _check(results, "bernstein-rep", "psi0:%s" % f.catalog_id,
-               psi0_worst, 1e-12, tol)
-        _check(results, "bernstein-rep", "psi1:%s" % f.catalog_id,
-               psi1_worst, 1e-12, tol)
+        yield "rep:%s" % f.catalog_id, rep_worst, 1e-7
+        yield "psi:%s" % f.catalog_id, psi_worst, 1e-7
+        yield "psi0:%s" % f.catalog_id, psi0_worst, 1e-12
+        yield "psi1:%s" % f.catalog_id, psi1_worst, 1e-12
     pt = bernstein.powertower()
     seq = bernstein.power_moments(pt, 1.0, 1.0)
-    _check(results, "bernstein-rep", "powertower:s3",
-           abs(seq(3) - 256.0), 1e-9, tol)
-    return results
+    yield "powertower:s3", abs(seq(3) - 256.0), 1e-9
 
 
 # ---------------------------------------------------------------- qseries
@@ -179,15 +165,14 @@ def _worst_gap(values, seq):
     return float(np.max(np.abs(values - targets)))
 
 
-def suite_qseries(tol=None):
-    results = []
+def suite_qseries():
     worst = 0.0
     for a, b, q in _ABQ_GRID:
         p = qseries.QParams(a, b, q)
         mu = qseries.mu_abq(p)
         seq = qseries.qbeta_moment_sequence(p)
         worst = max(worst, _worst_gap(moment(mu, range(11)).value, seq))
-    _check(results, "qseries", "qbeta-atomic-moments", worst, 1e-12, tol)
+    yield "qbeta-atomic-moments", worst, 1e-12
     worst = 0.0
     for a, b, q in _ABQ_GRID:
         p = qseries.QParams(a, b, q)
@@ -195,36 +180,34 @@ def suite_qseries(tol=None):
             mu = qseries.mu_c(p, c)
             seq = qseries.qbeta_moment_sequence(p, c)
             worst = max(worst, _worst_gap(moment(mu, range(11)).value, seq))
-    _check(results, "qseries", "qbeta-semigroup-moments", worst, 1e-10, tol)
+    yield "qbeta-semigroup-moments", worst, 1e-10
     p = qseries.QParams(0.5, 0.25, 0.5)
     tau = qseries.tau_c(p, 1.0)
     worst = max(abs(tau.laplace(s).value
                     - qseries.mellin_qbeta(p, 1.0, s).real)
                 for s in (0.5, 1.0, 2.0))
-    _check(results, "qseries", "tau-laplace-closed-form", worst, 1e-10, tol)
-    _check(results, "qseries", "qbinomial",
-           qseries.qbinomial_check(0.5, 0.25 / 0.5, 0.5), 1e-12, tol)
+    yield "tau-laplace-closed-form", worst, 1e-10
+    yield "qbinomial", qseries.qbinomial_check(0.5, 0.25 / 0.5, 0.5), 1e-12
     nu = qseries.nu_a(0.5, 0.5)
-    _check(results, "qseries", "nu-mass",
+    yield ("nu-mass",
            abs(nu.total_mass + math.log(qseries.qpoch(0.5, 0.5))),
-           1e-11, tol)
+           1e-11)
     worst = max(abs(qseries.mellin_qbeta(p, c, n).real
                     - qseries.qbeta_moment_sequence(p, c)(n))
                 for c in (0.5, 1.0, 2.0) for n in range(7))
-    _check(results, "qseries", "qbeta-mellin-at-integers", worst, 1e-10, tol)
+    yield "qbeta-mellin-at-integers", worst, 1e-10
     neg = 0.0
     for pp in (0.1, 0.3, 0.7):
         for q in (0.3, 0.5, 0.8):
             series = qseries.hp_coefficients(pp, q, 50)
             neg = max(neg, -min(series.coefficients))
-    _check(results, "qseries", "hp-nonnegative", neg, 1e-14, tol)
+    yield "hp-nonnegative", neg, 1e-14
     sig = moment(qseries.sigma_abgamma(p), range(7)).value
     tseq = semigroups.t_transform(qseries.qbeta_moment_sequence(p))
     worst_t = _worst_gap(sig, tseq)
     worst_p = _worst_gap(sig, lambda n: qbinom_product(p, n))
-    _check(results, "qseries", "sigmaq-vs-t-transform", worst_t, 1e-9, tol)
-    _check(results, "qseries", "sigmaq-vs-product", worst_p, 1e-9, tol)
-    return results
+    yield "sigmaq-vs-t-transform", worst_t, 1e-9
+    yield "sigmaq-vs-product", worst_p, 1e-9
 
 
 # -------------------------------------------------------------- semigroup
@@ -232,8 +215,7 @@ def suite_qseries(tol=None):
 _CD_PAIRS = ((0.5, 0.5), (1.0, 1.0), (0.3, 1.7))
 
 
-def suite_semigroup(tol=None):
-    results = []
+def suite_semigroup():
     p = qseries.QParams(0.5, 0.25, 0.5)
     worst_tau = 0.0
     worst_mu = 0.0
@@ -247,8 +229,8 @@ def suite_semigroup(tol=None):
             moment(tau_cd, orders).value - moment(tau_sum, orders).value))))
         worst_mu = max(worst_mu, float(np.max(np.abs(
             moment(mu_cd, orders).value - moment(mu_sum, orders).value))))
-    _check(results, "semigroup", "tau-additive", worst_tau, 1e-9, tol)
-    _check(results, "semigroup", "mu-product", worst_mu, 1e-9, tol)
+    yield "tau-additive", worst_tau, 1e-9
+    yield "mu-product", worst_mu, 1e-9
     worst = 0.0
     for q in (0.3, 0.5, 0.8):
         for c in (0.5, 1.0, 2.0):
@@ -258,7 +240,7 @@ def suite_semigroup(tol=None):
             for n, value in enumerate(values.tolist()):
                 target = semigroups.vc_mellin(fam, n).real
                 worst = max(worst, abs(value - target) / target)
-    _check(results, "semigroup", "vc-quadrature-relative", worst, 1e-8, tol)
+    yield "vc-quadrature-relative", worst, 1e-8
     worst = 0.0
     for a, b in ((1.0, 2.0), (0.5, 3.0)):
         gam_a = semigroups.GammaFamily(a, 1.0)
@@ -268,7 +250,7 @@ def suite_semigroup(tol=None):
             lhs = (semigroups.gamma_mellin(gam_b, z)
                    * semigroups.beta_mellin(bet, z))
             worst = max(worst, abs(lhs - semigroups.gamma_mellin(gam_a, z)))
-    _check(results, "semigroup", "mellin-factorization", worst, 1e-12, tol)
+    yield "mellin-factorization", worst, 1e-12
     worst = 0.0
     families = ((semigroups.GammaFamily, (1.5,), semigroups.gamma_mellin),
                 (semigroups.BetaFamily, (1.0, 2.5), semigroups.beta_mellin),
@@ -281,24 +263,21 @@ def suite_semigroup(tol=None):
                 worst = max(worst, abs(mell(fc, z) * mell(fd, z)
                                        - mell(fcd, z))
                             / abs(mell(fcd, z)))
-    _check(results, "semigroup", "mellin-semigroup-law", worst, 1e-13, tol)
-    return results
+    yield "mellin-semigroup-law", worst, 1e-13
 
 
 # ---------------------------------------------------------------- hermite
 
-def suite_hermite(tol=None):
-    results = []
+def suite_hermite():
     t_grid = [round(-0.95 + 0.05 * i, 10) for i in range(39)]
     x_grid = [round(-10.0 + 0.25 * i, 10) for i in range(81)]
     report = hermite.positivity_scan(t_grid, x_grid, tol=1e-10)
-    _check(results, "hermite", "scan-certified-positive",
-           -report.min_certified, 0.0, tol)
+    yield "scan-certified-positive", -report.min_certified, 0.0
     xs = np.arange(-6.0, 6.0001, 0.1)
     excess = np.abs(hermite._hermite_h_all(200, xs)[::5])
     excess -= [math.exp(0.5 * x * x) for x in xs]
     worst = max(0.0, float(excess.max()))
-    _check(results, "hermite", "szasz", worst, 1e-12, tol)
+    yield "szasz", worst, 1e-12
     worst = 0.0
     for x in np.arange(-3.0, 3.0001, 0.5):
         for z in np.arange(-0.8, 0.8001, 0.2):
@@ -307,13 +286,11 @@ def suite_hermite(tol=None):
                 total += (hermite.hermite_H(k, float(x)) * float(z) ** k
                           / math.factorial(k))
             worst = max(worst, abs(total - math.exp(2 * x * z - z * z)))
-    _check(results, "hermite", "exp-generating-function", worst, 1e-9, tol)
+    yield "exp-generating-function", worst, 1e-9
     g = hermite.generating_G(0.5, 0.0)
     oracle = sum(hermite.hermite_h(2 * k, 0.0) * 0.5 ** (2 * k)
                  for k in range(100))
-    _check(results, "hermite", "g-direct-oracle",
-           abs(g.value - oracle), 1e-10, tol)
-    return results
+    yield "g-direct-oracle", abs(g.value - oracle), 1e-10
 
 
 _SUITES = {
@@ -325,19 +302,24 @@ _SUITES = {
 }
 
 
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name, tol=None):
-    """Run one named suite, or all of them for name == 'all'."""
+    """The checks of one named suite, or of all of them in ``SUITE_NAMES``
+    order for name == 'all', as a list of :class:`CheckResult`."""
     if tol is not None and not 0.0 < tol < math.inf:
         raise DomainError("tol must be a finite positive number")
     if name == "all":
-        results = []
-        for key in SUITE_NAMES:
-            results.extend(_SUITES[key](tol))
-        return results
-    if name not in _SUITES:
+        keys = SUITE_NAMES
+    elif name in _SUITES:
+        keys = (name,)
+    else:
         raise KeyError("unknown suite %r; choose from %s or 'all'"
                        % (name, ", ".join(SUITE_NAMES)))
-    return _SUITES[name](tol)
+    return [CheckResult(key, check, float(residual),
+                        default_tol if tol is None else tol)
+            for key in keys for check, residual, default_tol in _SUITES[key]()]
 
 
 def render_report(results):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import momentforge
-from momentforge import qseries
+from momentforge import qseries, verify
 from momentforge.catalog import TABLE, measure_from_json, resolve
 from momentforge.cli import main
 from momentforge.errors import DomainError
@@ -151,6 +151,30 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text().strip().endswith("passed 23/23")
+
+
+def test_failing_command_still_writes_its_out_file(tmp_path, capsys):
+    # residuals of about 1e-15 fail a tolerance of 1e-300
+    argv = ["verify", "bernstein-rep", "--tol", "1e-300"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    path = tmp_path / "report.txt"
+    code, printed, _ = run(capsys, *argv, "--out", str(path))
+    assert (code, printed) == (1, "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_suite_names_are_the_report_order():
+    assert verify.SUITE_NAMES == ("hankel", "bernstein-rep", "qseries",
+                                  "semigroup", "hermite")
+
+
+def test_tol_overrides_every_check_of_a_suite():
+    default = verify.run_suite("hankel")
+    overridden = verify.run_suite("hankel", tol=0.5)
+    assert ([(r.suite, r.name, r.residual) for r in overridden]
+            == [(r.suite, r.name, r.residual) for r in default])
+    assert {r.tolerance for r in overridden} == {0.5}
 
 
 def test_moments_bernstein_with_params(capsys):

@@ -381,6 +381,13 @@ def test_empty_atomic_integral_is_zero_with_truncation_error():
     assert (r.value, r.abs_error) == (0.0, 1e-9)
 
 
+def test_empty_atomic_integral_has_one_entry_per_component():
+    m = AtomicMeasure((), zero_mass=0.5, truncation_error=1e-9)
+    r = integral(m, lambda x: np.stack([x ** 0, x, x ** 2], axis=-1))
+    assert r.value.tolist() == [0.0, 0.0, 0.0]
+    assert r.abs_error.tolist() == [1e-9, 1e-9, 1e-9]
+
+
 def _brute_cut(heads, ratios, tol):
     # the first N at which some pair's C rho^{N+1} is at most tol
     N = 0
