@@ -34,7 +34,7 @@ from .qseries import (PowerSeries, QParams, hp_coefficients, mellin_qbeta,
                       qbinomial_check, qpoch, sigma_abgamma, tau_c)
 from .hermite import (GenFunValue, ScanReport, generating_G, hermite_H,
                       hermite_h, positivity_scan)
-from .catalog import CatalogObject, measure_from_json, resolve
+from .catalog import CatalogObject, resolve
 from .verify import CheckResult, render_report, run_suite
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from . import bernstein, qseries, semigroups
 from .errors import DomainError, UnsupportedError
-from .measures import AtomicMeasure, mellin as measure_mellin, moment
+from .measures import mellin as measure_mellin, moment
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,6 @@ TABLE = {
 }
 
 
-def _build(object_id, head, args, params):
-    if not all(math.isfinite(x) for x in args):
-        raise DomainError("non-finite parameter in %r" % object_id)
-    return CatalogObject(object_id, **TABLE[head][1](params, *args))
-
-
 def resolve(object_id, params=None):
     """Resolve a string id to a CatalogObject.
 
@@ -149,27 +143,6 @@ def resolve(object_id, params=None):
         args = [float(p) for p in parts]
     except ValueError:
         raise DomainError("non-numeric parameter in %r" % object_id)
-    return _build(object_id, head, args, params or {})
-
-
-def measure_from_json(data):
-    """Deserialize either an atomic dump or a catalog density
-    {"density": "<id>", "params": {...}}.
-
-    A density id is a table head, prefixed ``kappa:`` for the kappa
-    measure of a Bernstein entry; a missing ``c`` defaults to 1.
-    """
-    if "atoms" in data:
-        return AtomicMeasure.from_json_dict(data)
-    if "density" not in data:
-        raise DomainError("not a serialized measure: %r" % sorted(data))
-    cid = str(data["density"])
-    head = cid[len("kappa:"):] if cid.startswith("kappa:") else cid
-    if head not in TABLE:
-        raise DomainError("unknown density id %r" % cid)
-    params = {"c": 1.0, **data.get("params", {})}
-    args = [float(params[name]) for name in TABLE[head][0]]
-    m = _build(cid, head, args, {}).measure()
-    if getattr(m, "catalog_id", None) != cid:
-        raise DomainError("unknown density id %r" % cid)
-    return m
+    if not all(math.isfinite(x) for x in args):
+        raise DomainError("non-finite parameter in %r" % object_id)
+    return CatalogObject(object_id, **TABLE[head][1](params or {}, *args))

@@ -207,10 +207,16 @@ def trichotomy_classify(s, N):
 
 
 def power_sequence(s, c):
-    """The sequence n -> s_n^c, computed in log domain."""
+    """The sequence n -> s_n^c, computed in log domain, with 0^c = 0."""
     if c <= 0:
         raise DomainError("exponent must be positive")
-    if s(0) != 0.0 and s(1) == 0.0:
-        # degenerate c*delta_{0n}-type input: powers act on s_0 only
-        return MomentSequence.dirac_zero(s(0) ** c)
-    return MomentSequence(log_fn=lambda n: c * s.log(n))
+
+    def log_fn(n):
+        try:
+            return c * s.log(n)
+        except DomainError:
+            if s(n) != 0.0:
+                raise
+            return -math.inf
+
+    return MomentSequence(log_fn=log_fn)

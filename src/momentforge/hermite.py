@@ -49,6 +49,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BudgetError, DomainError, InconsistencyError, RangeError
+from .measures import _in_order
 
 _MAX_TERMS = 200000
 #: unit roundoff of binary64
@@ -248,13 +249,6 @@ def _float_row(t, n_terms):
         tk_err = abs(tk) + at * tk_err
     powers[n_terms] = tk
     return powers, g, np.abs(powers[:n_terms]) + _U * g
-
-
-def _in_order(values):
-    """The sum of ``values`` added in order, as a float: cumsum adds in
-    order where np.sum adds pairwise (and Python's sum, from 3.12,
-    compensates)."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def _sum_float(t, x, n_terms):

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .quadrature import integrate
 
 #: relative tolerance under which two neighbouring atom locations merge; exact
@@ -69,6 +69,13 @@ def geometric_cut(log_head, log_ratio, tol):
 
 def _least(values):
     return float(values.min())
+
+
+def _in_order(values):
+    """The sum of ``values`` added in order, as a float: cumsum adds in
+    order where np.sum adds pairwise (and Python's sum, from 3.12,
+    compensates)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,7 @@ class AtomicMeasure:
 
     @property
     def total_mass(self):
-        return self.zero_mass + sum(self.weights().tolist())
+        return self.zero_mass + _in_order(self._wt)
 
     def laplace(self, s):
         """The Laplace transform zero_mass + sum w_k exp(-s * loc_k) at s,
@@ -187,14 +194,6 @@ class AtomicMeasure:
             "zero_mass": self.zero_mass,
             "trunc_err": self.truncation_error,
         }
-
-    @staticmethod
-    def from_json_dict(data):
-        return AtomicMeasure.from_pairs(
-            data["atoms"],
-            zero_mass=data.get("zero_mass", 0.0),
-            truncation_error=data.get("trunc_err", 0.0),
-        )
 
 
 @dataclass(frozen=True)
@@ -379,7 +378,7 @@ def pushforward(m, mapping, param=None):
             raise DomainError("beta must be positive")
         pairs, lost = exp_neg_image(loc, wt, m.zero_mass, beta)
         return AtomicMeasure.from_pairs(
-            pairs, truncation_error=m.truncation_error + sum(lost.tolist()))
+            pairs, truncation_error=m.truncation_error + lost)
     if mapping == "neg-log":
         if m.zero_mass > 0:
             raise DomainError("-log is undefined at location 0")
@@ -403,20 +402,20 @@ def pushforward(m, mapping, param=None):
 def exp_neg_image(locations, weights, zero_mass, beta=1.0):
     """The image of atoms at ascending ``locations`` and of a mass at 0
     under x -> exp(-beta x), as (an (n, 2) array of pairs in ascending
-    location, the weights of the atoms whose image underflows to 0).  The
-    images lie in (0, 1], so that mass adds at most its weight to any
-    moment."""
+    location, the mass of the atoms whose image underflows to 0, summed in
+    order).  The images lie in (0, 1], so that mass adds at most its
+    weight to any moment."""
     image = np.exp(-beta * locations)
     kept = image > 0.0
     # the images reversed, so that they ascend and need no sort in
     # from_pairs, then the atom at 0, which maps to exp(0) = 1
     return (np.column_stack((np.append(image[kept][::-1], 1.0),
                              np.append(weights[kept][::-1], zero_mass))),
-            weights[~kept])
+            _in_order(weights[~kept]))
 
 
 class MomentSequence:
-    """Indexed access to a positive moment sequence, cached, log-capable.
+    """Indexed access to a positive moment sequence, log-capable.
 
     Values are generated either from ``log_fn`` (preferred, overflow-safe)
     or from ``fn``; the sequence holds nothing else.  The degenerate
@@ -428,8 +427,6 @@ class MomentSequence:
             raise DomainError("need fn or log_fn")
         self._fn = fn
         self._log_fn = log_fn
-        self._cache = {}
-        self._log_cache = {}
 
     @staticmethod
     def from_values(values):
@@ -464,23 +461,22 @@ class MomentSequence:
         return MomentSequence(fn=lambda n: c if n == 0 else 0.0)
 
     def __call__(self, n):
-        if n not in self._cache:
-            if self._fn is not None:
-                self._cache[n] = float(self._fn(n))
-            else:
-                self._cache[n] = math.exp(self.log(n))
-        return self._cache[n]
+        """s_n; a :class:`RangeError` when it leaves binary64."""
+        if self._fn is not None:
+            return float(self._fn(n))
+        log_sn = self.log(n)
+        try:
+            return math.exp(log_sn)
+        except OverflowError:
+            raise RangeError("moment s_%d overflows binary64" % n) from None
 
     def log(self, n):
-        if n not in self._log_cache:
-            if self._log_fn is not None:
-                self._log_cache[n] = float(self._log_fn(n))
-            else:
-                value = self(n)
-                if value <= 0:
-                    raise DomainError("log of nonpositive moment s_%d" % n)
-                self._log_cache[n] = math.log(value)
-        return self._log_cache[n]
+        if self._log_fn is not None:
+            return float(self._log_fn(n))
+        value = self(n)
+        if value <= 0:
+            raise DomainError("log of nonpositive moment s_%d" % n)
+        return math.log(value)
 
     def values(self, n_max):
         return [self(n) for n in range(n_max + 1)]

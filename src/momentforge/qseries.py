@@ -27,9 +27,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, RangeError
 from .measures import (AtomicMeasure, MomentSequence, exp_neg_image,
                        geometric_cut)
+from .semigroups import _mellin_exp
 
 DEFAULT_TOL = 1e-14
 
@@ -78,7 +79,8 @@ def qpoch(z, q, n=math.inf):
     geometric cut of sum_{k>N} |z| q^k = |z| q^{N+1}/(1 - q) at
     DEFAULT_TOL; the remaining factors differ from 1 by a geometrically
     small amount.  Accepts complex z; for the infinite product |z| < 1/q
-    is required so the truncation bound applies.
+    is required so the truncation bound applies.  For |z| < 1 no factor
+    is 0, and a product that underflows to 0 is a :class:`RangeError`.
     """
     if not 0 < q < 1:
         raise DomainError("q must lie in (0, 1)")
@@ -89,7 +91,11 @@ def qpoch(z, q, n=math.inf):
     n = int(n)
     if n < 0:
         raise DomainError("n must be nonnegative or inf")
-    return math.prod((1.0 - z * q ** k for k in range(n)), start=1.0)
+    value = math.prod((1.0 - z * q ** k for k in range(n)), start=1.0)
+    if value == 0 and abs(z) < 1:
+        raise RangeError("(z; q)_n at z = %s, q = %s underflows binary64"
+                         % (z, q))
+    return value
 
 
 def _require_representable(lost, tol):
@@ -282,9 +288,6 @@ def mu_c(p, c):
     """
     locations, weights, w0, tail = _tau_lattice(p, c)
     pairs, lost = exp_neg_image(locations, weights, w0)
-    # summed in order, as pushforward sums it, where the zero weights that
-    # tau_c would drop change nothing
-    lost = sum(lost.tolist())
     _require_representable(lost, DEFAULT_TOL)
     return AtomicMeasure.from_pairs(pairs, truncation_error=tail + lost)
 
@@ -315,10 +318,7 @@ def mellin_qbeta(p, c, z):
     qz = cmath.exp(z * math.log(q))
     ratio = (qpoch(complex(b) * qz, q) / qpoch(b, q)) \
         / (qpoch(complex(a) * qz, q) / qpoch(a, q))
-    value = cmath.exp(c * cmath.log(ratio))
-    if z.imag == 0:
-        return complex(value.real, 0.0)
-    return value
+    return _mellin_exp(c * cmath.log(ratio), z)
 
 
 def _hp_log_terms(p_, q, M, z=1.0):
@@ -347,7 +347,12 @@ def hp_coefficients(p_, q, K):
         raise DomainError("q must lie in (0, 1)")
     if K < 0:
         raise DomainError("K must be nonnegative")
-    c = _exp_series(_hp_log_terms(p_, q, K))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _exp_series(_hp_log_terms(p_, q, K))
+    finite = np.isfinite(c)
+    if not finite.all():
+        raise RangeError("h_p coefficient c_%d overflows binary64"
+                         % np.argmin(finite))
     return PowerSeries(tuple(float(ck) for ck in c))
 
 

@@ -131,6 +131,20 @@ def test_power_sequence_rejects_nonpositive_exponent():
         power_sequence(factorial_seq(), 0.0)
 
 
+def test_power_sequence_keeps_the_symmetric_zero_pattern():
+    # (1, 0, 4, 0, 16, ...): s_1 = 0 without being a mass at 0
+    s = MomentSequence(fn=lambda n: 2.0 ** n if n % 2 == 0 else 0.0)
+    p = power_sequence(s, 2.0)
+    values = [p(n) for n in range(9)]
+    assert values[1::2] == [0.0] * 4
+    assert values[::2] == pytest.approx([1.0, 16.0, 256.0, 4096.0, 65536.0],
+                                        rel=1e-14)
+    assert trichotomy_classify(p, 8).case == hankel.SYMMETRIC_ZERO_ODD
+    dirac = power_sequence(MomentSequence.dirac_zero(4.0), 0.5)
+    assert dirac(0) == pytest.approx(2.0, rel=1e-15)
+    assert trichotomy_classify(dirac, 8).case == hankel.DIRAC_AT_ZERO
+
+
 def test_verdict_json():
     verdict = stieltjes_check(factorial_seq(), 6)
     data = verdict.to_json_dict()
