@@ -1,13 +1,13 @@
 """Bernstein-function catalog and the product-moment machinery built on it.
 
-Each catalog entry carries its closed form, an analytic derivative, the
-triple (a, b, levy) of its integral representation, and, where available,
-the analytic measure kappa with f'/f as Laplace transform.  From kappa the
-module derives the measure sigma on (0, 1), the log-moment representation
-log s_n = n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma, and the
-exponent psi with psi(n) = -log s_n.  :func:`psi`, :func:`lk_log_moment`
-and :func:`log_moment_via_rep` each return a ``measures.MellinValue``: the
-value with the error estimate of its one integral.
+Each catalog entry carries its closed form, the triple (a, b, levy) of its
+integral representation, and, where available, the analytic measure kappa
+with f'/f as Laplace transform.  From kappa the module derives the measure
+sigma on (0, 1), the log-moment representation log s_n = n log f(alpha) +
+integral of (x^n - 1 - n(x-1)) d sigma, and the exponent psi with
+psi(n) = -log s_n.  :func:`psi`, :func:`lk_log_moment` and
+:func:`log_moment_via_rep` each return a ``measures.MellinValue``: the value
+with the error estimate of its one integral.
 """
 
 import math
@@ -34,7 +34,6 @@ class BernsteinFunction:
     b: float
     levy: Optional[object]  # AtomicMeasure | DensityMeasure | None
     closed_form: Callable
-    deriv: Callable
     kappa_factory: Optional[Callable] = None  # () -> measure
 
     def __call__(self, s):
@@ -80,20 +79,19 @@ def affine(a):
         raise DomainError("affine catalog entry needs a > 0 (use linear())")
     return _self_test(BernsteinFunction(
         catalog_id="affine:%g" % a, a=float(a), b=1.0, levy=None,
-        closed_form=lambda s: a + s, deriv=lambda s: 1.0,
+        closed_form=lambda s: a + s,
         kappa_factory=lambda: DensityMeasure(
-            lambda x: np.exp(-a * x), (0.0, math.inf),
-            catalog_id="kappa:affine", params=(("a", a),))))
+            lambda x: np.exp(-a * x), (0.0, math.inf))))
 
 
 def linear():
     """f(s) = s; kappa is Lebesgue measure on (0, inf)."""
     return _self_test(BernsteinFunction(
         catalog_id="linear", a=0.0, b=1.0, levy=None,
-        closed_form=lambda s: s, deriv=lambda s: 1.0,
+        closed_form=lambda s: s,
         kappa_factory=lambda: DensityMeasure(
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            (0.0, math.inf), catalog_id="kappa:linear", params=())))
+            (0.0, math.inf))))
 
 
 def ratio(a, b):
@@ -105,11 +103,8 @@ def ratio(a, b):
     return _self_test(BernsteinFunction(
         catalog_id="ratio:%g:%g" % (a, b), a=a / b, b=0.0, levy=levy,
         closed_form=lambda s: (a + s) / (b + s),
-        deriv=lambda s: (b - a) / (b + s) ** 2,
         kappa_factory=lambda: DensityMeasure(
-            lambda x: np.exp(-a * x) - np.exp(-b * x),
-            (0.0, math.inf),
-            catalog_id="kappa:ratio", params=(("a", a), ("b", b)))))
+            lambda x: np.exp(-a * x) - np.exp(-b * x), (0.0, math.inf))))
 
 
 def mobius():
@@ -118,10 +113,8 @@ def mobius():
     return _self_test(BernsteinFunction(
         catalog_id="mobius", a=0.0, b=0.0, levy=levy,
         closed_form=lambda s: s / (s + 1.0),
-        deriv=lambda s: 1.0 / (s + 1.0) ** 2,
         kappa_factory=lambda: DensityMeasure(
-            lambda x: -np.expm1(-x), (0.0, math.inf),
-            catalog_id="kappa:mobius", params=())))
+            lambda x: -np.expm1(-x), (0.0, math.inf))))
 
 
 def qratio(a, b, q, tol=1e-14):
@@ -136,16 +129,9 @@ def qratio(a, b, q, tol=1e-14):
     if not 0 < q < 1:
         raise DomainError("qratio needs 0 < q < 1")
     log1q = math.log(1.0 / q)
-    lnq = math.log(q)
 
     def closed(s):
         return (1.0 - a * q ** s) / (1.0 - b * q ** s)
-
-    def deriv(s):
-        qs = q ** s
-        denom = 1.0 - b * qs
-        return (-a * lnq * qs * denom + (1.0 - a * qs) * b * lnq * qs) \
-            / denom ** 2
 
     # nu has weight (a - b) b^{k-1} at k log(1/q), so the terms past k = N+1
     # sum to (a - b) b^{N+1} / (1 - b)
@@ -169,8 +155,7 @@ def qratio(a, b, q, tol=1e-14):
     return _self_test(BernsteinFunction(
         catalog_id="qratio:%g:%g:%g" % (a, b, q),
         a=(1.0 - a) / (1.0 - b), b=0.0, levy=levy,
-        closed_form=closed, deriv=deriv,
-        kappa_factory=kappa_factory))
+        closed_form=closed, kappa_factory=kappa_factory))
 
 
 def powertower():
@@ -184,16 +169,9 @@ def powertower():
             return 1.0
         return s * math.exp((s + 1.0) * math.log1p(1.0 / s))
 
-    def deriv(s):
-        # central difference; entry is closed-form only and the derivative
-        # is used nowhere quantitative
-        h = 1e-6
-        return (closed(s + h) - closed(max(s - h, 0.0))) / (
-            h + min(h, s))
-
     return BernsteinFunction(
         catalog_id="powertower", a=1.0, b=0.0, levy=None,
-        closed_form=closed, deriv=deriv, kappa_factory=None)
+        closed_form=closed, kappa_factory=None)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +185,24 @@ def kappa_of(f):
     return f.kappa_factory()
 
 
+def _log_start(f, alpha):
+    """log f(alpha), the first factor of the moment product at alpha; a
+    PreconditionError where f(alpha) is not positive."""
+    start = f(alpha)
+    if start <= 0:
+        raise PreconditionError(
+            "%s: f(alpha)=%g must be positive" % (f.catalog_id, start))
+    return math.log(start)
+
+
 def power_moments(f, alpha, beta):
     """The moment sequence s_n = f(alpha) f(alpha+beta) ... f(alpha+(n-1)beta).
 
-    Accumulated and cached in log domain.
+    Accumulated in log domain.
     """
     if alpha < 0 or beta <= 0:
         raise DomainError("need alpha >= 0 and beta > 0")
-    if f(alpha) <= 0:
-        raise PreconditionError(
-            "%s: f(alpha)=%g must be positive" % (f.catalog_id, f(alpha)))
+    _log_start(f, alpha)
     return MomentSequence.from_log_steps(
         lambda k: math.log(f(alpha + k * beta)))
 
@@ -291,7 +277,7 @@ def psi(f, alpha, beta, z):
     if (z.real < 0).any():
         raise DomainError("psi requires Re z >= 0")
     kappa = kappa_of(f)
-    head = -z * math.log(f(alpha))
+    head = -z * _log_start(f, alpha)
     A = (z - z * z) / 2.0
     B = (z ** 3 - z) / 6.0
     C = -(z ** 4 - z) / 24.0
@@ -318,10 +304,7 @@ def psi(f, alpha, beta, z):
 def lk_rep_of(f, alpha, beta):
     """The (a, b, sigma) symbols of the log-moment representation for the
     moment product of f at (alpha, beta): a = log f(alpha), b = 0."""
-    if f(alpha) <= 0:
-        raise PreconditionError(
-            "%s: f(alpha)=%g must be positive" % (f.catalog_id, f(alpha)))
-    return LevyKhinchinRep(math.log(f(alpha)), 0.0,
+    return LevyKhinchinRep(_log_start(f, alpha), 0.0,
                            sigma_of(f, alpha, beta))
 
 

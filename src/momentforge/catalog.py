@@ -4,7 +4,7 @@ Ids follow a colon-separated convention, e.g. ``ratio:1:2`` or
 ``qbeta:0.5:0.25:0.5:1``.  Bernstein-function ids produce moment products
 for a chosen (alpha, beta); family and measure ids expose moments, Mellin
 values and (where available) a dumpable measure.  Every id is one row of
-``TABLE``.
+``TABLE``, and a density's JSON follows from the id and that row.
 """
 
 import math
@@ -25,6 +25,9 @@ class CatalogObject:
     moments_fn: Optional[Callable] = None
     mellin_fn: Optional[Callable] = None
     measure_factory: Optional[Callable] = None
+    #: what a density's JSON name puts before the id's head: ``kappa:``
+    #: where the measure is a Bernstein function's kappa
+    density_prefix: str = ""
 
     def moments(self, n_max):
         if self.moments_fn is None:
@@ -46,6 +49,14 @@ class CatalogObject:
                 "%s has no dumpable measure" % self.object_id)
         return self.measure_factory()
 
+    def density_json(self):
+        """The JSON of the id's density measure: the id's head after
+        ``density_prefix``, and the id's parameters by the names of its
+        ``TABLE`` row."""
+        head, *parts = self.object_id.split(":")
+        return {"density": self.density_prefix + head,
+                "params": dict(zip(TABLE[head][0], map(float, parts)))}
+
 
 def _bernstein(make):
     """Row builder for a Bernstein function: moment products at the
@@ -54,7 +65,8 @@ def _bernstein(make):
         f = make(*args)
         seq = bernstein.power_moments(f, float(params.get("alpha", 1.0)),
                                       float(params.get("beta", 1.0)))
-        return dict(moments_fn=seq.values, measure_factory=f.kappa_factory)
+        return dict(moments_fn=seq.values, measure_factory=f.kappa_factory,
+                    density_prefix="kappa:")
     return build
 
 

@@ -173,7 +173,8 @@ def _cmd_atoms(args):
     obj = resolve(args.object_id, _parse_params(args.param))
     m = obj.measure()
     if args.output == "json":
-        text = json.dumps(m.to_json_dict()) + "\n"
+        text = json.dumps(m.to_json_dict() if isinstance(m, AtomicMeasure)
+                          else obj.density_json()) + "\n"
     else:
         if not isinstance(m, AtomicMeasure):
             raise UnsupportedError(

@@ -138,7 +138,7 @@ def hermite_H(n, x):
 
 def hermite_h(n, x):
     """Orthonormal Hermite value h_n(x) = H_n(x)/sqrt(2^n n!), computed by
-    the normalized recurrence
+    the normalized recurrence of :func:`_float_column`
 
         h_{n+1} = (sqrt(2) x h_n - sqrt(n) h_{n-1}) / sqrt(n+1),
 
@@ -148,14 +148,7 @@ def hermite_h(n, x):
     if n < 0:
         raise DomainError("n must be nonnegative")
     _require_finite(x, "hermite_h")
-    prev, curr = 1.0, math.sqrt(2.0) * x
-    if n == 0:
-        curr = prev
-    else:
-        for k in range(1, n):
-            prev, curr = curr, ((math.sqrt(2.0) * x * curr
-                                 - math.sqrt(k) * prev)
-                                / math.sqrt(k + 1.0))
+    curr = float(_float_column(x, n)[0][n - 1]) if n else 1.0
     log_bound = 0.5 * x * x
     if not math.isfinite(curr) and log_bound > math.log(sys.float_info.max):
         raise RangeError("h_%d(%g) overflows binary64" % (n, x))
@@ -164,28 +157,6 @@ def hermite_h(n, x):
             "computed |h_%d(%g)| = %g violates the e^{x^2/2} bound; "
             "the recurrence has lost too much precision" % (n, x, curr))
     return curr
-
-
-def _hermite_h_all(n_max, x):
-    """h_0(x), ..., h_{n_max}(x) at every entry of the array x, as an
-    (n_max + 1, len(x)) array: the recurrence of hermite_h run once over
-    all x, with its operations in its order, so that each entry equals
-    hermite_h(n, x) bit for bit.  It leaves out hermite_h's checks
-    against the Szasz bound."""
-    if n_max < 0:
-        raise DomainError("n must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise DomainError("_hermite_h_all needs a finite x")
-    h = np.empty((n_max + 1,) + x.shape)
-    h[0] = 1.0
-    if n_max:
-        sqrt2_x = math.sqrt(2.0) * x
-        h[1] = sqrt2_x
-        for k in range(1, n_max):
-            h[k + 1] = ((sqrt2_x * h[k] - math.sqrt(k) * h[k - 1])
-                        / math.sqrt(k + 1.0))
-    return h
 
 
 def _terms_needed(t, x, tol):
@@ -213,7 +184,8 @@ def _terms_needed(t, x, tol):
 
 def _float_column(x, n_terms):
     """The x-only half of _sum_float: h~_k, |h~_k| and E_k for
-    k = 1..n_terms, at index k - 1 of three float64 arrays."""
+    k = 1..n_terms, at index k - 1 of three float64 arrays.  This is the
+    one run of the h_k recurrence; hermite_h reads its h~_n."""
     sqrt2_x = math.sqrt(2.0) * x
     ax = abs(sqrt2_x)
     prev, curr = 1.0, sqrt2_x

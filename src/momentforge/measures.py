@@ -202,23 +202,16 @@ class DensityMeasure:
     half-line (a, inf); the support alone picks the quadrature rule.
 
     ``strip_min_re`` records the left edge of the Mellin integrability
-    strip when known (e.g. -a for the Gamma density).
-    ``catalog_id``/``params`` identify catalog entries for serialization.
+    strip when known (e.g. -a for the Gamma density).  A catalog density
+    is named by its id (``catalog.CatalogObject.density_json``).
     """
 
     density: Callable
     support: Tuple[float, float]
     strip_min_re: Optional[float] = None
-    catalog_id: Optional[str] = None
-    params: Optional[tuple] = None
 
     #: a density puts no mass at 0
     zero_mass = 0.0
-
-    def to_json_dict(self):
-        if self.catalog_id is None:
-            raise DomainError("only catalog densities are serializable")
-        return {"density": self.catalog_id, "params": dict(self.params or ())}
 
 
 def integral(m, g, tol=1e-12):
@@ -461,14 +454,18 @@ class MomentSequence:
         return MomentSequence(fn=lambda n: c if n == 0 else 0.0)
 
     def __call__(self, n):
-        """s_n; a :class:`RangeError` when it leaves binary64."""
+        """s_n; a :class:`RangeError` when it leaves binary64, above or,
+        from a finite log, below.  A log of -inf is s_n = 0."""
         if self._fn is not None:
             return float(self._fn(n))
         log_sn = self.log(n)
         try:
-            return math.exp(log_sn)
+            value = math.exp(log_sn)
         except OverflowError:
             raise RangeError("moment s_%d overflows binary64" % n) from None
+        if value == 0.0 and log_sn > -math.inf:
+            raise RangeError("moment s_%d underflows binary64" % n)
+        return value
 
     def log(self, n):
         if self._log_fn is not None:

@@ -47,8 +47,9 @@ def _loggamma(z):
 
 def _mellin_exp(exponent, z):
     """exp(exponent), a Mellin value at z: real when z is, and a
-    RangeError when it leaves binary64, or when the exponent already has
-    (log-gamma overflows before exp does, to inf or, from inf - inf, nan).
+    RangeError when it leaves binary64, above or below, or when the
+    exponent already has (log-gamma overflows before exp does, to inf or,
+    from inf - inf, nan).
     """
     try:
         value = cmath.exp(exponent) if cmath.isfinite(exponent) else None
@@ -56,6 +57,9 @@ def _mellin_exp(exponent, z):
         value = None
     if value is None:
         raise RangeError("Mellin transform at z = %s overflows binary64"
+                         % z)
+    if value == 0:
+        raise RangeError("Mellin transform at z = %s underflows binary64"
                          % z)
     if z.imag == 0:
         return complex(value.real, 0.0)
@@ -116,9 +120,7 @@ def gamma_density(fam):
         x = np.asarray(x, dtype=float)
         return np.exp((a - 1.0) * np.log(x) - x - log_norm)
 
-    return DensityMeasure(density, (0.0, math.inf),
-                          strip_min_re=-a, catalog_id="gamma",
-                          params=(("a", a), ("c", 1.0)))
+    return DensityMeasure(density, (0.0, math.inf), strip_min_re=-a)
 
 
 def gamma_mellin(fam, z):
@@ -142,9 +144,7 @@ def beta_density(fam):
         return np.exp((a - 1.0) * np.log(x)
                       + (b - a - 1.0) * np.log1p(-x) - log_norm)
 
-    return DensityMeasure(density, (0.0, 1.0),
-                          strip_min_re=-a, catalog_id="beta",
-                          params=(("a", a), ("b", b), ("c", 1.0)))
+    return DensityMeasure(density, (0.0, 1.0), strip_min_re=-a)
 
 
 def beta_mellin(fam, z):
@@ -171,9 +171,7 @@ def vc_density(fam):
         logx = np.log(x)
         return norm * np.exp(-0.5 * logx - logx * logx / (2.0 * L))
 
-    return DensityMeasure(density, (0.0, math.inf),
-                          catalog_id="vclognormal",
-                          params=(("q", fam.q), ("c", fam.c)))
+    return DensityMeasure(density, (0.0, math.inf))
 
 
 def vc_mellin(fam, z):

@@ -94,11 +94,11 @@ def test_kappa_powertower_unsupported():
 
 
 def test_kappa_is_laplace_transform_of_log_derivative():
-    # f'/f (s) = int e^{-sx} dkappa(x)
+    # f'/f (s) = int e^{-sx} dkappa(x), with f' = (b - a)/(b + s)^2
     f = ratio(1.0, 2.0)
     kappa = kappa_of(f)
     for s in (0.5, 1.0, 2.0):
-        lhs = f.deriv(s) / f(s)
+        lhs = (2.0 - 1.0) / (2.0 + s) ** 2 / f(s)
         val, _ = integrate(
             lambda x, s=s: np.exp(-s * x) * kappa.density(x),
             0.0, math.inf, tol=1e-12)
@@ -118,9 +118,14 @@ def test_power_moments_affine_is_pochhammer():
         assert seq(n) == pytest.approx(expected, rel=1e-13)
 
 
-def test_power_moments_needs_positive_start():
-    with pytest.raises(PreconditionError):
-        power_moments(linear(), 0.0, 1.0)
+@pytest.mark.parametrize("entry", [
+    lambda f: power_moments(f, 0.0, 1.0),
+    lambda f: psi(f, 0.0, 1.0, 1.0),
+    lambda f: lk_rep_of(f, 0.0, 1.0),
+], ids=["power_moments", "psi", "lk_rep_of"])
+def test_power_moments_needs_positive_start(entry):
+    with pytest.raises(PreconditionError, match=r"f\(alpha\)=0 must be"):
+        entry(linear())
 
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.catalog_id)

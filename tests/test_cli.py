@@ -272,6 +272,10 @@ def test_hp_moments_build_the_series_once(capsys, monkeypatch):
     ["atoms", "qbeta:0.999:0.001:0.999:1"],
     ["mellin", "qbeta:0.999:0.001:0.999:1", "--z", "1"],
     ["moments", "sigmaq:0.999:0.001:0.999"],
+    # finite logs whose exponential underflows to 0
+    ["moments", "qbeta:0.5:0.25:0.999:1000", "--n-max", "3"],
+    ["table", "qbeta:0.5:0.25:0.999:1000", "--n-max", "3"],
+    ["mellin", "qbeta:0.5:0.25:0.5:2000", "--z", "60"],
 ])
 def test_mellin_past_binary64_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

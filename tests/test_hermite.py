@@ -511,20 +511,6 @@ def test_add_up_rounds_up(a, b):
     assert _add_up(b, a) == s
 
 
-def test_hermite_h_all_equals_hermite_h_bit_for_bit():
-    xs = np.arange(-6.0, 6.0001, 0.1)
-    table = hermite._hermite_h_all(200, xs)
-    assert table.shape == (201, len(xs))
-    # every entry that verify's szasz check reads (n = 0, 5, ..., 200),
-    # and a few orders between
-    for n in sorted(set(range(0, 201, 5)) | {1, 2, 77}):
-        for i, x in enumerate(xs):
-            assert table[n, i] == hermite_h(n, float(x)), (n, x)
-    assert hermite._hermite_h_all(0, [3.0]).tolist() == [[1.0]]
-    with pytest.raises(DomainError):
-        hermite._hermite_h_all(5, [0.0, math.nan])
-
-
 def _forward_fixed_point(t, x, n, bits):
     """sum_{k<=n} h_k(x) t^k by the forward recurrence on Python ints at
     scale 2^bits, with isqrt coefficients: an oracle independent of the
