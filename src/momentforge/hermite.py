@@ -19,8 +19,8 @@ generating_G is a 1 x 1 grid.
    h_k(x) t^k themselves (_backward_point), so it does not grow with the
    recurrence.  The weights bound |h_k(x)| by the binary64 values h~_k
    and their error majorant E_k (see _sum_float), computed once per |x|
-   (_float_column), and |t^k| by the powers of t and their errors, once
-   per t row (_float_row).  Where the points' term counts add up to more
+   (_float_column), and |t^k| by the powers of |t| and their errors,
+   once per |t| (_float_row).  Where the points' term counts add up to more
    than _BATCH_RATIO times the largest, one pass runs all of them as
    array steps, largest N first (_backward_batch); otherwise each point
    runs alone.  Both give the same results bit for bit.
@@ -33,8 +33,11 @@ generating_G is a 1 x 1 grid.
    expected keep their binary64 values, and the integers run only the
    steps below.
 
-On the default scan grid 2070 of the 3078 points with t != 0 end in
-phase 1; the 1008 of phase 2 run 129,258 integer steps of their 273,958.
+Each point runs as its canonical point (|t|, sgn(t) x), once for all the
+points that share it, as G(-t, -x) = G(t, x) holds bit for bit here too.
+The default scan grid's 3078 points with t != 0 are 1539 canonical
+points: 1035 end in phase 1, and the 504 of phase 2 run 64,629 integer
+steps of their 136,979.
 """
 
 import math
@@ -71,9 +74,9 @@ _TABLE_CAP = 1 << 23
 _CHECKPOINT = 64
 #: a grid takes the batched backward pass when its points' term counts
 #: add up to more than this many times the largest (see _evaluate_grid):
-#: on random subsets of the default scan grid's 3078 points with t != 0,
+#: on random subsets of the default scan grid's 1539 canonical points,
 #: the batched pass costs as much as the scalar one where that ratio is
-#: 45 to 50 (one CPU, Python 3.11, warm, best of 3)
+#: 43 to 50 (one CPU, Python 3.11, warm, best of 3)
 _BATCH_RATIO = 48
 #: (P, alpha_k, beta_k) for k below the table length, from
 #: _coefficient_table; replaced whole, never mutated
@@ -945,12 +948,18 @@ def _tail_bound(t, x, n_top):
 def _evaluate_grid(t_grid, x_grid, tol, max_terms):
     """GenFunValue rows, one per t, over the grid t_grid x x_grid.
 
-    The term count of every point is fixed first, in row order.  Each t
-    row takes _float_row once, to its largest count, and each |x| takes
+    The term count of every point is fixed first, in row order.  Every
+    point with t != 0 is summed as its canonical point (|t|, sgn(t) x),
+    once for all the points that share it: each step below reads only
+    |t|, x^2, x t and t^2, which (t, x) and (-t, -x) share, so
+    G(-t, -x) = G(t, x) bit for bit.  A canonical point runs with the t
+    and x of its first point in column order, which a RangeError names.
+    Each |t| takes _float_row once, to its largest count (the backward
+    pass reads only |t~_k| + u g_k and |t~_(N+1)|), and each |x| takes
     _float_column once, as far as its points with t != 0 read it, and
     keeps only its _column_bound: x and -x share it, since |h~_k| and E_k
     depend on |x| alone (the recurrence is odd in x, bit for bit).  Then
-    two phases over the points with t != 0, in column order:
+    two phases over the canonical points, in that order:
 
     1. Every point takes the backward recurrence in binary64: in one
        batched pass (_backward_batch) where their term counts add up to
@@ -959,7 +968,9 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
     2. Where that bound passes tol/4, the point is summed in fixed point
        (_exact_point).
 
-    The rows' arrays and the column bounds are held throughout.
+    Every point that shares a canonical point gets its value, bounds and
+    term count, with its own t and x.  The rows' arrays and the column
+    bounds are held throughout.
     """
     ts = [float(t) for t in t_grid]
     xs = [float(x) for x in x_grid]
@@ -968,7 +979,9 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
     counts = []
     # how far each |x| reads its column bound: N - 1 for its largest N
     reads = {}
-    for t in ts:
+    # the indices of the rows of each |t| != 0
+    t_rows = {}
+    for i, t in enumerate(ts):
         if not abs(t) < 1.0:
             raise DomainError("generating_G needs |t| < 1, got t = %g" % t)
         row = []
@@ -983,7 +996,12 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
             if t != 0.0:
                 reads[abs(x)] = max(reads.get(abs(x), 0), n_top - 1)
         counts.append(row)
-    rows = [_float_row(t, max(row, default=0)) for t, row in zip(ts, counts)]
+        if t != 0.0:
+            t_rows.setdefault(abs(t), []).append(i)
+    # each to the largest N of its rows
+    rows = {at: _float_row(at, max((n for i in indices for n in counts[i]),
+                                   default=0))
+            for at, indices in t_rows.items()}
     # the column bounds one after another, and (start, sigma) of each
     bounds = np.empty(sum(reads.values()))
     kept, size = {}, 0
@@ -992,18 +1010,27 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
         bounds[size:size + read] = m
         kept[ax] = size, sigma
         size += read
+    # the indices of each x's columns; 0.0 and -0.0 share a key, as they
+    # share their canonical points
+    x_cols = {}
+    for j, x in enumerate(xs):
+        x_cols.setdefault(x, []).append(j)
     grid = [[None] * len(xs) for _ in ts]
-    # (start, sigma, row, t, x, n_top) of each point with t != 0
+    # (start, sigma, row, t, x, n_top) of each canonical point, at its
+    # first point
     points = []
+    seen = set()
     for j, x in enumerate(xs):
         for i, t in enumerate(ts):
             if t == 0.0:
                 grid[i][j] = GenFunValue(t, x, 1.0, 0.0, 1)
-            else:
-                points.append(kept[abs(x)] + (rows[i], t, x, counts[i][j]))
-    # their (i, j), made as the records are: a list would add to the peak
-    cells = ((i, j) for j in range(len(xs))
-             for i, t in enumerate(ts) if t != 0.0)
+                continue
+            canonical = abs(t), x if t > 0.0 else -x
+            if canonical not in seen:
+                seen.add(canonical)
+                points.append(kept[abs(x)] + (rows[abs(t)], t, x,
+                                              counts[i][j]))
+    del seen
     steps = [point[5] for point in points]
     if sum(steps) > _BATCH_RATIO * max(steps, default=0):
         records = _backward_batch(bounds, points, tol)
@@ -1011,13 +1038,18 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
         records = (_backward_scalar((bounds[start:], sigma), row, t, x, n,
                                     tol)
                    for start, sigma, row, t, x, n in points)
-    for (i, j), (start, sigma, row, t, x, n_top), (value, roundoff, _, cut) \
-            in zip(cells, points, records):
+    for (start, sigma, row, t, x, n_top), (value, roundoff, _, cut) \
+            in zip(points, records):
         if cut is not None:
             weights = _weights((bounds[start:], sigma), row, n_top)
             value, roundoff = _exact_point(t, x, n_top, weights, cut, tol)
-        grid[i][j] = GenFunValue(t, x, value, _tail_bound(t, x, n_top),
-                                 n_top + 1, roundoff)
+        tail = _tail_bound(t, x, n_top)
+        # every point (t', x') with |t'| = |t| and sgn(t') x' = sgn(t) x
+        for i in t_rows[abs(t)]:
+            mirror = (ts[i] > 0.0) != (t > 0.0)
+            for j in x_cols.get(-x if mirror else x, ()):
+                grid[i][j] = GenFunValue(ts[i], xs[j], value, tail,
+                                         n_top + 1, roundoff)
     return grid
 
 

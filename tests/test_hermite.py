@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import momentforge
@@ -370,14 +370,77 @@ def test_scan_points_equal_generating_G(monkeypatch):
 
 def test_the_batched_pass_only_where_its_steps_outweigh_its_overhead(
         monkeypatch):
-    # one point, or a few, take the scalar pass; the default grid's 3078
-    # points with t != 0, against a largest count of 1483, the batched one
+    # one point, or a few, take the scalar pass; the default grid's 1539
+    # canonical points, against a largest count of 1483, the batched one
     calls = _spy_on_backward_passes(monkeypatch)
     generating_G(0.95, -10.0)
     positivity_scan([-0.9], [7.5])
     assert calls == {"scalar": 2, "batched": 0}
     positivity_scan(DEFAULT_T, DEFAULT_X)
     assert calls == {"scalar": 2, "batched": 1}
+
+
+def _fields_or_error(t, x):
+    """The fields generating_G(t, x) shares with its mirror point, or the
+    kind of error it raises."""
+    try:
+        g = generating_G(t, x)
+    except RangeError:
+        return "RangeError"
+    return repr((g.value, g.tail_bound, g.roundoff_bound, g.terms_used))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True)
+       .filter(lambda t: t != 0.0), st.floats(-40.0, 40.0))
+@example(-0.95, 10.0)
+@example(0.95, -10.0)
+@example(-0.9, 7.5)
+def test_G_at_minus_t_minus_x_equals_G_at_t_x_bit_for_bit(t, x):
+    # h_k(-x) = (-1)^k h_k(x); every step reads only |t|, x^2, x t and
+    # t^2, so the two points are summed alike, the fixed-point ones too
+    assert _fields_or_error(t, x) == _fields_or_error(-t, -x)
+
+
+def test_the_default_grid_sums_each_mirror_pair_once(monkeypatch):
+    sums = []
+    sum_mp = hermite._sum_mp
+
+    def counted(t, x, *args):
+        sums.append((t, x))
+        return sum_mp(t, x, *args)
+
+    monkeypatch.setattr(hermite, "_sum_mp", counted)
+    points = {(g.t, g.x): g for g in positivity_scan(DEFAULT_T,
+                                                     DEFAULT_X).points}
+    # 1008 points of the 3078 with t != 0 take the fixed-point path, in
+    # 504 mirror pairs
+    assert len(sums) == len(set(sums)) == 504
+    for (t, x), g in points.items():
+        mirror = points[-t, -x]
+        assert (mirror.value, mirror.tail_bound, mirror.roundoff_bound,
+                mirror.terms_used) == (g.value, g.tail_bound,
+                                       g.roundoff_bound, g.terms_used)
+
+
+@pytest.mark.parametrize("ts, xs", [
+    # some points have their mirror on the grid, fixed-point ones among
+    # them (test_scan_points_equal_generating_G has a grid with none)
+    ([-0.9, -0.5, 0.5, 0.9, 0.95], [-7.5, -2.5, 2.5, 7.5, 10.0]),
+    # x = 0.0 and -0.0 share their canonical points, and keep their signs
+    ([-0.5, 0.5], [-0.0, 0.0, 1.0])])
+def test_scan_points_equal_their_own_generating_G(ts, xs):
+    points = positivity_scan(ts, xs).points
+    assert repr(points) == repr(tuple(generating_G(t, x)
+                                      for t in ts for x in xs))
+
+
+def test_a_mirror_pair_past_binary64_names_its_first_point():
+    # the pair is summed once, at its first point in column order
+    with pytest.raises(RangeError, match=r"^G\(-0\.7, -47\) overflows"):
+        positivity_scan([-0.7, 0.7], [-47.0, 47.0])
+    with pytest.raises(RangeError, match=r"^G\(0\.7, 47\) overflows"):
+        positivity_scan([0.7, -0.7], [47.0, -47.0])
 
 
 def _batch_input(ts, xs, tol):

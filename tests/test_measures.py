@@ -10,7 +10,8 @@ from momentforge import (AtomicMeasure, DomainError, MomentSequence,
                          additive_convolve, integral, mellin, moment,
                          product_convolve, pushforward, verify)
 from momentforge.measures import MERGE_RTOL, _merged, geometric_cut
-from momentforge.qseries import QParams, mu_c, nu_a, tau_c
+from momentforge.qseries import (QParams, mellin_qbeta, mu_abq, mu_c, nu_a,
+                                 tau_c)
 from momentforge.semigroups import (GammaFamily, LogNormalQFamily,
                                     gamma_density, vc_density)
 
@@ -199,6 +200,18 @@ def test_mellin_complex():
     z = 1.0 + 1.0j
     expected = 2.0 ** (1.0 + 1.0j)
     assert abs(mellin(m, z).value - expected) < 1e-14
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: the atomic Mellin error reads |x^z| at the largest "
+    "location, but at Re z < 0 the dropped atoms q^k -> 0 weigh more"))
+def test_atomic_mellin_at_negative_re_z_within_its_error():
+    # the closed form against the cut of mu_abq: 7.2163 against 7.4664,
+    # with an abs_error of 6.2e-15
+    p = QParams(0.5, 0.25, 0.5)
+    z = -0.9
+    got = mellin(mu_abq(p), z)
+    assert abs(got.value - mellin_qbeta(p, 1.0, z)) <= got.abs_error
 
 
 def test_density_moment_gamma():
