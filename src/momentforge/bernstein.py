@@ -11,8 +11,7 @@ with the error estimate of its one integral.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from .measures import (AtomicMeasure, DensityMeasure, MomentSequence,
 REP_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class BernsteinFunction:
+class BernsteinFunction(NamedTuple):
     """A Bernstein function f(s) = a + b s + integral (1 - e^{-sx}) d nu."""
 
     catalog_id: str
@@ -40,8 +38,7 @@ class BernsteinFunction:
         return self.closed_form(s)
 
 
-@dataclass(frozen=True)
-class LevyKhinchinRep:
+class LevyKhinchinRep(NamedTuple):
     """Symbols (a, b, sigma) of the log-moment representation
     log s_n = a n + b n^2 + integral (x^n - 1 - n(x-1)) d sigma."""
 

@@ -8,16 +8,14 @@ values and (where available) a dumpable measure.  Every id is one row of
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import bernstein, qseries, semigroups
 from .errors import DomainError, UnsupportedError
 from .measures import mellin as measure_mellin, moment
 
 
-@dataclass(frozen=True)
-class CatalogObject:
+class CatalogObject(NamedTuple):
     """A resolved catalog entry with whatever evaluators it supports."""
 
     object_id: str
@@ -60,7 +58,8 @@ class CatalogObject:
 
 def _bernstein(make):
     """Row builder for a Bernstein function: moment products at the
-    ``alpha`` and ``beta`` of the extra params (both default 1)."""
+    ``alpha`` and ``beta`` of the extra params (both default 1), the keys
+    ``EXTRA_PARAMS`` lists for it."""
     def build(params, *args):
         f = make(*args)
         seq = bernstein.power_moments(f, float(params.get("alpha", 1.0)),
@@ -137,12 +136,17 @@ TABLE = {
         lambda a, b, q: qseries.sigma_abgamma(qseries.QParams(a, b, q)))),
 }
 
+#: id head -> the extra params its row reads; a head not listed reads none
+EXTRA_PARAMS = dict.fromkeys(("affine", "linear", "ratio", "mobius",
+                              "qratio", "powertower"), ("alpha", "beta"))
+
 
 def resolve(object_id, params=None):
     """Resolve a string id to a CatalogObject.
 
     ``params`` is an optional dict of extra settings; Bernstein ids honor
-    ``alpha`` and ``beta`` (both default 1) for their moment products.
+    ``alpha`` and ``beta`` (both default 1) for their moment products.  A
+    key that ``EXTRA_PARAMS`` does not list for the id is a DomainError.
     """
     head, *parts = object_id.split(":")
     if head not in TABLE:
@@ -157,4 +161,10 @@ def resolve(object_id, params=None):
         raise DomainError("non-numeric parameter in %r" % object_id)
     if not all(math.isfinite(x) for x in args):
         raise DomainError("non-finite parameter in %r" % object_id)
-    return CatalogObject(object_id, **TABLE[head][1](params or {}, *args))
+    params = params or {}
+    reads = EXTRA_PARAMS.get(head, ())
+    unread = [key for key in params if key not in reads]
+    if unread:
+        raise DomainError("%s reads no param %s; it reads %s" % (
+            head, ", ".join(map(repr, unread)), ", ".join(reads) or "none"))
+    return CatalogObject(object_id, **TABLE[head][1](params, *args))

@@ -8,8 +8,7 @@ diagnostic, never a proof of (in)determinacy.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,8 +32,7 @@ DIRAC_AT_ZERO = "DiracAtZero"
 PSD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HankelVerdict:
+class HankelVerdict(NamedTuple):
     status: str
     order_tested: int
     tolerance: float
@@ -56,15 +54,13 @@ class HankelVerdict:
         return data
 
 
-@dataclass(frozen=True)
-class CarlemanDiagnostic:
+class CarlemanDiagnostic(NamedTuple):
     partial_sum: float
     slope_estimate: float
     verdict: str
 
 
-@dataclass(frozen=True)
-class Trichotomy:
+class Trichotomy(NamedTuple):
     case: str
 
 

@@ -43,11 +43,10 @@ steps of their 136,979.
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
 from operator import rshift
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -83,8 +82,7 @@ _BATCH_RATIO = 48
 _table = (0, (), ())
 
 
-@dataclass(frozen=True, slots=True)
-class GenFunValue:
+class GenFunValue(NamedTuple):
     """A certified partial sum of G(t, x).
 
     ``tail_bound`` is e^{x^2/2} |t|^{N+1}/(1-|t|) for N = terms_used - 1,
@@ -105,8 +103,7 @@ class GenFunValue:
         return self.value - self.tail_bound - self.roundoff_bound
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Grid report of positivity_scan."""
 
     all_positive: bool

@@ -22,8 +22,7 @@ All values are immutable after construction and every operation is pure.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -78,8 +77,7 @@ def _in_order(values):
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-@dataclass(frozen=True)
-class MellinValue:
+class MellinValue(NamedTuple):
     """A value together with its absolute error estimate, as every
     integral against a measure returns it; both are arrays, one entry per
     order or argument, when the evaluator was given a sequence."""
@@ -196,8 +194,7 @@ class AtomicMeasure:
         }
 
 
-@dataclass(frozen=True)
-class DensityMeasure:
+class DensityMeasure(NamedTuple):
     """Nonnegative density on ``support``, a finite interval (a, b) or a
     half-line (a, inf); the support alone picks the quadrature rule.
 

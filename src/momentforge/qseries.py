@@ -22,43 +22,41 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, RangeError
 from .measures import (AtomicMeasure, MomentSequence, exp_neg_image,
                        geometric_cut)
-from .semigroups import _mellin_exp
+from .semigroups import _checked_make, _mellin_exp
 
 DEFAULT_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class QParams:
+class QParams(namedtuple("QParams", "a b q")):
     """Parameter triple (a, b, q) with 0 < q < 1.
 
     Operations on the q-Beta family additionally require 0 <= b < a < 1.
     """
 
-    a: float
-    b: float
-    q: float
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if not 0 < self.q < 1:
+    def __new__(cls, a, b, q):
+        if not 0 < q < 1:
             raise DomainError("q must lie in (0, 1)")
-        if not 0 <= self.a < 1 or not 0 <= self.b < 1:
+        if not 0 <= a < 1 or not 0 <= b < 1:
             raise DomainError("a and b must lie in [0, 1)")
+        return super().__new__(cls, a, b, q)
 
     def require_ordered(self):
         if not self.b < self.a:
             raise DomainError("this operation needs 0 <= b < a < 1")
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(NamedTuple):
     """Truncated power series with coefficients c_0..c_K, valid |z| < 1."""
 
     coefficients: Tuple[float, ...]

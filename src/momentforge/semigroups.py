@@ -7,7 +7,7 @@ transforms; densities exist in closed form for c = 1 only.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -66,46 +66,50 @@ def _mellin_exp(exponent, z):
     return value
 
 
-@dataclass(frozen=True)
-class GammaFamily:
+#: the ``_make`` of a named tuple whose ``__new__`` checks its fields:
+#: the named tuple's own, behind ``_replace``, skips ``__new__``
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class GammaFamily(namedtuple("GammaFamily", "a c")):
     """Product convolution powers of the Gamma distribution with shape a."""
 
-    a: float
-    c: float = 1.0
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
+    def __new__(cls, a, c=1.0):
+        if a <= 0 or c <= 0:
             raise DomainError("GammaFamily needs a > 0 and c > 0")
+        return super().__new__(cls, a, c)
 
 
-@dataclass(frozen=True)
-class BetaFamily:
+class BetaFamily(namedtuple("BetaFamily", "a b c")):
     """Product convolution powers of the Beta-type law with moments
     (a)_n/(b)_n, 0 < a < b."""
 
-    a: float
-    b: float
-    c: float = 1.0
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if not 0 < self.a < self.b:
+    def __new__(cls, a, b, c=1.0):
+        if not 0 < a < b:
             raise DomainError("BetaFamily needs 0 < a < b")
-        if self.c <= 0:
+        if c <= 0:
             raise DomainError("BetaFamily needs c > 0")
+        return super().__new__(cls, a, b, c)
 
 
-@dataclass(frozen=True)
-class LogNormalQFamily:
+class LogNormalQFamily(namedtuple("LogNormalQFamily", "q c")):
     """The log-normal semigroup with moments q^{-c n(n+1)/2}."""
 
-    q: float
-    c: float = 1.0
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if not 0 < self.q < 1:
+    def __new__(cls, q, c=1.0):
+        if not 0 < q < 1:
             raise DomainError("LogNormalQFamily needs 0 < q < 1")
-        if self.c <= 0:
+        if c <= 0:
             raise DomainError("LogNormalQFamily needs c > 0")
+        return super().__new__(cls, q, c)
 
 
 def gamma_density(fam):

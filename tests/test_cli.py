@@ -193,6 +193,9 @@ def test_resolve_rejects_garbage():
 
 @pytest.mark.parametrize("argv", [
     ["moments", "affine:1", "--param", "alpha=abc"],
+    ["moments", "linear", "--param", "alhpa=2", "--n-max", "2"],
+    ["moments", "gamma:1:2", "--param", "c=-1"],
+    ["moments", "gamma:1:2", "--param", "zzz=5"],
     ["hermite-scan", "--tstep", "nan"],
     ["moments", "nu:0.5:0.5", "--n-max", "-2"],
     ["moments", "gamma:nan:1"],
