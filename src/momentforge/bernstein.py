@@ -1,11 +1,12 @@
 """Bernstein-function catalog and the product-moment machinery built on it.
 
-Each catalog entry carries its closed form, the triple (a, b, levy) of its
-integral representation, and, where available, the analytic measure kappa
-with f'/f as Laplace transform.  From kappa the module derives the measure
-sigma on (0, 1), the log-moment representation log s_n = n log f(alpha) +
-integral of (x^n - 1 - n(x-1)) d sigma, and the exponent psi with
-psi(n) = -log s_n.  :func:`psi`, :func:`lk_log_moment` and
+Each catalog entry carries its closed form and, where available, a factory
+for the analytic measure kappa with f'/f as Laplace transform.  A
+constructor checks its own parameters only; the closed forms are checked
+against kappa by the ``rep:`` and ``psi:`` verify checks.  From kappa the
+module derives the measure sigma on (0, 1), the log-moment representation
+log s_n = n log f(alpha) + integral of (x^n - 1 - n(x-1)) d sigma, and the
+exponent psi with psi(n) = -log s_n.  :func:`psi`, :func:`lk_log_moment` and
 :func:`log_moment_via_rep` each return a ``measures.MellinValue``: the value
 with the error estimate of its one integral.
 """
@@ -25,12 +26,10 @@ REP_TOL = 1e-11
 
 
 class BernsteinFunction(NamedTuple):
-    """A Bernstein function f(s) = a + b s + integral (1 - e^{-sx}) d nu."""
+    """A catalog Bernstein function: its closed form, and where the catalog
+    has one, a factory for its kappa."""
 
     catalog_id: str
-    a: float
-    b: float
-    levy: Optional[object]  # AtomicMeasure | DensityMeasure | None
     closed_form: Callable
     kappa_factory: Optional[Callable] = None  # () -> measure
 
@@ -50,76 +49,47 @@ class LevyKhinchinRep(NamedTuple):
 # ---------------------------------------------------------------------------
 # catalog constructors
 
-def _self_test(f):
-    # closed form must match a + b s + integral (1 - e^{-sx}) d nu,
-    # and f must be nonnegative nondecreasing on a spot-check grid
-    if f.levy is not None:
-        for s in (0.1, 1.0, 10.0):
-            r = integral(f.levy, lambda x: -np.expm1(-s * x), 1e-11)
-            rep, err = f.a + f.b * s + r.value, r.abs_error
-            if abs(rep - f(s)) > 1e-7 * max(1.0, abs(f(s))) + 10 * err:
-                raise PreconditionError(
-                    "%s: integral representation mismatch at s=%g "
-                    "(%.12g vs %.12g)" % (f.catalog_id, s, rep, f(s)))
-    grid = [0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0]
-    values = [f(s) for s in grid]
-    if any(v < 0 for v in values):
-        raise PreconditionError("%s: negative value on grid" % f.catalog_id)
-    if any(v2 < v1 - 1e-12 for v1, v2 in zip(values, values[1:])):
-        raise PreconditionError("%s: not nondecreasing on grid" % f.catalog_id)
-    return f
-
-
 def affine(a):
     """f(s) = a + s with a > 0; kappa has density e^{-a x}."""
     if a <= 0:
         raise DomainError("affine catalog entry needs a > 0 (use linear())")
-    return _self_test(BernsteinFunction(
-        catalog_id="affine:%g" % a, a=float(a), b=1.0, levy=None,
-        closed_form=lambda s: a + s,
-        kappa_factory=lambda: DensityMeasure(
-            lambda x: np.exp(-a * x), (0.0, math.inf))))
+    return BernsteinFunction(
+        "affine:%g" % a, lambda s: a + s,
+        lambda: DensityMeasure(lambda x: np.exp(-a * x), (0.0, math.inf)))
 
 
 def linear():
     """f(s) = s; kappa is Lebesgue measure on (0, inf)."""
-    return _self_test(BernsteinFunction(
-        catalog_id="linear", a=0.0, b=1.0, levy=None,
-        closed_form=lambda s: s,
-        kappa_factory=lambda: DensityMeasure(
+    return BernsteinFunction(
+        "linear", lambda s: s,
+        lambda: DensityMeasure(
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            (0.0, math.inf))))
+            (0.0, math.inf)))
 
 
 def ratio(a, b):
     """f(s) = (a + s)/(b + s), 0 < a < b; kappa density e^{-ax} - e^{-bx}."""
     if not 0 < a < b:
         raise DomainError("ratio catalog entry needs 0 < a < b")
-    levy = DensityMeasure(lambda x: (b - a) * np.exp(-b * x),
-                          (0.0, math.inf))
-    return _self_test(BernsteinFunction(
-        catalog_id="ratio:%g:%g" % (a, b), a=a / b, b=0.0, levy=levy,
-        closed_form=lambda s: (a + s) / (b + s),
-        kappa_factory=lambda: DensityMeasure(
-            lambda x: np.exp(-a * x) - np.exp(-b * x), (0.0, math.inf))))
+    return BernsteinFunction(
+        "ratio:%g:%g" % (a, b), lambda s: (a + s) / (b + s),
+        lambda: DensityMeasure(
+            lambda x: np.exp(-a * x) - np.exp(-b * x), (0.0, math.inf)))
 
 
 def mobius():
     """f(s) = s/(s + 1); kappa density 1 - e^{-x}."""
-    levy = DensityMeasure(lambda x: np.exp(-x), (0.0, math.inf))
-    return _self_test(BernsteinFunction(
-        catalog_id="mobius", a=0.0, b=0.0, levy=levy,
-        closed_form=lambda s: s / (s + 1.0),
-        kappa_factory=lambda: DensityMeasure(
-            lambda x: -np.expm1(-x), (0.0, math.inf))))
+    return BernsteinFunction(
+        "mobius", lambda s: s / (s + 1.0),
+        lambda: DensityMeasure(lambda x: -np.expm1(-x), (0.0, math.inf)))
 
 
 def qratio(a, b, q, tol=1e-14):
     """f(s) = (1 - a q^s)/(1 - b q^s), 0 <= b < a < 1, 0 < q < 1.
 
-    The Levy measure and kappa are atomic on the lattice k log(1/q);
-    kappa weight at k log(1/q) is (a^k - b^k) log(1/q).  Both are cut
-    where the bound on the mass past the cut is at most ``tol``.
+    kappa is atomic on the lattice k log(1/q), with weight
+    (a^k - b^k) log(1/q) at k log(1/q).  It is cut where the bound on the
+    mass past the cut is at most ``tol``.
     """
     if not (0 <= b < a < 1):
         raise DomainError("qratio needs 0 <= b < a < 1")
@@ -129,15 +99,6 @@ def qratio(a, b, q, tol=1e-14):
 
     def closed(s):
         return (1.0 - a * q ** s) / (1.0 - b * q ** s)
-
-    # nu has weight (a - b) b^{k-1} at k log(1/q), so the terms past k = N+1
-    # sum to (a - b) b^{N+1} / (1 - b)
-    N, levy_tail = geometric_cut(math.log((a - b) / (1.0 - b)),
-                                 math.log(b) if b else -math.inf, tol)
-    k = np.arange(1, N + 2)
-    levy = AtomicMeasure.from_pairs(
-        np.column_stack((k * log1q, (a - b) * b ** (k - 1))),
-        truncation_error=levy_tail)
 
     def kappa_factory():
         # a^k - b^k <= a^k: the terms past k = N+1 sum to at most
@@ -149,10 +110,8 @@ def qratio(a, b, q, tol=1e-14):
             np.column_stack((k * log1q, (a ** k - b ** k) * log1q)),
             truncation_error=tail)
 
-    return _self_test(BernsteinFunction(
-        catalog_id="qratio:%g:%g:%g" % (a, b, q),
-        a=(1.0 - a) / (1.0 - b), b=0.0, levy=levy,
-        closed_form=closed, kappa_factory=kappa_factory))
+    return BernsteinFunction("qratio:%g:%g:%g" % (a, b, q), closed,
+                             kappa_factory)
 
 
 def powertower():
@@ -166,9 +125,7 @@ def powertower():
             return 1.0
         return s * math.exp((s + 1.0) * math.log1p(1.0 / s))
 
-    return BernsteinFunction(
-        catalog_id="powertower", a=1.0, b=0.0, levy=None,
-        closed_form=closed, kappa_factory=None)
+    return BernsteinFunction("powertower", closed)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ def _parse_params(pairs):
         if "=" not in item:
             raise DomainError("parameter %r is not key=value" % item)
         key, _, value = item.partition("=")
+        if key in params:
+            raise DomainError("parameter %r is given twice" % key)
         try:
             params[key] = float(value)
         except ValueError:
@@ -81,13 +83,11 @@ def build_parser():
     p.add_argument("object_id")
     p.add_argument("--z", required=True,
                    help="evaluation point, real or complex (e.g. 2+1j)")
-    p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--output", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("atoms")
     p.add_argument("object_id")
-    p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--output", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
 
@@ -151,7 +151,7 @@ def _cmd_table(args):
 
 
 def _cmd_mellin(args):
-    obj = resolve(args.object_id, _parse_params(args.param))
+    obj = resolve(args.object_id)
     try:
         z = complex(args.z)
     except ValueError:
@@ -170,7 +170,7 @@ def _cmd_mellin(args):
 
 
 def _cmd_atoms(args):
-    obj = resolve(args.object_id, _parse_params(args.param))
+    obj = resolve(args.object_id)
     m = obj.measure()
     if args.output == "json":
         text = json.dumps(m.to_json_dict() if isinstance(m, AtomicMeasure)

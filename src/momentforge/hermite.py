@@ -53,6 +53,8 @@ import numpy as np
 from .errors import BudgetError, DomainError, InconsistencyError, RangeError
 from .measures import _in_order
 
+#: the most terms one G value may sum; a point that needs more is a
+#: BudgetError
 _MAX_TERMS = 200000
 #: unit roundoff of binary64
 _U = 2.0 ** -53
@@ -942,7 +944,7 @@ def _tail_bound(t, x, n_top):
                     - math.log1p(-at))
 
 
-def _evaluate_grid(t_grid, x_grid, tol, max_terms):
+def _evaluate_grid(t_grid, x_grid, tol):
     """GenFunValue rows, one per t, over the grid t_grid x x_grid.
 
     The term count of every point is fixed first, in row order.  Every
@@ -985,10 +987,10 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
         for x in xs:
             _require_finite(x, "generating_G")
             n_top = _terms_needed(t, x, tol)
-            if n_top > max_terms:
+            if n_top > _MAX_TERMS:
                 raise BudgetError(
                     "reaching tol = %g at (t, x) = (%g, %g) needs %d "
-                    "terms, budget is %d" % (tol, t, x, n_top, max_terms))
+                    "terms, budget is %d" % (tol, t, x, n_top, _MAX_TERMS))
             row.append(n_top)
             if t != 0.0:
                 reads[abs(x)] = max(reads.get(abs(x), 0), n_top - 1)
@@ -1050,7 +1052,7 @@ def _evaluate_grid(t_grid, x_grid, tol, max_terms):
     return grid
 
 
-def generating_G(t, x, tol=1e-10, max_terms=_MAX_TERMS):
+def generating_G(t, x, tol=1e-10):
     """Certified evaluation of G(t, x) = sum h_k(x) t^k for |t| < 1.
 
     The number of terms is fixed in advance from the Szasz tail majorant.
@@ -1060,15 +1062,14 @@ def generating_G(t, x, tol=1e-10, max_terms=_MAX_TERMS):
     the path taken is ``roundoff_bound``.  This is the 1 x 1 grid of
     positivity_scan.
     """
-    return _evaluate_grid([t], [x], tol, max_terms)[0][0]
+    return _evaluate_grid([t], [x], tol)[0][0]
 
 
 def positivity_scan(t_grid, x_grid, tol=1e-10):
     """Evaluate G with certified bounds on a grid; all_positive is true iff
     certified_lower = value - tail_bound - roundoff_bound > 0 at every
     grid point."""
-    points = tuple(g for row in _evaluate_grid(t_grid, x_grid, tol,
-                                               _MAX_TERMS)
+    points = tuple(g for row in _evaluate_grid(t_grid, x_grid, tol)
                    for g in row)
     if not points:
         raise DomainError("empty scan grid")

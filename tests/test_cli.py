@@ -208,6 +208,8 @@ def test_resolve_rejects_garbage():
     ["verify", "hankel", "--tol", "-1"],
     ["atoms", "qbeta:0.99:0.5:0.5:1"],
     ["moments", "linear", "--param", "alpha=0"],
+    ["moments", "linear", "--param", "alpha=1", "--param", "alpha=3",
+     "--n-max", "2"],
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -365,25 +367,51 @@ def test_readme_lists_every_catalog_id():
                       for head, (names, _) in TABLE.items()]
 
 
-@pytest.mark.parametrize("argv", [
-    ["moments", "qratio:0.9999999:0.999999:0.5", "--n-max", "2"],
-    ["atoms", "qratio:0.9999999:0.5:0.5"],
-])
-def test_qratio_near_one_is_usage_error(argv):
-    # the lattices of nu (b near 1) and kappa (a near 1) would need tens of
-    # millions of atoms; a fresh process under a timeout and a 2 GiB cap on
-    # its address space, so that a cut that does not stop cannot run on
+def test_qratio_near_one_is_usage_error():
+    # the lattice of kappa (a near 1) would need tens of millions of atoms;
+    # a fresh process under a timeout and a 2 GiB cap on its address
+    # space, so that a cut that does not stop cannot run on
     src = os.path.dirname(os.path.dirname(momentforge.__file__))
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    done = subprocess.run([sys.executable, "-m", "momentforge.cli"] + argv,
+    done = subprocess.run([sys.executable, "-m", "momentforge.cli", "atoms",
+                           "qratio:0.9999999:0.5:0.5"],
                           capture_output=True, text=True, timeout=30,
                           preexec_fn=cap, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("object_id", ["qratio:0.9999999:0.999999:0.5",
+                                       "qratio:0.99999:0.9999:0.999"])
+def test_qratio_near_one_moments_are_the_closed_form_products(capsys,
+                                                              object_id):
+    # moments read the closed form only, so no lattice is cut
+    code, out, _ = run(capsys, "moments", object_id, "--n-max", "3")
+    assert code == 0
+    a, b, q = map(float, object_id.split(":")[1:])
+    product = 1.0
+    for row in out.strip().splitlines()[1:]:
+        n, value = row.split(",")
+        assert float(value) == pytest.approx(product, rel=1e-14)
+        s = 1.0 + int(n)
+        product *= (1.0 - a * q ** s) / (1.0 - b * q ** s)
+
+
+@pytest.mark.parametrize("argv", [
+    ["atoms", "ratio:1:2", "--param", "alpha=5"],
+    ["mellin", "gamma:1:2", "--z", "2", "--param", "alpha=1"],
+])
+def test_atoms_and_mellin_take_no_param(capsys, argv):
+    # kappa does not depend on (alpha, beta), and no Mellin evaluator
+    # reads a param: argparse refuses the option
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_main_in_one_process_matches_fresh_processes(capsys):

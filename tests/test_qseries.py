@@ -460,7 +460,6 @@ LATTICES = {
     "mu_abq": lambda a, b, tol: mu_abq(QParams(a, b, 0.5), tol),
     "nu_a": lambda a, b, tol: nu_a(a, 0.5, tol),
     "qratio-kappa": lambda a, b, tol: kappa_of(qratio(a, b, 0.5, tol)),
-    "qratio-nu": lambda a, b, tol: qratio(a, b, 0.5, tol).levy,
 }
 
 

@@ -46,9 +46,8 @@ RECORDS = [
      ("partial_sum", "slope_estimate", "verdict"), {}),
     (hankel.Trichotomy, dict(case=hankel.ALL_POSITIVE), ("case",), {}),
     (bernstein.BernsteinFunction,
-     dict(catalog_id="linear", a=0.0, b=1.0, levy=None,
-          closed_form=_closed_form),
-     ("catalog_id", "a", "b", "levy", "closed_form", "kappa_factory"),
+     dict(catalog_id="linear", closed_form=_closed_form),
+     ("catalog_id", "closed_form", "kappa_factory"),
      {"kappa_factory": None}),
     (bernstein.LevyKhinchinRep, dict(a=0.0, b=0.5, sigma=None),
      ("a", "b", "sigma"), {}),
