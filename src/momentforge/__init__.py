@@ -19,9 +19,8 @@ from .errors import (BudgetError, DomainError, InconsistencyError,
 from .measures import (AtomicMeasure, DensityMeasure, MellinValue,
                        MomentSequence, additive_convolve, integral, mellin,
                        moment, product_convolve, pushforward)
-from .hankel import (HankelVerdict, CarlemanDiagnostic, Trichotomy,
-                     carleman_diagnostic, power_sequence, stieltjes_check,
-                     trichotomy_classify)
+from .hankel import (HankelVerdict, CarlemanDiagnostic, carleman_diagnostic,
+                     power_sequence, stieltjes_check, trichotomy_classify)
 from .bernstein import (BernsteinFunction, LevyKhinchinRep, affine, kappa_of,
                         lk_log_moment, lk_rep_of,
                         linear, log_moment_via_rep, mobius, power_moments,

@@ -31,7 +31,11 @@ def _grid(lo, hi, step):
         raise DomainError("grid bounds and step must be finite")
     if step <= 0:
         raise DomainError("step must be positive")
-    count = int(round((hi - lo) / step)) + 1
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise DomainError("grid [%g, %g] step %g has too many points to "
+                          "count" % (lo, hi, step))
+    count = round(span) + 1
     if count < 1:
         raise DomainError("empty grid: [%g, %g] step %g" % (lo, hi, step))
     if count == 1:
@@ -190,14 +194,10 @@ def _cmd_atoms(args):
 def _cmd_hermite_scan(args):
     t_grid = _grid(args.tmin, args.tmax, args.tstep)
     x_grid = _grid(args.xmin, args.xmax, args.xstep)
-    for t in t_grid:
-        if not abs(t) < 1.0:
-            raise DomainError("t grid leaves (-1, 1): t = %g" % t)
     report = positivity_scan(t_grid, x_grid, tol=args.tol)
     lines = ["t,x,G,tail_bound"]
-    lines.extend("%s,%s,%s,%s" % (_fmt(g.t), _fmt(g.x), _fmt(g.value),
-                                  _fmt(g.tail_bound))
-                 for g in report.points)
+    # t, x, value and tail_bound are a GenFunValue's first four fields
+    lines.extend("%.17g,%.17g,%.17g,%.17g" % g[:4] for g in report.points)
     return "\n".join(lines) + "\n", 0 if report.all_positive else 1
 
 
@@ -222,8 +222,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         text, code = _DISPATCH[args.command](args)
-    except (DomainError, PreconditionError, UnsupportedError, BudgetError,
-            KeyError) as exc:
+    except (DomainError, PreconditionError, UnsupportedError,
+            BudgetError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MomentForgeError as exc:

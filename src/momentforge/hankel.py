@@ -60,10 +60,6 @@ class CarlemanDiagnostic(NamedTuple):
     verdict: str
 
 
-class Trichotomy(NamedTuple):
-    case: str
-
-
 def _min_pivot_pivoted_cholesky(matrix, tol):
     """Return (failed_index, pivot) on failure, else (None, min pivot seen).
 
@@ -182,21 +178,22 @@ def carleman_diagnostic(s, N):
 
 
 def trichotomy_classify(s, N):
-    """Classify the zero pattern of s_0..s_N into the three allowed cases;
-    s_n counts as zero at or below 1e-13 times the largest of them."""
+    """The label of the zero pattern of s_0..s_N among the three allowed
+    cases: ALL_POSITIVE, DIRAC_AT_ZERO or SYMMETRIC_ZERO_ODD.  s_n counts
+    as zero at or below 1e-13 times the largest of them."""
     values = [s(n) for n in range(N + 1)]
     if values[0] <= 0:
         raise DomainError("s_0 must be positive")
     threshold = 1e-13 * max(values)
     is_zero = [abs(v) <= threshold for v in values]
     if not any(is_zero[1:]):
-        return Trichotomy(ALL_POSITIVE)
+        return ALL_POSITIVE
     if all(is_zero[1:]):
-        return Trichotomy(DIRAC_AT_ZERO)
+        return DIRAC_AT_ZERO
     even_pos = all(not is_zero[n] for n in range(0, N + 1, 2))
     odd_zero = all(is_zero[n] for n in range(1, N + 1, 2))
     if even_pos and odd_zero:
-        return Trichotomy(SYMMETRIC_ZERO_ODD)
+        return SYMMETRIC_ZERO_ODD
     raise InconsistencyError(
         "zero pattern matches none of the three admissible cases; the "
         "input cannot be an infinitely divisible moment sequence")

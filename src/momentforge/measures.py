@@ -15,8 +15,8 @@ do :func:`moment` (of one order, or of a sequence of orders in one call),
 :func:`mellin` and :meth:`AtomicMeasure.laplace`, which go through it; so
 do ``bernstein.psi`` and ``bernstein.lk_log_moment``.  The catalog's
 moment and Mellin evaluators still pass on the value alone.
-Product convolution and the three pushforward maps operate on atomic
-measures.
+Product and additive convolution and the exp-neg pushforward operate on
+atomic measures.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -159,12 +159,6 @@ class AtomicMeasure:
         """Atoms from an (n, 2) array-like of (location, weight) pairs."""
         return AtomicMeasure(pairs, zero_mass, truncation_error)
 
-    @staticmethod
-    def dirac(loc, weight=1.0):
-        if loc == 0:
-            return AtomicMeasure((), zero_mass=weight)
-        return AtomicMeasure.from_pairs([(loc, weight)])
-
     def locations(self):
         return self._loc
 
@@ -286,7 +280,7 @@ def moment(m, n, tol=1e-12):
         np.where(orders == 0, r.value + m.zero_mass, r.value), r.abs_error)
 
 
-def mellin(m, z, tol=1e-12):
+def mellin(m, z):
     """Mellin transform integral x^z dm as a MellinValue.
 
     Agrees with :func:`moment` at nonnegative integers within the combined
@@ -305,7 +299,7 @@ def mellin(m, z, tol=1e-12):
             return np.ones_like(x)
         return np.exp(z * np.log(x))
 
-    r = integral(m, weight, tol)
+    r = integral(m, weight)
     value = r.value + m.zero_mass if z == 0 else r.value
     return MellinValue(complex(value), r.abs_error)
 
@@ -351,42 +345,22 @@ def additive_convolve(m1, m2):
 
 
 def pushforward(m, mapping, param=None):
-    """Image of an atomic measure under one of three maps.
+    """Image of an atomic measure under x -> exp(-beta x).
 
-    ``mapping`` is ``exp-neg`` (x -> exp(-beta x), param beta > 0; mass
-    whose image underflows to 0 moves into ``truncation_error``),
-    ``neg-log`` (x -> -log x, for locations in (0, 1]; an atom at 1 becomes
-    mass at 0), or ``scale`` (x -> gamma x, param gamma > 0).  Weights are
-    preserved.
+    ``mapping`` must be ``exp-neg``, and ``param`` is beta > 0 (1 when
+    None).  Weights are preserved; mass whose image underflows to 0 moves
+    into ``truncation_error``, and the mass at 0 becomes an atom at 1.
     """
     if not isinstance(m, AtomicMeasure):
         raise DomainError("pushforward is defined for atomic measures")
-    loc, wt = m.locations(), m.weights()
-    if mapping == "exp-neg":
-        beta = 1.0 if param is None else float(param)
-        if beta <= 0:
-            raise DomainError("beta must be positive")
-        pairs, lost = exp_neg_image(loc, wt, m.zero_mass, beta)
-        return AtomicMeasure.from_pairs(
-            pairs, truncation_error=m.truncation_error + lost)
-    if mapping == "neg-log":
-        if m.zero_mass > 0:
-            raise DomainError("-log is undefined at location 0")
-        if (loc > 1.0).any():
-            raise DomainError("-log maps location %g below 0" % loc[-1])
-        below = loc < 1.0  # an atom at 1 maps to the mass at 0
-        # reversed: ascending images need no sort in from_pairs
-        return AtomicMeasure.from_pairs(
-            np.column_stack((-np.log(loc[below]), wt[below]))[::-1],
-            zero_mass=wt[~below].sum(), truncation_error=m.truncation_error)
-    if mapping == "scale":
-        gamma = float(param)
-        if gamma <= 0:
-            raise DomainError("gamma must be positive")
-        return AtomicMeasure.from_pairs(
-            np.column_stack((gamma * loc, wt)),
-            zero_mass=m.zero_mass, truncation_error=m.truncation_error)
-    raise DomainError("unknown pushforward map %r" % mapping)
+    if mapping != "exp-neg":
+        raise DomainError("unknown pushforward map %r" % mapping)
+    beta = 1.0 if param is None else float(param)
+    if beta <= 0:
+        raise DomainError("beta must be positive")
+    pairs, lost = exp_neg_image(m.locations(), m.weights(), m.zero_mass, beta)
+    return AtomicMeasure.from_pairs(
+        pairs, truncation_error=m.truncation_error + lost)
 
 
 def exp_neg_image(locations, weights, zero_mass, beta=1.0):
@@ -417,18 +391,6 @@ class MomentSequence:
             raise DomainError("need fn or log_fn")
         self._fn = fn
         self._log_fn = log_fn
-
-    @staticmethod
-    def from_values(values):
-        values = [float(v) for v in values]
-
-        def fn(n):
-            if n >= len(values):
-                raise DomainError("sequence defined only up to n=%d"
-                                  % (len(values) - 1))
-            return values[n]
-
-        return MomentSequence(fn=fn)
 
     @staticmethod
     def from_log_steps(step, scale=1.0):

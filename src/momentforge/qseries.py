@@ -135,21 +135,21 @@ def mu_abq(p, tol=DEFAULT_TOL):
         truncation_error=tail + lost)
 
 
-def qbinomial_check(a, z, q, N=6, K=80):
+def qbinomial_check(a, z, q):
     """Residual of the q-binomial identity
     sum_k (z;q)_k/(q;q)_k x^k = (zx;q)_inf / (x;q)_inf at x = a q^n.
 
-    Returns the maximum absolute residual over n <= N with the series
-    truncated at K terms.
+    Returns the maximum absolute residual over n <= 6 with the series
+    cut after k = 80.
     """
     worst = 0.0
-    for n in range(N + 1):
+    for n in range(7):
         x = a * q ** n
         series = 0.0
         z_poch = 1.0
         q_poch = 1.0
         x_pow = 1.0
-        for k in range(K + 1):
+        for k in range(81):
             series += z_poch / q_poch * x_pow
             z_poch *= 1.0 - z * q ** k
             q_poch *= 1.0 - q ** (k + 1)

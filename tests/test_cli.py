@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import momentforge
-from momentforge import qseries, verify
+from momentforge import cli, qseries, verify
 from momentforge.catalog import TABLE, resolve
 from momentforge.cli import main
+from momentforge.hermite import positivity_scan
 from momentforge.errors import DomainError
 
 
@@ -128,6 +129,20 @@ def test_hermite_scan_csv(capsys):
         assert tail <= 1e-10 or t == 0.0
 
 
+def test_hermite_scan_rows_are_four_fmt_fields(capsys):
+    # each row is t, x, G and tail_bound, each as _fmt prints it
+    argv = ["hermite-scan", "--tmin=-0.75", "--tmax=0.75", "--tstep=0.25",
+            "--xmin=-1.3", "--xmax=1.3", "--xstep=0.65", "--tol=1e-10"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    report = positivity_scan(cli._grid(-0.75, 0.75, 0.25),
+                             cli._grid(-1.3, 1.3, 0.65), tol=1e-10)
+    expected = [",".join(map(cli._fmt, (g.t, g.x, g.value, g.tail_bound)))
+                for g in report.points]
+    assert out.splitlines()[1:] == expected
+    assert len(expected) == 7 * 5
+
+
 def test_hermite_scan_one_point_is_the_point_given(capsys):
     # a multi-point grid rounds to 12 decimals; a single point is not
     # rounded, so x = 1e-300 is evaluated and printed, not x = 0
@@ -169,6 +184,34 @@ def test_suite_names_are_the_report_order():
                                   "semigroup", "hermite")
 
 
+def test_unknown_suite_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
+
+
+def test_pochhammer_at_one_is_the_factorial_sequence():
+    # the hankel suite's factorial cases are (1)_n = n!, bit for bit,
+    # since lgamma(1) == 0.0; 170! is the last one binary64 holds
+    seq = verify._poch_seq(1.0)
+    assert [seq.log(n) for n in range(200)] == [math.lgamma(n + 1.0)
+                                                for n in range(200)]
+    assert seq.values(170) == [math.exp(math.lgamma(n + 1.0))
+                               for n in range(171)]
+
+
+def test_a_key_error_inside_a_command_is_not_a_usage_error(capsys,
+                                                           monkeypatch):
+    # a KeyError from a bug propagates; only the package's own input
+    # errors become one "error:" line and exit 2
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(cli._DISPATCH, "atoms", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["atoms", "gamma:1:2"])
+    assert capsys.readouterr().err == ""
+
+
 def test_tol_overrides_every_check_of_a_suite():
     default = verify.run_suite("hankel")
     overridden = verify.run_suite("hankel", tol=0.5)
@@ -197,6 +240,7 @@ def test_resolve_rejects_garbage():
     ["moments", "gamma:1:2", "--param", "c=-1"],
     ["moments", "gamma:1:2", "--param", "zzz=5"],
     ["hermite-scan", "--tstep", "nan"],
+    ["hermite-scan", "--xmin=-1e308", "--xmax=1e308", "--xstep=1e-300"],
     ["moments", "nu:0.5:0.5", "--n-max", "-2"],
     ["moments", "gamma:nan:1"],
     ["moments", "gamma:inf:1"],
