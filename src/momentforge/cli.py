@@ -26,7 +26,22 @@ def _fmt(x):
     return "%.17g" % x
 
 
-def _grid(lo, hi, step):
+def _csv(header, rows):
+    """CSV text: ``header``, then one line per row, each number by _fmt
+    (for an integer, the same text as %d)."""
+    lines = [header]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+#: the most points a scan grid may hold: a scan's peak memory grows by
+#: about 660 bytes a point (27 MB for a 201 x 201 grid), so this keeps it
+#: under a gigabyte
+MAX_SCAN_POINTS = 10 ** 6
+
+
+def _count(lo, hi, step):
+    """The number of points of the grid lo, lo + step, ..., hi."""
     if not all(map(math.isfinite, (lo, hi, step))):
         raise DomainError("grid bounds and step must be finite")
     if step <= 0:
@@ -38,6 +53,11 @@ def _grid(lo, hi, step):
     count = round(span) + 1
     if count < 1:
         raise DomainError("empty grid: [%g, %g] step %g" % (lo, hi, step))
+    return count
+
+
+def _grid(lo, hi, step):
+    count = _count(lo, hi, step)
     if count == 1:
         # rounding to 12 decimals would turn a point such as 1e-300 into 0
         return [lo]
@@ -72,7 +92,6 @@ def build_parser():
     p.add_argument("suite", choices=list(verify.SUITE_NAMES) + ["all"])
     p.add_argument("--tol", type=float, default=None,
                    help="override every check tolerance")
-    p.add_argument("--out", default=None)
 
     for name in ("moments", "table"):
         p = sub.add_parser(name)
@@ -81,19 +100,16 @@ def build_parser():
         p.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="extra catalog parameters (e.g. alpha=1)")
         p.add_argument("--output", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None)
 
     p = sub.add_parser("mellin")
     p.add_argument("object_id")
     p.add_argument("--z", required=True,
                    help="evaluation point, real or complex (e.g. 2+1j)")
     p.add_argument("--output", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("atoms")
     p.add_argument("object_id")
     p.add_argument("--output", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("hermite-scan")
     p.add_argument("--tmin", type=float, default=-0.95)
@@ -103,7 +119,9 @@ def build_parser():
     p.add_argument("--xmax", type=float, default=10.0)
     p.add_argument("--xstep", type=float, default=0.25)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out", default=None)
+    # main alone reads --out; it is the last option of every subcommand
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -120,9 +138,7 @@ def _cmd_moments(args):
         text = json.dumps({"object": args.object_id,
                            "moments": values}) + "\n"
     else:
-        lines = ["n,value"]
-        lines.extend("%d,%s" % (n, _fmt(v)) for n, v in enumerate(values))
-        text = "\n".join(lines) + "\n"
+        text = _csv("n,value", enumerate(values))
     return text, 0
 
 
@@ -140,17 +156,7 @@ def _cmd_table(args):
     if args.output == "json":
         text = json.dumps({"object": args.object_id, "rows": rows}) + "\n"
     else:
-        if obj.mellin_fn is not None:
-            lines = ["n,moment,mellin,residual"]
-            lines.extend("%d,%s,%s,%s" % (r["n"], _fmt(r["moment"]),
-                                          _fmt(r["mellin"]),
-                                          _fmt(r["residual"]))
-                         for r in rows)
-        else:
-            lines = ["n,moment"]
-            lines.extend("%d,%s" % (r["n"], _fmt(r["moment"]))
-                         for r in rows)
-        text = "\n".join(lines) + "\n"
+        text = _csv(",".join(rows[0]), (r.values() for r in rows))
     return text, 0
 
 
@@ -183,18 +189,18 @@ def _cmd_atoms(args):
         if not isinstance(m, AtomicMeasure):
             raise UnsupportedError(
                 "%s is a density; use --output json" % args.object_id)
-        lines = ["location,weight"]
-        if m.zero_mass > 0:
-            lines.append("0,%s" % _fmt(m.zero_mass))
-        lines.extend("%s,%s" % (_fmt(loc), _fmt(wt)) for loc, wt in m.atoms)
-        text = "\n".join(lines) + "\n"
+        zero = [(0, m.zero_mass)] if m.zero_mass > 0 else []
+        text = _csv("location,weight", zero + list(m.atoms))
     return text, 0
 
 
 def _cmd_hermite_scan(args):
-    t_grid = _grid(args.tmin, args.tmax, args.tstep)
-    x_grid = _grid(args.xmin, args.xmax, args.xstep)
-    report = positivity_scan(t_grid, x_grid, tol=args.tol)
+    axes = ((args.tmin, args.tmax, args.tstep),
+            (args.xmin, args.xmax, args.xstep))
+    if math.prod(_count(*axis) for axis in axes) > MAX_SCAN_POINTS:
+        raise DomainError("the scan grid has more than %d points"
+                          % MAX_SCAN_POINTS)
+    report = positivity_scan(*(_grid(*axis) for axis in axes), tol=args.tol)
     lines = ["t,x,G,tail_bound"]
     # t, x, value and tail_bound are a GenFunValue's first four fields
     lines.extend("%.17g,%.17g,%.17g,%.17g" % g[:4] for g in report.points)

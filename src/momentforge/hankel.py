@@ -159,6 +159,8 @@ def carleman_diagnostic(s, N):
     terms = []
     for n in range(1, N + 1):
         log_sn = s.log(n)
+        if log_sn == -math.inf:
+            raise DomainError("log of nonpositive moment s_%d" % n)
         terms.append(math.exp(-log_sn / (2.0 * n)))
     if any(t <= 0 for t in terms):
         raise DomainError("terms must be positive")
@@ -203,13 +205,4 @@ def power_sequence(s, c):
     """The sequence n -> s_n^c, computed in log domain, with 0^c = 0."""
     if c <= 0:
         raise DomainError("exponent must be positive")
-
-    def log_fn(n):
-        try:
-            return c * s.log(n)
-        except DomainError:
-            if s(n) != 0.0:
-                raise
-            return -math.inf
-
-    return MomentSequence(log_fn=log_fn)
+    return MomentSequence(log_fn=lambda n: c * s.log(n))

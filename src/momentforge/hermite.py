@@ -106,13 +106,15 @@ class GenFunValue(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    """Grid report of positivity_scan."""
+    """Grid report of positivity_scan: the least certified lower bound
+    and every point."""
 
-    all_positive: bool
-    min_value: float
     min_certified: float
-    argmin: Tuple[float, float]
     points: Tuple[GenFunValue, ...]
+
+    @property
+    def all_positive(self):
+        return self.min_certified > 0.0
 
 
 def _require_finite(x, name):
@@ -1073,16 +1075,4 @@ def positivity_scan(t_grid, x_grid, tol=1e-10):
                    for g in row)
     if not points:
         raise DomainError("empty scan grid")
-    min_value = math.inf
-    min_cert = math.inf
-    argmin = None
-    for g in points:
-        if g.value < min_value:
-            min_value = g.value
-            argmin = (g.t, g.x)
-        min_cert = min(min_cert, g.certified_lower)
-    return ScanReport(all_positive=min_cert > 0.0,
-                      min_value=min_value,
-                      min_certified=min_cert,
-                      argmin=argmin,
-                      points=points)
+    return ScanReport(min(g.certified_lower for g in points), points)

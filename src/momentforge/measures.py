@@ -222,7 +222,8 @@ def integral(m, g, tol=1e-12):
     ``mu_abq``, ``mu_c`` and ``sigma_abgamma``, whose dropped atoms sit at
     q^k -> 0.  For ``tau_c``, ``nu_a`` and the ``qratio`` kappa the dropped
     atoms lie beyond the largest kept location, where a growing |g| is
-    larger, so there it is not a bound.
+    larger, so there it is not a bound.  A sum that leaves binary64 (inf,
+    or nan from inf - inf or inf * 0) is a :class:`RangeError`.
 
     For a density it integrates g * density over the support by
     :func:`quadrature.integrate`, tanh-sinh on a finite interval and
@@ -235,9 +236,12 @@ def integral(m, g, tol=1e-12):
         loc = m.locations()
         # one call of g: the atoms, then the point the estimate reads; the
         # transposes weight each component of an (m, K) value
-        vals = g(np.append(loc, max([1.0, *loc[-1:]])))
-        return MellinValue(np.sum(m.weights() * vals[:-1].T, axis=-1),
-                           m.truncation_error * np.abs(vals[-1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = g(np.append(loc, max([1.0, *loc[-1:]])))
+            value = np.sum(m.weights() * vals[:-1].T, axis=-1)
+        if not np.isfinite(value).all():
+            raise RangeError("a sum over atoms leaves binary64")
+        return MellinValue(value, m.truncation_error * np.abs(vals[-1]))
 
     def f(x):
         return (g(x).T * m.density(x)).T
@@ -275,7 +279,11 @@ def moment(m, n, tol=1e-12):
         table = np.array([x ** k for k in ks]).T
         return table.reshape(x.shape + orders.shape)
 
-    r = integral(m, powers, tol)
+    try:
+        r = integral(m, powers, tol)
+    except RangeError:
+        raise RangeError("a moment of order up to %d leaves binary64"
+                         % max(ks)) from None
     return _mellin_value(
         np.where(orders == 0, r.value + m.zero_mass, r.value), r.abs_error)
 
@@ -299,9 +307,20 @@ def mellin(m, z):
             return np.ones_like(x)
         return np.exp(z * np.log(x))
 
-    r = integral(m, weight)
+    try:
+        r = integral(m, weight)
+    except RangeError:
+        raise RangeError("Mellin transform at z = %s leaves binary64"
+                         % z) from None
     value = r.value + m.zero_mass if z == 0 else r.value
     return MellinValue(complex(value), r.abs_error)
+
+
+def _dropped_mass(m1, m2):
+    """The most mass a convolution of m1 and m2 misses: each input's
+    dropped mass times the other's whole mass, kept or dropped."""
+    return (m1.truncation_error * (m2.total_mass + m2.truncation_error)
+            + m2.truncation_error * m1.total_mass)
 
 
 def product_convolve(m1, m2):
@@ -317,10 +336,8 @@ def product_convolve(m1, m2):
                              np.outer(m1.weights(), m2.weights()).ravel()))
     zero = (m1.zero_mass * m2.total_mass + m2.zero_mass * m1.total_mass
             - m1.zero_mass * m2.zero_mass)
-    trunc = (m1.truncation_error * (m2.total_mass + m2.truncation_error)
-             + m2.truncation_error * m1.total_mass)
     return AtomicMeasure.from_pairs(pairs, zero_mass=zero,
-                                    truncation_error=trunc)
+                                    truncation_error=_dropped_mass(m1, m2))
 
 
 def additive_convolve(m1, m2):
@@ -337,11 +354,9 @@ def additive_convolve(m1, m2):
     w1, w2 = (np.append(m.zero_mass, m.weights()) for m in (m1, m2))
     pairs = np.column_stack((np.add.outer(l1, l2).ravel(),
                              np.outer(w1, w2).ravel()))[1:]
-    trunc = (m1.truncation_error * (m2.total_mass + m2.truncation_error)
-             + m2.truncation_error * m1.total_mass)
     return AtomicMeasure.from_pairs(pairs,
                                     zero_mass=m1.zero_mass * m2.zero_mass,
-                                    truncation_error=trunc)
+                                    truncation_error=_dropped_mass(m1, m2))
 
 
 def pushforward(m, mapping, param=None):
@@ -427,12 +442,13 @@ class MomentSequence:
         return value
 
     def log(self, n):
+        """log s_n: -inf where s_n = 0, a DomainError where s_n < 0."""
         if self._log_fn is not None:
             return float(self._log_fn(n))
         value = self(n)
-        if value <= 0:
+        if value < 0:
             raise DomainError("log of nonpositive moment s_%d" % n)
-        return math.log(value)
+        return math.log(value) if value else -math.inf
 
     def values(self, n_max):
         return [self(n) for n in range(n_max + 1)]

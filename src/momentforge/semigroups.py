@@ -22,27 +22,55 @@ _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _stirling_tail(z):
+    """S(z) = log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2, as eight
+    terms of the Stirling series; for Re z >= 15 the first omitted term is
+    below 2e-21."""
+    w = 1.0 / (z * z)
+    series = 0j
+    for coeff in reversed(_STIRLING):
+        series = series * w + coeff
+    return series / z
+
+
 def _loggamma(z):
     """log Gamma(z) for Re z > 0, on the branch continuous from the
     positive real axis (the analytic continuation of math.lgamma).
 
-    Shifts z by Gamma(z) = Gamma(z + 1)/z until Re z >= 15, then sums
-    eight terms of the Stirling series; the first omitted term is below
-    2e-21 there.  Every log(z + k) is principal and Re(z + k) > 0, so the
-    sum stays on that branch, which matters when the result is scaled by
-    a non-integer power before it is exponentiated.
+    Shifts z by Gamma(z) = Gamma(z + 1)/z until Re z >= 15, then adds
+    the Stirling tail :func:`_stirling_tail`.  Every log(z + k) is
+    principal and Re(z + k) > 0, so the sum stays on that branch, which
+    matters when the result is scaled by a non-integer power before it is
+    exponentiated.
     """
     z = complex(z)
     shift = 0j
     while z.real < 15.0:
         shift += cmath.log(z)
         z += 1.0
-    w = 1.0 / (z * z)
-    series = 0j
-    for coeff in reversed(_STIRLING):
-        series = series * w + coeff
-    return ((z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series / z
+    return ((z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + _stirling_tail(z)
             - shift)
+
+
+def _log_gamma_ratio(a, z):
+    """log(Gamma(a + z)/Gamma(a)) for real a > 0 and Re(a + z) > 0, on the
+    branch of :func:`_loggamma`.
+
+    Where a >= 15, Re(a + z) >= 15 and |z| <= a/2, it is
+    (a - 1/2) log(1 + z/a) + z log(a + z) - z + S(a + z) - S(a), with the
+    real part of log(1 + u) as log1p(2 Re u + |u|^2)/2: the difference of
+    the two log-gammas, each of size a log a, would lose a ratio's digits
+    to rounding there.  Elsewhere it is that difference: past |z| = a/2,
+    2 Re u + |u|^2 itself cancels as u nears -1.
+    """
+    w = a + z
+    if a < 15.0 or w.real < 15.0 or abs(z) > 0.5 * a:
+        return _loggamma(w) - _loggamma(a)
+    u = z / a
+    log1p_u = complex(0.5 * math.log1p(2.0 * u.real + abs(u) ** 2),
+                      math.atan2(u.imag, 1.0 + u.real))
+    return ((a - 0.5) * log1p_u + z * cmath.log(w) - z
+            + _stirling_tail(w) - _stirling_tail(a))
 
 
 def _mellin_exp(exponent, z):
@@ -132,7 +160,7 @@ def gamma_mellin(fam, z):
     z = complex(z)
     if z.real <= -fam.a:
         raise DomainError("gamma Mellin transform needs Re z > -a")
-    return _mellin_exp(fam.c * (_loggamma(fam.a + z) - _loggamma(fam.a)), z)
+    return _mellin_exp(fam.c * _log_gamma_ratio(fam.a, z), z)
 
 
 def beta_density(fam):
@@ -156,9 +184,15 @@ def beta_mellin(fam, z):
     z = complex(z)
     if z.real <= -fam.a:
         raise DomainError("beta Mellin transform needs Re z > -a")
-    return _mellin_exp(fam.c * (_loggamma(fam.a + z) - _loggamma(fam.a)
-                                - _loggamma(fam.b + z) + _loggamma(fam.b)),
-                       z)
+    a, b = fam.a, fam.b
+    if b < 15.0:
+        # a < b < 15, where both ratios are plain log-gamma differences:
+        # one chain of the four keeps the last bit of every value there
+        exponent = _loggamma(a + z) - _loggamma(a) - _loggamma(b + z) \
+            + _loggamma(b)
+    else:
+        exponent = _log_gamma_ratio(a, z) - _log_gamma_ratio(b, z)
+    return _mellin_exp(fam.c * exponent, z)
 
 
 def vc_density(fam):

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,13 @@ def test_table_has_residual_column(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,moment,mellin,residual"
     assert all(float(line.split(",")[3]) < 1e-10 for line in lines[1:])
+
+
+def test_table_without_mellin_has_moment_column(capsys):
+    code, out, _ = run(capsys, "table", "ratio:1:2")
+    assert code == 0
+    assert out == run(capsys, "moments", "ratio:1:2")[1].replace(
+        "n,value", "n,moment")
 
 
 def test_hermite_scan_csv(capsys):
@@ -254,12 +262,25 @@ def test_resolve_rejects_garbage():
     ["moments", "linear", "--param", "alpha=0"],
     ["moments", "linear", "--param", "alpha=1", "--param", "alpha=3",
      "--n-max", "2"],
+    # grids of 2e10 and 1e300 points, refused before a list is built
+    ["hermite-scan", "--xstep", "1e-9"],
+    ["hermite-scan", "--tmin=-0.5", "--tmax=0.5", "--tstep=1e-300"],
 ])
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hermite-scan", "--xstep", "1e-9"],
+    ["hermite-scan", "--tmin=-0.5", "--tmax=0.5", "--tstep=1e-300"],
+])
+def test_a_scan_grid_past_the_point_limit_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert run(capsys, *argv)[0] == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sigmaq_first_moment_near_one(capsys):
@@ -325,6 +346,14 @@ def test_hp_moments_build_the_series_once(capsys, monkeypatch):
     ["moments", "qbeta:0.5:0.25:0.999:1000", "--n-max", "3"],
     ["table", "qbeta:0.5:0.25:0.999:1000", "--n-max", "3"],
     ["mellin", "qbeta:0.5:0.25:0.5:2000", "--z", "60"],
+    # sums over atoms past binary64, which printed inf or nan
+    ["mellin", "nu:0.5:0.5", "--z", "800"],
+    ["moments", "nu:0.5:0.5", "--n-max", "400"],
+    ["table", "nu:0.5:0.5", "--n-max", "400"],
+    ["mellin", "sigmaq:0.5:0.25:0.5", "--z", "1e300"],
+    # Gamma and Beta moments past binary64, which printed 1
+    ["moments", "gamma:1e300:1", "--n-max", "3"],
+    ["moments", "beta:1:1e300:1", "--n-max", "3"],
 ])
 def test_mellin_past_binary64_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

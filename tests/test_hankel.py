@@ -89,6 +89,11 @@ def test_carleman_needs_range():
         carleman_diagnostic(factorial_seq(), 4)
 
 
+def test_carleman_refuses_a_zero_moment():
+    with pytest.raises(DomainError, match="nonpositive moment s_1"):
+        carleman_diagnostic(MomentSequence.dirac_zero(), 40)
+
+
 def test_trichotomy_all_positive():
     assert trichotomy_classify(factorial_seq(), 8) == hankel.ALL_POSITIVE
 

@@ -165,7 +165,7 @@ def test_G_budget():
 def test_scan_trivial_grid():
     report = positivity_scan([0.0], [0.0])
     assert report.all_positive
-    assert report.min_value == 1.0
+    assert report.points[0].value == 1.0
 
 
 def test_scan_small_grid():

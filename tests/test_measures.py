@@ -1,5 +1,6 @@
 import builtins
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from momentforge import (AtomicMeasure, DomainError, MomentSequence,
                          additive_convolve, integral, mellin, moment,
                          product_convolve, pushforward, verify)
+from momentforge.errors import RangeError
 from momentforge.measures import MERGE_RTOL, _merged, geometric_cut
 from momentforge.qseries import (QParams, mellin_qbeta, mu_abq, mu_c, nu_a,
                                  tau_c)
@@ -352,6 +354,24 @@ def test_json_roundtrip():
 def test_moment_sequence_log_fn():
     s = MomentSequence(log_fn=lambda n: n * math.log(3.0))
     assert s(2) == pytest.approx(9.0)
+
+
+def test_moment_sequence_log_of_a_zero_value_is_minus_inf():
+    assert MomentSequence(fn=[1.0, 0.0].__getitem__).log(1) == -math.inf
+    with pytest.raises(DomainError):
+        MomentSequence(fn=[1.0, -1.0].__getitem__).log(1)
+
+
+@pytest.mark.parametrize("evaluate", [lambda m: moment(m, range(401)),
+                                      lambda m: moment(m, 400),
+                                      lambda m: mellin(m, 800),
+                                      lambda m: mellin(m, 700 + 1e300j)])
+def test_a_sum_over_atoms_past_binary64_is_a_range_error(evaluate):
+    m = nu_a(0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="leaves binary64"):
+            evaluate(m)
 
 
 def test_truncation_error_propagates_through_product():

@@ -54,10 +54,8 @@ RECORDS = [
      dict(t=0.5, x=0.0, value=1.25, tail_bound=1e-12, terms_used=40),
      ("t", "x", "value", "tail_bound", "terms_used", "roundoff_bound"),
      {"roundoff_bound": 0.0}),
-    (hermite.ScanReport,
-     dict(all_positive=True, min_value=0.5, min_certified=0.25,
-          argmin=(0.5, 0.0), points=()),
-     ("all_positive", "min_value", "min_certified", "argmin", "points"), {}),
+    (hermite.ScanReport, dict(min_certified=0.25, points=()),
+     ("min_certified", "points"), {}),
     (catalog.CatalogObject, dict(object_id="gamma:1:2"),
      ("object_id", "moments_fn", "mellin_fn", "measure_factory",
       "density_prefix"),
@@ -104,6 +102,14 @@ def test_records_are_tuples():
     assert mv < (0.25, 1.0)
     assert mv._replace(abs_error=1.0) == measures.MellinValue(0.25, 1.0)
     assert mv._asdict() == {"value": 0.25, "abs_error": 0.0}
+
+
+@pytest.mark.parametrize("min_certified, positive", [
+    (0.25, True), (0.0, False), (-1e-12, False)])
+def test_scan_report_all_positive_is_a_property(min_certified, positive):
+    report = hermite.ScanReport(min_certified, ())
+    assert "all_positive" not in report._fields
+    assert report.all_positive is positive
 
 
 def test_zero_mass_is_a_class_attribute_of_a_density():

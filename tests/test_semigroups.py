@@ -230,6 +230,25 @@ def test_loggamma_matches_scipy():
             assert _within(_loggamma(z), reference, 1e-13), z
 
 
+@pytest.mark.parametrize("a", [20.0, 1e5, 1e10, 1e15])
+def test_gamma_and_beta_mellin_keep_their_digits_at_large_parameters(a):
+    # the difference of two Stirling sums of size a log a lost them: at
+    # a = 1e15, s_1 read 7.9e13
+    for n in range(6):
+        assert gamma_mellin(GammaFamily(a), n).real == pytest.approx(
+            math.prod(a + k for k in range(n)), rel=1e-12)
+        assert beta_mellin(BetaFamily(a, 2.5 * a), n).real == pytest.approx(
+            math.prod((a + k) / (2.5 * a + k) for k in range(n)), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [20.0, 1e8, 1e15])
+def test_gamma_mellin_recurrence_in_a_at_large_a(a):
+    z = 2.0 + 3.0j
+    ratio = gamma_mellin(GammaFamily(a + 1.0), z) / gamma_mellin(
+        GammaFamily(a), z)
+    assert abs(ratio - (a + z) / a) <= 1e-12 * abs((a + z) / a)
+
+
 @pytest.mark.parametrize("mellin_of,fam,z", [
     (gamma_mellin, GammaFamily(1.0), 200),
     (gamma_mellin, GammaFamily(1.0), 171),
@@ -239,6 +258,10 @@ def test_loggamma_matches_scipy():
     (gamma_mellin, GammaFamily(1.0), 1e308),
     (gamma_mellin, GammaFamily(1.0), math.inf),
     (gamma_mellin, GammaFamily(1.0), math.nan),
+    # s_2 of a shape past 1e154 overflows, and s_2 of (1)_n/(1e300)_n
+    # underflows, which the difference of the log-gammas read as 1
+    (gamma_mellin, GammaFamily(1e300), 2),
+    (beta_mellin, BetaFamily(1.0, 1e300), 2),
 ])
 def test_mellin_past_binary64_is_a_range_error(mellin_of, fam, z):
     with pytest.raises(RangeError):
