@@ -7,8 +7,11 @@ against geometric tail majorants and carry the resulting bound in
 ``truncation_error``; for :func:`sigma_abgamma` that value is evaluated in
 binary64 with no allowance for rounding, so it is an estimate of the bound.
 The semigroup members tau_c and mu_c at one (a, b, q) share the c-free
-part of their Cauchy bound, and mu_c is built from tau_c's lattice
-directly, not as a pushforward of a built tau_c.
+part of their Cauchy bound and the weight recurrence, and mu_c is built
+from a lattice of that recurrence directly, not as a pushforward of a
+built tau_c.  Each cuts the lattice at its own N: tau_c, whose atoms sit
+at the growing locations n log(1/q), amplifies its tolerance to cover its
+moments, while mu_c, whose atoms sit at q^n <= 1, needs no amplification.
 
 Lattice measures live on multiples of log(1/q); their additive
 convolution (:func:`measures.additive_convolve`) forms all pairwise sums
@@ -71,7 +74,8 @@ def _factor_count(z_abs, q):
 
 
 def qpoch(z, q, n=math.inf):
-    """The q-shifted factorial (z; q)_n = prod_{k<n} (1 - z q^k).
+    """The q-shifted factorial (z; q)_n = prod_{k<n} (1 - z q^k), for n a
+    nonnegative integer or inf; any other n is a :class:`DomainError`.
 
     For n = inf the product keeps the factors k <= N, where N is the
     geometric cut of sum_{k>N} |z| q^k = |z| q^{N+1}/(1 - q) at
@@ -86,9 +90,9 @@ def qpoch(z, q, n=math.inf):
         if abs(z) == 0:
             return 1.0
         n = _factor_count(abs(z), q)
+    elif not (n >= 0 and n == int(n)):
+        raise DomainError("n must be a nonnegative integer or inf")
     n = int(n)
-    if n < 0:
-        raise DomainError("n must be nonnegative or inf")
     value = math.prod((1.0 - z * q ** k for k in range(n)), start=1.0)
     if value == 0 and abs(z) < 1:
         raise RangeError("(z; q)_n at z = %s, q = %s underflows binary64"
@@ -230,27 +234,49 @@ def _tau_head(p):
     return (log_ab,) + head
 
 
-def _tau_lattice(p, c):
-    """tau_c as (locations, weights, w_0, truncation_error), the weights
-    w_1..w_N at locations n log(1/q) as computed, zeros included."""
+def _require_qbeta(p, c):
+    """Refuse (p, c) outside the q-Beta semigroup: 0 <= b < a < 1 and
+    0 < c < inf."""
     p.require_ordered()
-    if c <= 0:
-        raise DomainError("c must be positive")
+    if not 0 < c < math.inf:
+        raise DomainError("c must be positive and finite")
+
+
+def _tau_lattice(p, c, order):
+    """The lattice of tau_c as (locations, weights, w_0, truncation_error),
+    the weights w_1..w_N at locations n log(1/q) as computed, zeros
+    included.
+
+    N is the first index whose Cauchy bound on the dropped mass, amplified
+    by ((N+1) log(1/q))^order, meets DEFAULT_TOL; the bound itself,
+    unamplified, is the truncation_error.  Every weight is w_0 times a
+    factor of the recurrence, so a w_0 below the normal range of binary64
+    is a :class:`RangeError`: the weights would underflow, and their loss
+    is in no bound.
+    """
+    _require_qbeta(p, c)
     a, b, q = p.a, p.b, p.q
     log1q = math.log(1.0 / q)
     log_ab, log_ba_r, log_1m_1r, log_rho = _tau_head(p)
     log_w0 = c * log_ab
+    w0 = math.exp(log_w0)
+    if w0 < sys.float_info.min:
+        raise RangeError("w_0 = ((a;q)_inf/(b;q)_inf)^c = exp(%.6g) at "
+                         "c = %s underflows binary64" % (log_w0, c))
     # log of F(r) / (1 - 1/r), the Cauchy bound before the factor r^{-N-1}
     log_head = log_w0 + c * log_ba_r - log_1m_1r
-    # the amplification grows with N, so cutting again at the tol it leaves
-    # at the last N climbs from below to the first N that meets it
-    N, last = 0, None
+    N, tail = geometric_cut(log_head, log_rho, DEFAULT_TOL)
+    # an amplification (order > 0) grows with N, so cutting again at the
+    # tol it leaves at the last N climbs from this N, which is below, to
+    # the first N that meets it
+    last = None if order else N
     while N != last:
         last = N
-        N, tail = geometric_cut(log_head, log_rho,
-                                DEFAULT_TOL / max(1.0, (N + 1) * log1q) ** 8)
+        N, tail = geometric_cut(
+            log_head, log_rho,
+            DEFAULT_TOL / max(1.0, (N + 1) * log1q) ** order)
     j = np.arange(1, N + 1)
-    w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
+    w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), w0)
     return j * log1q, w[1:], w[0], tail
 
 
@@ -264,11 +290,12 @@ def tau_c(p, c):
     w_0 = ((a;q)_inf/(b;q)_inf)^c.  The lattice is cut at the first N whose
     Cauchy bound sum_{n>N} w_n <= F(r) r^{-N-1} / (1 - 1/r), 1 < r < 1/a,
     stays below DEFAULT_TOL after amplifying by ((N+1) log(1/q))^8 for
-    moments up to order 8; the unamplified bound is the truncation_error.
-    The c-free part of that bound is computed once per (a, b, q) and
-    shared by every c.
+    moments up to order 8: the atoms sit at the growing locations
+    n log(1/q).  The unamplified bound is the truncation_error.  The c-free
+    part of that bound is computed once per (a, b, q) and shared by every
+    c.  A w_0 below the normal range of binary64 is a :class:`RangeError`.
     """
-    locations, weights, w0, tail = _tau_lattice(p, c)
+    locations, weights, w0, tail = _tau_lattice(p, c, 8)
     return AtomicMeasure.from_pairs(np.column_stack((locations, weights)),
                                     zero_mass=w0, truncation_error=tail)
 
@@ -277,14 +304,26 @@ def mu_c(p, c):
     """The q-Beta semigroup member mu(a,b;q)_c: pushforward of tau_c under
     x -> e^{-x}; concentrated on {q^k} with moments ((a;q)_n/(b;q)_n)^c.
 
-    Built in one construction from tau_c's lattice, with the atoms, weights
-    and truncation_error that ``pushforward(tau_c(p, c), "exp-neg")``
-    gives.  As for :func:`mu_abq`, atoms whose image underflows join
+    Built in one construction from the head and weight recurrence of
+    :func:`tau_c`, not from a built tau_c, and cut at its own N: the first
+    whose Cauchy bound on the dropped mass meets DEFAULT_TOL, unamplified,
+    as for :func:`mu_abq`.  The atoms sit at q^n <= 1, so the dropped
+    atoms add at most their mass to any moment of order >= 0, and tau_c's
+    amplification would only add atoms.  The measure is the image of
+    tau_c's lattice cut at that N, which is at most tau_c's.
+
+    The shorter cut leaves a heavier tail where x^z grows as x -> 0, so the
+    error that :func:`measures.mellin` reports at Re z < 0, an estimate
+    there and not a bound, misses more of it than it would at tau_c's
+    cut.  :func:`mellin_qbeta` is the closed form.
+
+    As for :func:`mu_abq`, atoms whose image underflows join
     truncation_error, which is then at most 2 DEFAULT_TOL, and
     :class:`BudgetError` is raised when their mass alone exceeds
-    DEFAULT_TOL.
+    DEFAULT_TOL.  A w_0 below the normal range of binary64 is a
+    :class:`RangeError`.
     """
-    locations, weights, w0, tail = _tau_lattice(p, c)
+    locations, weights, w0, tail = _tau_lattice(p, c, 0)
     pairs, lost = exp_neg_image(locations, weights, w0)
     _require_representable(lost, DEFAULT_TOL)
     return AtomicMeasure.from_pairs(pairs, truncation_error=tail + lost)
@@ -292,9 +331,7 @@ def mu_c(p, c):
 
 def qbeta_moment_sequence(p, c=1.0):
     """The moment sequence ((a;q)_n/(b;q)_n)^c in closed form."""
-    p.require_ordered()
-    if c <= 0:
-        raise DomainError("c must be positive")
+    _require_qbeta(p, c)
     a, b, q = p.a, p.b, p.q
     return MomentSequence.from_log_steps(
         lambda k: math.log1p(-a * q ** k) - math.log1p(-b * q ** k), c)
@@ -304,9 +341,7 @@ def mellin_qbeta(p, c, z):
     """Closed-form Mellin transform of mu(a,b;q)_c:
     ((b q^z;q)_inf/(b;q)_inf / ((a q^z;q)_inf/(a;q)_inf))^c,
     valid on the strip Re z > log a / log q ... i.e. a q^{Re z} < 1."""
-    p.require_ordered()
-    if c <= 0:
-        raise DomainError("c must be positive")
+    _require_qbeta(p, c)
     a, b, q = p.a, p.b, p.q
     z = complex(z)
     if a * q ** z.real >= 1.0:

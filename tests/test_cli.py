@@ -344,6 +344,7 @@ def test_hp_moments_build_the_series_once(capsys, monkeypatch):
     ["moments", "sigmaq:0.999:0.001:0.999"],
     # finite logs whose exponential underflows to 0
     ["moments", "qbeta:0.5:0.25:0.999:1000", "--n-max", "3"],
+    ["atoms", "qbeta:0.5:0.25:0.999:3"],
     ["table", "qbeta:0.5:0.25:0.999:1000", "--n-max", "3"],
     ["mellin", "qbeta:0.5:0.25:0.5:2000", "--z", "60"],
     # sums over atoms past binary64, which printed inf or nan

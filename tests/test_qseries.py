@@ -11,7 +11,7 @@ from momentforge import (AtomicMeasure, DomainError, MomentSequence,
                          sigma_abgamma, tau_c)
 from momentforge.bernstein import (affine, kappa_of, power_moments,
                                    powertower, qratio, ratio)
-from momentforge.errors import BudgetError
+from momentforge.errors import BudgetError, RangeError
 from momentforge.measures import geometric_cut
 from momentforge.qseries import (_exp_series, _factor_count, _hp_log_terms,
                                  _radii, _tau_head)
@@ -36,6 +36,12 @@ def test_qpoch_infinite():
 
 def test_qpoch_zero_argument():
     assert qpoch(0.0, 0.5) == 1.0
+
+
+@pytest.mark.parametrize("n", [2.5, -0.5, -1, math.nan, -math.inf])
+def test_qpoch_rejects_n_that_is_not_a_count(n):
+    with pytest.raises(DomainError):
+        qpoch(0.5, 0.5, n)
 
 
 def test_qparams_validation():
@@ -131,22 +137,37 @@ def test_tau_weights_match_convolution_exponential(c):
     assert np.max(np.abs(weights - reference) / reference) < 1e-13
 
 
+def _dropped_mass(c, N, w0):
+    """The weights past w_N of the recurrence at P, run to 4N, summed."""
+    j = np.arange(1, 4 * N + 1)
+    w = _exp_series(c * (P.a ** j - P.b ** j) / (1.0 - P.q ** j), w0)
+    return math.fsum(w[N + 1:])
+
+
 @pytest.mark.parametrize("c", [0.5, 2.5])
 def test_tau_truncation_error_bounds_dropped_mass(c):
     tau = tau_c(P, c)
-    N = len(tau.atoms)
-    j = np.arange(1, 4 * N + 1)
-    w = _exp_series(c * (P.a ** j - P.b ** j) / (1.0 - P.q ** j),
-                    tau.zero_mass)
-    assert 0.0 < math.fsum(w[N + 1:]) <= tau.truncation_error
+    dropped = _dropped_mass(c, len(tau.atoms), tau.zero_mass)
+    assert 0.0 < dropped <= tau.truncation_error
+
+
+@pytest.mark.parametrize("c", [0.5, 2.5])
+def test_mu_truncation_error_bounds_dropped_mass(c):
+    mu = mu_c(P, c)
+    # w_0 is the atom at e^0 = 1, the last in ascending order
+    location, w0 = mu.atoms[-1]
+    assert location == 1.0
+    dropped = _dropped_mass(c, len(mu.atoms) - 1, w0)
+    assert 0.0 < dropped <= mu.truncation_error
 
 
 def test_tau_keeps_few_atoms():
     assert len(tau_c(P, 1.0).atoms) <= 200
 
 
-def _tau_cut_reference(p, c, tol=1e-14):
-    """tau_c's cut N and truncation_error, with the Cauchy head taken one
+def _tau_cut_reference(p, c, order, tol=1e-14):
+    """The lattice cut N and truncation_error at amplification exponent
+    ``order`` (8 for tau_c, 0 for mu_c), with the Cauchy head taken one
     qpoch at a time, each with its own factor count."""
     a, b, q = p.a, p.b, p.q
     log1q = math.log(1.0 / q)
@@ -159,7 +180,7 @@ def _tau_cut_reference(p, c, tol=1e-14):
     while N != last:
         last = N
         N, tail = geometric_cut(log_head, -np.log(radii),
-                                tol / max(1.0, (N + 1) * log1q) ** 8)
+                                tol / max(1.0, (N + 1) * log1q) ** order)
     return N, tail
 
 
@@ -172,16 +193,25 @@ _SUITE_TAU_ARGS = sorted(
 def test_tau_cut_matches_the_head_taken_one_radius_at_a_time():
     for a, b, q, c in _SUITE_TAU_ARGS:
         tau = tau_c(QParams(a, b, q), c)
-        N, tail = _tau_cut_reference(QParams(a, b, q), c)
+        N, tail = _tau_cut_reference(QParams(a, b, q), c, 8)
         assert len(tau.atoms) == N, (a, b, q, c)
         # the heads differ by rounding and by factors within 1e-14 of 1,
         # which the 1e-12 that geometric_cut adds to each head covers
         assert tau.truncation_error == pytest.approx(tail, rel=1e-12, abs=0)
 
 
-def _tau_c_reference(p, c):
-    """tau_c with its whole Cauchy head built afresh at every call, one c
-    at a time."""
+def test_mu_cut_matches_the_head_taken_one_radius_at_a_time():
+    for a, b, q, c in _SUITE_TAU_ARGS:
+        mu = mu_c(QParams(a, b, q), c)
+        N, tail = _tau_cut_reference(QParams(a, b, q), c, 0)
+        # w_1..w_N and w_0, no image of which underflows on this grid
+        assert len(mu.atoms) == N + 1, (a, b, q, c)
+        assert mu.truncation_error == pytest.approx(tail, rel=1e-12, abs=0)
+
+
+def _tau_c_reference(p, c, order):
+    """tau_c's lattice cut at amplification exponent ``order``, with its
+    whole Cauchy head built afresh at every call, one c at a time."""
     a, b, q = p.a, p.b, p.q
     log1q = math.log(1.0 / q)
     log_w0 = c * (math.log(qpoch(a, q)) - math.log(qpoch(b, q)))
@@ -195,37 +225,53 @@ def _tau_c_reference(p, c):
     while N != last:
         last = N
         N, tail = geometric_cut(log_head, -np.log(radii),
-                                1e-14 / max(1.0, (N + 1) * log1q) ** 8)
+                                1e-14 / max(1.0, (N + 1) * log1q) ** order)
     j = np.arange(1, N + 1)
     w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
     return AtomicMeasure.from_pairs(np.column_stack((j * log1q, w[1:])),
                                     zero_mass=w[0], truncation_error=tail)
 
 
-# 2235 and 2324 atoms of these tau_c have locations whose image e^{-x}
-# underflows; their mass, below 1e-14, joins mu_c's truncation_error
+# 187 and 255 atoms of the lattices of these mu_c, and 2235 and 2324 of
+# these tau_c, have locations whose image e^{-x} underflows; in mu_c their
+# mass joins truncation_error, which passes 1e-14 at c = 1.0
 _UNDERFLOW_TAU_ARGS = [(0.97, 0.5, 0.5, 0.5), (0.97, 0.5, 0.5, 1.0)]
 
 
-# at c = 1e-300, 1654 of the 3197 weights underflow to 0, all among the
-# 2123 whose image underflows; tau_c drops them
+# at c = 1e-300, 1654 of the 3197 weights of tau_c underflow to 0, all
+# among the 2123 whose image underflows; tau_c drops them
 @pytest.mark.parametrize("a, b, q, c", _SUITE_TAU_ARGS + _UNDERFLOW_TAU_ARGS
                          + [(0.97, 0.5, 0.5, 1e-300)])
 def test_semigroup_lattices_equal_the_one_c_at_a_time_build(a, b, q, c):
     p = QParams(a, b, q)
     tau = tau_c(p, c)
-    reference = _tau_c_reference(p, c)
+    reference = _tau_c_reference(p, c, 8)
     assert tau.atoms == reference.atoms
     assert tau.zero_mass == reference.zero_mass
     assert tau.truncation_error == reference.truncation_error
+    # mu_c is the image of the lattice cut with no amplification
     mu = mu_c(p, c)
-    image = pushforward(reference, "exp-neg", 1.0)
+    lattice = _tau_c_reference(p, c, 0)
+    image = pushforward(lattice, "exp-neg", 1.0)
     assert mu.atoms == image.atoms
     assert mu.zero_mass == image.zero_mass == 0.0
     assert mu.truncation_error == image.truncation_error
     if (a, b, q, c) in _UNDERFLOW_TAU_ARGS:
         assert (np.exp(-tau.locations()) == 0.0).sum() > 2000
-        assert tau.truncation_error < mu.truncation_error < 1e-14
+        assert (np.exp(-lattice.locations()) == 0.0).sum() > 150
+        assert lattice.truncation_error < mu.truncation_error < 2e-14
+
+
+@pytest.mark.parametrize("a, b, q, c", _SUITE_TAU_ARGS)
+def test_mu_moments_match_the_image_of_the_amplified_lattice(a, b, q, c):
+    # the image of tau_c's lattice is mu_c as cut to cover tau_c's moments;
+    # mu_c's own cut moves no moment by more than its dropped mass
+    p = QParams(a, b, q)
+    mu = mu_c(p, c)
+    longer = pushforward(_tau_c_reference(p, c, 8), "exp-neg", 1.0)
+    orders = np.arange(11)
+    gap = np.abs(moment(mu, orders).value - moment(longer, orders).value)
+    assert (gap <= mu.truncation_error).all(), gap.max()
 
 
 def test_tau_head_is_shared_whatever_the_order_of_the_calls():
@@ -444,15 +490,42 @@ def test_sigma_default_K_from_normalized_bound():
     assert dropped <= sig.truncation_error <= 1e-14
 
 
-@pytest.mark.parametrize("c", [0.0, -1.0])
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
 def test_qbeta_moments_reject_bad_c(c):
     with pytest.raises(DomainError):
         qbeta_moment_sequence(P, c)
 
 
+@pytest.mark.parametrize("c", [0.0, math.nan, math.inf])
+def test_mellin_qbeta_rejects_bad_c(c):
+    with pytest.raises(DomainError):
+        mellin_qbeta(P, c, 1.0)
+
+
 def test_tau_rejects_bad_c():
     with pytest.raises(DomainError):
         tau_c(P, -1.0)
+
+
+@pytest.mark.parametrize("build", [tau_c, mu_c], ids=["tau_c", "mu_c"])
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_semigroup_members_reject_c_that_is_not_finite(build, c):
+    # the match keeps a DomainError from a later step, such as the term
+    # limit of the cut at c = nan, from passing for this check
+    with pytest.raises(DomainError, match="c must be positive and finite"):
+        build(P, c)
+
+
+# w_0 = ((a;q)_inf/(b;q)_inf)^c is e^-944 and e^-1242, which round to 0,
+# and e^-739, which is subnormal
+@pytest.mark.parametrize("build", [tau_c, mu_c], ids=["tau_c", "mu_c"])
+@pytest.mark.parametrize("a, b, q, c", [(0.5, 0.25, 0.999, 3.0),
+                                        (0.5, 0.25, 0.999, 2.35),
+                                        (0.5, 0.0, 0.5, 1000.0)])
+def test_semigroup_members_whose_w0_underflows_are_refused(build, a, b, q,
+                                                           c):
+    with pytest.raises(RangeError, match="underflows binary64"):
+        build(QParams(a, b, q), c)
 
 
 #: each lattice measure at (a, b) with q = 0.5, cut at tol
