@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedError
 from .measures import (AtomicMeasure, DensityMeasure, MomentSequence,
-                       _mellin_value, geometric_cut, integral)
+                       _mellin_value, geometric_cut, integral, pushforward)
 
 #: the tolerance of the integrals over kappa and sigma behind :func:`psi`
 #: and :func:`lk_log_moment`
@@ -87,7 +87,7 @@ def mobius():
 def qratio(a, b, q, tol=1e-14):
     """f(s) = (1 - a q^s)/(1 - b q^s), 0 <= b < a < 1, 0 < q < 1.
 
-    kappa is atomic on the lattice k log(1/q), with weight
+    kappa is atomic on the arithmetic lattice k log(1/q), with weight
     (a^k - b^k) log(1/q) at k log(1/q).  It is cut where the bound on the
     mass past the cut is at most ``tol``.
     """
@@ -106,9 +106,8 @@ def qratio(a, b, q, tol=1e-14):
         N, tail = geometric_cut(math.log(log1q * a / (1.0 - a)), math.log(a),
                                 tol)
         k = np.arange(1, N + 2)
-        return AtomicMeasure.from_pairs(
-            np.column_stack((k * log1q, (a ** k - b ** k) * log1q)),
-            truncation_error=tail)
+        return AtomicMeasure.on_lattice((log1q,), k, (a ** k - b ** k) * log1q,
+                                        truncation_error=tail)
 
     return BernsteinFunction("qratio:%g:%g:%g" % (a, b, q), closed,
                              kappa_factory)
@@ -149,13 +148,17 @@ def _log_start(f, alpha):
     return math.log(start)
 
 
+def _require_alpha_beta(alpha, beta):
+    if not (0 <= alpha < math.inf and 0 < beta < math.inf):
+        raise DomainError("need finite alpha >= 0 and beta > 0")
+
+
 def power_moments(f, alpha, beta):
     """The moment sequence s_n = f(alpha) f(alpha+beta) ... f(alpha+(n-1)beta).
 
     Accumulated in log domain.
     """
-    if alpha < 0 or beta <= 0:
-        raise DomainError("need alpha >= 0 and beta > 0")
+    _require_alpha_beta(alpha, beta)
     _log_start(f, alpha)
     return MomentSequence.from_log_steps(
         lambda k: math.log(f(alpha + k * beta)))
@@ -182,18 +185,20 @@ def sigma_of(f, alpha, beta):
     """The measure sigma on (0, 1): image of e^{-alpha x} d kappa(x) /
     (x (1 - e^{-beta x})) under x -> e^{-beta x}.
 
-    Exact atom arithmetic for atomic kappa; a reweighted density otherwise.
+    For atomic kappa, on an arithmetic lattice as qratio's is, the
+    exp-neg pushforward of kappa reweighted atom by atom; else a density.
     """
+    _require_alpha_beta(alpha, beta)
     if alpha == 0 and f(0.0) <= 0:
         raise PreconditionError(
             "alpha = 0 requires f(0) > 0 for sigma to be integrable")
     kappa = kappa_of(f)
     if isinstance(kappa, AtomicMeasure):
-        x, wt = kappa.locations(), kappa.weights()
-        return AtomicMeasure.from_pairs(
-            np.column_stack((np.exp(-beta * x), wt * np.exp(-alpha * x)
-                             / (x * -np.expm1(-beta * x)))),
-            truncation_error=kappa.truncation_error)
+        x = kappa.locations()
+        return pushforward(AtomicMeasure.on_lattice(
+            kappa.lattice, kappa.index,
+            kappa.weights() * np.exp(-alpha * x) / (x * -np.expm1(-beta * x)),
+            truncation_error=kappa.truncation_error), "exp-neg", beta)
 
     dens_kappa = kappa.density
 
@@ -226,6 +231,7 @@ def psi(f, alpha, beta, z):
     may be a sequence; its values share one integral and give arrays.  A
     real z stays real, so its integral is too.
     """
+    _require_alpha_beta(alpha, beta)
     z = np.asarray(z)
     z = z.astype(complex if np.iscomplexobj(z) else float)
     if (z.real < 0).any():
@@ -258,6 +264,7 @@ def psi(f, alpha, beta, z):
 def lk_rep_of(f, alpha, beta):
     """The (a, b, sigma) symbols of the log-moment representation for the
     moment product of f at (alpha, beta): a = log f(alpha), b = 0."""
+    _require_alpha_beta(alpha, beta)
     return LevyKhinchinRep(_log_start(f, alpha), 0.0,
                            sigma_of(f, alpha, beta))
 

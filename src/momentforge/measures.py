@@ -4,10 +4,10 @@ Two carriers are provided: :class:`AtomicMeasure` for finite weighted sums
 of point masses (with an optional mass at zero and a recorded bound on
 discarded tail mass), and :class:`DensityMeasure` for nonnegative densities
 on an interval or a half-line.  Every way to build an atomic measure checks
-its input and merges it by one sort, which input already in order with
-distinct locations skips; the measure stores its locations and weights
-once, as read-only float64 arrays, and derives its ``atoms`` pairs from
-them when they are read.
+its input, whose locations must ascend; the measure stores its locations
+and weights once, as read-only float64 arrays, and derives its ``atoms``
+pairs from them when they are read.  A measure built :meth:`on a lattice
+<AtomicMeasure.on_lattice>` also records the lattice and each atom's index.
 :func:`integral` is the one place that chooses between a sum over the
 atoms and quadrature over the density's support.  It returns a
 :class:`MellinValue`, the value with its absolute error estimate, and so
@@ -15,8 +15,8 @@ do :func:`moment` (of one order, or of a sequence of orders in one call),
 :func:`mellin` and :meth:`AtomicMeasure.laplace`, which go through it; so
 do ``bernstein.psi`` and ``bernstein.lk_log_moment``.  The catalog's
 moment and Mellin evaluators still pass on the value alone.
-Product and additive convolution and the exp-neg pushforward operate on
-atomic measures.
+Product and additive convolution convolve the weights of two measures on
+one lattice by index; the exp-neg pushforward maps a lattice to a lattice.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -28,10 +28,6 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .quadrature import integrate
-
-#: relative tolerance under which two neighbouring atom locations merge; exact
-#: powers of one q collide bit-exactly, this only has to absorb roundoff
-MERGE_RTOL = 1e-12
 
 #: the most terms a truncated lattice series may keep
 _MAX_TERMS = 100000
@@ -86,55 +82,70 @@ class MellinValue(NamedTuple):
     abs_error: float = 0.0
 
 
-def _merged(pairs):
-    """(locations, weights) of n (location, weight) pairs: zero weights
-    dropped, sorted, and each run of locations within MERGE_RTOL of their
-    neighbours merged into one atom at its first location.  Pairs whose
-    locations already increase by more than MERGE_RTOL at every step are
-    returned as they are: the sort and the merge would not change them."""
-    try:
-        pairs = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
-    except (TypeError, ValueError):
-        raise DomainError("atoms must be n (location, weight) pairs") from None
-    kept = pairs[pairs[:, 1] != 0.0]
-    if not (np.isfinite(pairs).all() and (kept > 0).all()):
-        raise DomainError("atoms must be finite, locations > 0, weights >= 0")
-    loc, wt = kept.T.copy()
-    # the test that starts a new atom below, on the pairs as given
-    if (loc[1:] - loc[:-1] > MERGE_RTOL * loc[1:]).all():
-        return loc, wt
-    loc, wt = kept[np.lexsort(kept.T[::-1])].T
-    first = np.diff(loc, prepend=-np.inf) > MERGE_RTOL * loc
-    # bincount adds each group's weights in sorted order
-    return loc[first], np.bincount(np.cumsum(first) - 1, weights=wt)
-
-
 class AtomicMeasure:
     """Finite weighted point-mass list on (0, inf) plus optional mass at 0.
 
-    Built from an (n, 2) array-like of (location, weight) pairs; every way
-    in checks them and merges them by :func:`_merged`, and bad input raises
-    :class:`DomainError`.  The measure stores its locations and weights
-    once, as read-only float64 arrays in ascending location; ``atoms``
-    builds the (location, weight) pairs from them when read.  Assigning an
-    attribute raises.
+    Built from an (n, 2) array-like of (location, weight) pairs, or by
+    :meth:`on_lattice`, which also sets ``lattice`` and ``index`` (else
+    None).  Every way in checks that values are finite, locations > 0 and
+    ascending (strictly, or by lattice index) and weights >= 0, drops zero
+    weights, and raises :class:`DomainError` on bad input.  The locations
+    and weights are stored once as read-only float64 arrays, from which
+    ``atoms`` builds its pairs when read.  Assigning an attribute raises.
 
     ``truncation_error`` bounds the total mass discarded when an infinite
     atomic measure was truncated; it is carried through all operations.
     """
 
-    __slots__ = ("_loc", "_wt", "zero_mass", "truncation_error")
+    __slots__ = ("_loc", "_wt", "lattice", "index", "zero_mass",
+                 "truncation_error")
 
     #: an atomic measure integrates x^z for every z (no strip edge)
     strip_min_re = None
 
     def __init__(self, atoms, zero_mass=0.0, truncation_error=0.0):
+        try:
+            loc, wt = np.asarray(atoms, dtype=float).reshape(len(atoms), 2).T
+        except (TypeError, ValueError):
+            raise DomainError("atoms must be n (location, weight) pairs") \
+                from None
+        self._fill(loc, wt, zero_mass, truncation_error, None, None)
+
+    @classmethod
+    def on_lattice(cls, lattice, index, weights, zero_mass=0.0,
+                   truncation_error=0.0):
+        """``weights`` at integer ``index`` >= 0: at index * h, ascending, on
+        the arithmetic ``lattice`` (h,), at exp(-beta * (index * h)),
+        descending, on the geometric one (h, beta); h, beta > 0.  Two
+        indices may share a subnormal location."""
+        index = np.asarray(index, dtype=np.int64)
+        step = np.diff(index) * (1 if len(lattice) == 1 else -1)
+        if not ((index >= 0).all() and (step > 0).all()):
+            raise DomainError("lattice index must be >= 0, in location order")
+        x = index * lattice[0]
+        m = object.__new__(cls)
+        m._fill(np.exp(-lattice[1] * x) if len(lattice) > 1 else x,
+                np.asarray(weights, dtype=float), zero_mass,
+                truncation_error, tuple(lattice), index)
+        return m
+
+    def _fill(self, loc, wt, zero_mass, truncation_error, lattice, index):
         if not (0 <= zero_mass < math.inf and truncation_error >= 0):
             raise DomainError("zero_mass and truncation_error must be >= 0")
-        loc, wt = _merged(atoms)
+        kept = wt != 0.0
+        if not (np.isfinite(loc).all() and np.isfinite(wt).all()
+                and (loc[kept] > 0).all() and (wt[kept] > 0).all()):
+            raise DomainError("atoms must be finite, locations > 0, "
+                              "weights >= 0")
+        loc, wt = loc[kept], wt[kept]
+        if index is not None:
+            index = index[kept]
+            index.flags.writeable = False
+        elif not (loc[1:] > loc[:-1]).all():
+            raise DomainError("atom locations must be strictly ascending")
         loc.flags.writeable = wt.flags.writeable = False
-        for name, value in (("_loc", loc), ("_wt", wt),
-                            ("zero_mass", float(zero_mass)),
+        for name, value in (("_loc", loc), ("_wt", wt), ("lattice", lattice),
+                            ("index", index), ("zero_mass", float(zero_mass)),
                             ("truncation_error", float(truncation_error))):
             object.__setattr__(self, name, value)
 
@@ -323,38 +334,43 @@ def _dropped_mass(m1, m2):
             + m2.truncation_error * m1.total_mass)
 
 
-def product_convolve(m1, m2):
-    """Product convolution of two finite atomic measures.
+def _by_index(m1, m2, arity, name):
+    """The weights of m1 and m2 by index on the one lattice they share, a
+    key of ``arity`` entries (else a :class:`DomainError`), with an
+    arithmetic lattice's mass at 0 at index 0."""
+    if not (isinstance(m1, AtomicMeasure) and isinstance(m2, AtomicMeasure)
+            and m1.lattice is not None and m1.lattice == m2.lattice
+            and len(m1.lattice) == arity):
+        raise DomainError("%s requires two atomic measures on one %s lattice"
+                          % (name, ("arithmetic", "geometric")[arity - 1]))
+    for m in (m1, m2):
+        dense = np.zeros(1 + int(m.index.max(initial=0)))
+        dense[0] = m.zero_mass if arity == 1 else 0.0
+        dense[m.index] = m.weights()
+        yield dense
 
-    Atoms appear at all pairwise products of locations with multiplied
-    weights; the n'th moment of the result is the product of the inputs'
-    n'th moments.
+
+def product_convolve(m1, m2):
+    """Product convolution of two atomic measures on one geometric lattice
+    exp(-beta n h): locations multiply, so indices add, and the weights
+    convolve by index.  The n'th moment of the result is the product of
+    the inputs' n'th moments.
     """
-    if not isinstance(m1, AtomicMeasure) or not isinstance(m2, AtomicMeasure):
-        raise DomainError("product_convolve requires atomic measures")
-    pairs = np.column_stack((np.outer(m1.locations(), m2.locations()).ravel(),
-                             np.outer(m1.weights(), m2.weights()).ravel()))
+    w = np.convolve(*_by_index(m1, m2, 2, "product_convolve"))[::-1]
     zero = (m1.zero_mass * m2.total_mass + m2.zero_mass * m1.total_mass
             - m1.zero_mass * m2.zero_mass)
-    return AtomicMeasure.from_pairs(pairs, zero_mass=zero,
+    return AtomicMeasure.on_lattice(m1.lattice, np.arange(len(w))[::-1], w,
+                                    zero_mass=zero,
                                     truncation_error=_dropped_mass(m1, m2))
 
 
 def additive_convolve(m1, m2):
-    """Ordinary (additive) convolution of two finite atomic measures.
-
-    Locations add, weights multiply; the mass at 0 is the identity
-    component. Used for lattice measures, where sums collide exactly.
+    """Ordinary (additive) convolution of two atomic measures on one
+    arithmetic lattice n h: locations add, so indices add, and the weights
+    convolve by index, the mass at 0 at index 0.
     """
-    if not isinstance(m1, AtomicMeasure) or not isinstance(m2, AtomicMeasure):
-        raise DomainError("additive_convolve requires atomic measures")
-    # each mass at 0 as a first atom at 0; their product is dropped here and
-    # becomes the mass at 0 of the result
-    l1, l2 = (np.append(0.0, m.locations()) for m in (m1, m2))
-    w1, w2 = (np.append(m.zero_mass, m.weights()) for m in (m1, m2))
-    pairs = np.column_stack((np.add.outer(l1, l2).ravel(),
-                             np.outer(w1, w2).ravel()))[1:]
-    return AtomicMeasure.from_pairs(pairs,
+    w = np.convolve(*_by_index(m1, m2, 1, "additive_convolve"))
+    return AtomicMeasure.on_lattice(m1.lattice, np.arange(1, len(w)), w[1:],
                                     zero_mass=m1.zero_mass * m2.zero_mass,
                                     truncation_error=_dropped_mass(m1, m2))
 
@@ -362,35 +378,31 @@ def additive_convolve(m1, m2):
 def pushforward(m, mapping, param=None):
     """Image of an atomic measure under x -> exp(-beta x).
 
-    ``mapping`` must be ``exp-neg``, and ``param`` is beta > 0 (1 when
-    None).  Weights are preserved; mass whose image underflows to 0 moves
-    into ``truncation_error``, and the mass at 0 becomes an atom at 1.
+    ``mapping`` must be ``exp-neg``, and ``param`` is 0 < beta < inf (1
+    when None).  Weights are preserved; mass whose image underflows to 0
+    moves into ``truncation_error``, and the mass at 0 becomes an atom at
+    1.  The arithmetic lattice (h,) maps to the geometric lattice
+    (h, beta), 0 to index 0; any other measure's image is on no lattice.
     """
     if not isinstance(m, AtomicMeasure):
         raise DomainError("pushforward is defined for atomic measures")
     if mapping != "exp-neg":
         raise DomainError("unknown pushforward map %r" % mapping)
     beta = 1.0 if param is None else float(param)
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    pairs, lost = exp_neg_image(m.locations(), m.weights(), m.zero_mass, beta)
-    return AtomicMeasure.from_pairs(
-        pairs, truncation_error=m.truncation_error + lost)
-
-
-def exp_neg_image(locations, weights, zero_mass, beta=1.0):
-    """The image of atoms at ascending ``locations`` and of a mass at 0
-    under x -> exp(-beta x), as (an (n, 2) array of pairs in ascending
-    location, the mass of the atoms whose image underflows to 0, summed in
-    order).  The images lie in (0, 1], so that mass adds at most its
-    weight to any moment."""
-    image = np.exp(-beta * locations)
+    if not 0 < beta < math.inf:
+        raise DomainError("beta must be positive and finite")
+    # the mass at 0 first; the images lie in (0, 1], and reversed they ascend
+    image = np.exp(-beta * np.append(0.0, m.locations()))
+    weights = np.append(m.zero_mass, m.weights())
     kept = image > 0.0
-    # the images reversed, so that they ascend and need no sort in
-    # from_pairs, then the atom at 0, which maps to exp(0) = 1
-    return (np.column_stack((np.append(image[kept][::-1], 1.0),
-                             np.append(weights[kept][::-1], zero_mass))),
-            _in_order(weights[~kept]))
+    dropped = m.truncation_error + _in_order(weights[~kept])
+    if m.lattice is None or len(m.lattice) != 1:
+        return AtomicMeasure.from_pairs(
+            np.column_stack((image[kept], weights[kept]))[::-1],
+            truncation_error=dropped)
+    return AtomicMeasure.on_lattice(
+        m.lattice + (beta,), np.append(0, m.index)[kept][::-1],
+        weights[kept][::-1], truncation_error=dropped)
 
 
 class MomentSequence:

@@ -6,19 +6,12 @@ All infinite objects are truncated by :func:`measures.geometric_cut`
 against geometric tail majorants and carry the resulting bound in
 ``truncation_error``; for :func:`sigma_abgamma` that value is evaluated in
 binary64 with no allowance for rounding, so it is an estimate of the bound.
-The semigroup members tau_c and mu_c at one (a, b, q) share the c-free
-part of their Cauchy bound and the weight recurrence, and mu_c is built
-from a lattice of that recurrence directly, not as a pushforward of a
-built tau_c.  Each cuts the lattice at its own N: tau_c, whose atoms sit
-at the growing locations n log(1/q), amplifies its tolerance to cover its
-moments, while mu_c, whose atoms sit at q^n <= 1, needs no amplification.
-
-Lattice measures live on multiples of log(1/q); their additive
-convolution (:func:`measures.additive_convolve`) forms all pairwise sums
-of locations, and ``from_pairs`` sorts them once and merges sums whose
-sorted neighbours agree within ``MERGE_RTOL``.  The lattices built here
-hand ``from_pairs`` their locations in ascending order, and input already
-in order with distinct locations skips the sort.
+tau_c and mu_c at one (a, b, q) share the c-free part of their Cauchy
+bound and their weight recurrence, each cut at its own N.  tau_c and nu_a
+lie on the lattice n h, h = log(1/q), and mu_c, the exp-neg image of
+tau_c's lattice, on e^{-n h}; each records the index n of its atoms, which
+the convolutions add.  mu_abq and sigma_abgamma, never convolved, are
+built from ascending pairs.
 """
 
 import cmath
@@ -31,8 +24,8 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import BudgetError, DomainError, RangeError
-from .measures import (AtomicMeasure, MomentSequence, exp_neg_image,
-                       geometric_cut)
+from .measures import (AtomicMeasure, MomentSequence, geometric_cut,
+                       pushforward)
 from .semigroups import _checked_make, _mellin_exp
 
 DEFAULT_TOL = 1e-14
@@ -133,7 +126,7 @@ def mu_abq(p, tol=DEFAULT_TOL):
     kept = qk > 0.0
     lost = weights[~kept].sum()
     _require_representable(lost, tol)
-    # reversed: ascending locations need no sort in from_pairs
+    # reversed, as from_pairs takes locations in ascending order
     return AtomicMeasure.from_pairs(
         np.column_stack((qk[kept], weights[kept]))[::-1],
         truncation_error=tail + lost)
@@ -173,22 +166,19 @@ def nu_a(a, q, tol=DEFAULT_TOL):
         raise DomainError("nu_a needs 0 <= a < 1")
     if not 0 < q < 1:
         raise DomainError("q must lie in (0, 1)")
-    if a == 0:
-        return AtomicMeasure((), truncation_error=0.0)
     # a^k/(k(1-q^k)) <= a^k/(k(1-q)), so the terms past k = n+1 sum to at
     # most a^{n+2}/((n+2)(1-q)(1-a)).  No (C, rho) pair has that 1/(n+2),
     # but with 1/2 in its place the geometric cut is an n where it holds,
-    # and the first such n is at or below that one
-    top, _ = geometric_cut(math.log(0.5 * a / ((1.0 - q) * (1.0 - a))),
-                           math.log(a), tol)
+    # and the first such n is at or below that one; at a = 0 every term is 0
+    top = geometric_cut(math.log(0.5 * a / ((1.0 - q) * (1.0 - a))),
+                        math.log(a), tol)[0] if a > 0 else 0
     n = np.arange(top + 1)
     tails = a ** (n + 2) / ((n + 2) * (1.0 - q) * (1.0 - a))
     N = int(np.argmax(tails <= tol))
     k = n[:N + 1] + 1
-    return AtomicMeasure.from_pairs(
-        np.column_stack((k * math.log(1.0 / q),
-                         a ** k / (k * (1.0 - q ** k)))),
-        truncation_error=tails[N])
+    return AtomicMeasure.on_lattice((math.log(1.0 / q),), k,
+                                    a ** k / (k * (1.0 - q ** k)),
+                                    truncation_error=tails[N])
 
 
 def _exp_series(jl, c0=1.0):
@@ -243,17 +233,9 @@ def _require_qbeta(p, c):
 
 
 def _tau_lattice(p, c, order):
-    """The lattice of tau_c as (locations, weights, w_0, truncation_error),
-    the weights w_1..w_N at locations n log(1/q) as computed, zeros
-    included.
-
-    N is the first index whose Cauchy bound on the dropped mass, amplified
-    by ((N+1) log(1/q))^order, meets DEFAULT_TOL; the bound itself,
-    unamplified, is the truncation_error.  Every weight is w_0 times a
-    factor of the recurrence, so a w_0 below the normal range of binary64
-    is a :class:`RangeError`: the weights would underflow, and their loss
-    is in no bound.
-    """
+    """:func:`tau_c` cut where its tail bound amplified by
+    ((N+1) log(1/q))^order meets DEFAULT_TOL.  Every weight is w_0 times a
+    factor, so a w_0 below binary64's normal range is a RangeError."""
     _require_qbeta(p, c)
     a, b, q = p.a, p.b, p.q
     log1q = math.log(1.0 / q)
@@ -277,7 +259,8 @@ def _tau_lattice(p, c, order):
             DEFAULT_TOL / max(1.0, (N + 1) * log1q) ** order)
     j = np.arange(1, N + 1)
     w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), w0)
-    return j * log1q, w[1:], w[0], tail
+    return AtomicMeasure.on_lattice((log1q,), j, w[1:], zero_mass=w[0],
+                                    truncation_error=tail)
 
 
 def tau_c(p, c):
@@ -291,26 +274,22 @@ def tau_c(p, c):
     Cauchy bound sum_{n>N} w_n <= F(r) r^{-N-1} / (1 - 1/r), 1 < r < 1/a,
     stays below DEFAULT_TOL after amplifying by ((N+1) log(1/q))^8 for
     moments up to order 8: the atoms sit at the growing locations
-    n log(1/q).  The unamplified bound is the truncation_error.  The c-free
-    part of that bound is computed once per (a, b, q) and shared by every
-    c.  A w_0 below the normal range of binary64 is a :class:`RangeError`.
+    n log(1/q).  The unamplified bound is the truncation_error.  A w_0
+    below the normal range of binary64 is a :class:`RangeError`.
     """
-    locations, weights, w0, tail = _tau_lattice(p, c, 8)
-    return AtomicMeasure.from_pairs(np.column_stack((locations, weights)),
-                                    zero_mass=w0, truncation_error=tail)
+    return _tau_lattice(p, c, 8)
 
 
 def mu_c(p, c):
     """The q-Beta semigroup member mu(a,b;q)_c: pushforward of tau_c under
     x -> e^{-x}; concentrated on {q^k} with moments ((a;q)_n/(b;q)_n)^c.
 
-    Built in one construction from the head and weight recurrence of
-    :func:`tau_c`, not from a built tau_c, and cut at its own N: the first
-    whose Cauchy bound on the dropped mass meets DEFAULT_TOL, unamplified,
-    as for :func:`mu_abq`.  The atoms sit at q^n <= 1, so the dropped
-    atoms add at most their mass to any moment of order >= 0, and tau_c's
-    amplification would only add atoms.  The measure is the image of
-    tau_c's lattice cut at that N, which is at most tau_c's.
+    The :func:`measures.pushforward` of the lattice of :func:`tau_c` (its
+    head and weight recurrence, not a built tau_c) cut at its own N: the
+    first whose Cauchy bound on the dropped mass meets DEFAULT_TOL,
+    unamplified, as for :func:`mu_abq`.  The atoms sit at q^n <= 1, so the
+    dropped atoms add at most their mass to any moment of order >= 0, and
+    tau_c's amplification would only add atoms.
 
     The shorter cut leaves a heavier tail where x^z grows as x -> 0, so the
     error that :func:`measures.mellin` reports at Re z < 0, an estimate
@@ -323,10 +302,11 @@ def mu_c(p, c):
     DEFAULT_TOL.  A w_0 below the normal range of binary64 is a
     :class:`RangeError`.
     """
-    locations, weights, w0, tail = _tau_lattice(p, c, 0)
-    pairs, lost = exp_neg_image(locations, weights, w0)
-    _require_representable(lost, DEFAULT_TOL)
-    return AtomicMeasure.from_pairs(pairs, truncation_error=tail + lost)
+    lattice = _tau_lattice(p, c, 0)
+    mu = pushforward(lattice, "exp-neg")
+    _require_representable(mu.truncation_error - lattice.truncation_error,
+                           DEFAULT_TOL)
+    return mu
 
 
 def qbeta_moment_sequence(p, c=1.0):
@@ -438,7 +418,7 @@ def sigma_abgamma(p, K=None):
     log_tail = float(np.min(log_head + (K + 1) * log_ratio)) - math.log(norm)
     tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
     locations = gamma * q ** np.arange(K + 1)
-    # reversed: ascending locations need no sort in from_pairs
+    # reversed, as from_pairs takes locations in ascending order
     return AtomicMeasure.from_pairs(
         np.column_stack((locations, weights / norm))[::-1],
         truncation_error=tail)

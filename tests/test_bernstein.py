@@ -118,6 +118,23 @@ def test_power_moments_needs_positive_start(entry):
         entry(linear())
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    (1.0, 0.0), (1.0, -1.0), (-1.0, 1.0), (1.0, math.nan), (math.nan, 1.0),
+    (math.inf, 1.0), (1.0, math.inf)])
+@pytest.mark.parametrize("entry", [
+    power_moments,
+    sigma_of,
+    lambda f, alpha, beta: psi(f, alpha, beta, 2.0),
+    lambda f, alpha, beta: log_moment_via_rep(f, alpha, beta, 3),
+], ids=["power_moments", "sigma_of", "psi", "log_moment_via_rep"])
+@pytest.mark.parametrize("f", [ratio(1.0, 2.0), qratio(0.5, 0.25, 0.5)],
+                         ids=["ratio", "qratio"])
+def test_moment_products_need_finite_alpha_and_positive_beta(
+        entry, f, alpha, beta):
+    with pytest.raises(DomainError, match="finite alpha >= 0 and beta > 0"):
+        entry(f, alpha, beta)
+
+
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.catalog_id)
 def test_representation_identity(f):
     for alpha, beta in AB_PAIRS:

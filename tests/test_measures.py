@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentforge import (AtomicMeasure, DomainError, MomentSequence,
-                         additive_convolve, integral, mellin, moment,
-                         product_convolve, pushforward, verify)
+from momentforge import (AtomicMeasure, DensityMeasure, DomainError,
+                         MomentSequence, additive_convolve, integral, kappa_of,
+                         mellin, moment, product_convolve, pushforward,
+                         qratio, sigma_of, verify)
 from momentforge.errors import RangeError
-from momentforge.measures import MERGE_RTOL, _merged, geometric_cut
+from momentforge.measures import geometric_cut
 from momentforge.qseries import (QParams, mellin_qbeta, mu_abq, mu_c, nu_a,
                                  tau_c)
 from momentforge.semigroups import (GammaFamily, LogNormalQFamily,
@@ -31,15 +32,19 @@ def test_dirac_at_zero():
     assert moment(m, 1).value == 0.0
 
 
-def test_from_pairs_merges_duplicates():
-    m = AtomicMeasure.from_pairs([(1.0, 0.5), (1.0, 0.25), (2.0, 1.0)])
-    assert len(m.atoms) == 2
-    assert m.total_mass == pytest.approx(1.75)
+@pytest.mark.parametrize("build", [AtomicMeasure, AtomicMeasure.from_pairs])
+def test_unordered_locations_are_refused(build):
+    with pytest.raises(DomainError, match="strictly ascending"):
+        build([(3.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
 
 
-def test_atoms_sorted_by_location():
-    m = AtomicMeasure.from_pairs([(3.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
-    assert list(m.locations()) == [1.0, 2.0, 3.0]
+@pytest.mark.parametrize("build", [AtomicMeasure, AtomicMeasure.from_pairs])
+def test_repeated_locations_are_refused(build):
+    with pytest.raises(DomainError, match="strictly ascending"):
+        build([(1.0, 0.5), (1.0, 0.25), (2.0, 1.0)])
+    # a zero weight is dropped before the order is checked
+    assert build([(1.0, 0.5), (1.0, 0.0), (2.0, 1.0)]).atoms == (
+        (1.0, 0.5), (2.0, 1.0))
 
 
 def test_negative_location_rejected():
@@ -72,15 +77,6 @@ def test_constructor_rejects_bad_atoms_and_zero_mass(build):
         build()
 
 
-def test_constructor_sorts_and_merges_like_from_pairs():
-    pairs = ((2.0, 0.5), (1.0, 0.5))
-    m = AtomicMeasure(pairs, truncation_error=1e-3)
-    assert m == AtomicMeasure.from_pairs(pairs, truncation_error=1e-3)
-    assert m.atoms == ((1.0, 0.5), (2.0, 0.5))
-    # the error estimate reads the largest location, 2
-    assert moment(m, 3).abs_error == pytest.approx(8e-3)
-
-
 @pytest.mark.parametrize("zero_mass, truncation_error", [
     (math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0), (0.0, math.nan),
     (0.0, -1.0),
@@ -106,86 +102,20 @@ def test_from_pairs_rejects_input_that_is_not_pairs(pairs):
         AtomicMeasure.from_pairs(pairs)
 
 
-def _sequential_merge(pairs):
-    # the merge as one loop over the sorted atoms, each compared with the
-    # first location of the atom it would join
-    pairs = sorted((float(loc), float(wt)) for loc, wt in pairs if wt != 0.0)
-    out = []
-    for loc, wt in pairs:
-        if out and abs(loc - out[-1][0]) <= MERGE_RTOL * max(loc, out[-1][0]):
-            out[-1][1] += wt
-        else:
-            out.append([loc, wt])
-    return tuple((loc, wt) for loc, wt in out)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_merge_matches_sequential_reference(seed):
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(1e-3, 1e3, 60)
-    loc = np.concatenate((
-        base,
-        rng.choice(base, 60),                       # exact duplicates
-        # near-duplicates within MERGE_RTOL / 2 of a base location, so no
-        # run of neighbours spans more than MERGE_RTOL
-        rng.choice(base, 60) * (1.0 + rng.uniform(0.0, 0.5, 60)
-                                * MERGE_RTOL)))
-    wt = rng.uniform(0.0, 1.0, len(loc)) * 10.0 ** rng.integers(-8, 8,
-                                                               len(loc))
-    wt[rng.choice(len(wt), 20, replace=False)] = 0.0
-    pairs = np.column_stack((loc, wt))[rng.permutation(len(loc))]
-    m = AtomicMeasure.from_pairs(pairs)
-    assert m.atoms == _sequential_merge(pairs.tolist())
-    assert len(m.atoms) <= len(base) < np.count_nonzero(wt)
-
-
-def test_merge_joins_a_run_of_close_neighbours():
-    # each location is within MERGE_RTOL of the one before it, though the
-    # ends are not within MERGE_RTOL of each other
-    step = 1.0 + 0.75 * MERGE_RTOL
-    m = AtomicMeasure.from_pairs([(1.0, 0.5), (step, 0.25),
-                                  (step * step, 0.125)])
-    assert m.atoms == ((1.0, 0.875),)
-
-
-def _merge_cases():
-    rng = np.random.default_rng(11)
-    loc = np.sort(rng.uniform(1e-3, 1e3, 50))
-    wt = rng.uniform(0.0, 1.0, 50)
-    close = loc.copy()
-    close[20] = close[19] * (1.0 + 0.5 * MERGE_RTOL)
-    return {"ascending": np.column_stack((loc, wt)),
-            "ascending-with-a-close-neighbour": np.column_stack((close, wt)),
-            "descending": np.column_stack((loc, wt))[::-1]}
-
-
-@pytest.mark.parametrize("case", sorted(_merge_cases()))
-def test_merge_of_ordered_input_equals_the_sort_path(case):
-    pairs = _merge_cases()[case]
-    # shuffled, the same pairs cannot skip the sort
-    shuffled = pairs[np.random.default_rng(3).permutation(len(pairs))]
-    merged, sorted_path = _merged(pairs), _merged(shuffled)
-    for got, want in zip(merged, sorted_path):
-        assert got.tobytes() == want.tobytes()
-    assert (AtomicMeasure.from_pairs(pairs).atoms
-            == _sequential_merge(pairs.tolist()))
-    expected = 49 if case == "ascending-with-a-close-neighbour" else 50
-    assert len(merged[0]) == expected
-    assert (np.diff(merged[0]) > 0).all()
-
-
 def test_locations_and_weights_are_stored_read_only_arrays():
-    for m in (AtomicMeasure.from_pairs([(2.0, 0.5), (1.0, 0.25)]),
+    for m in (AtomicMeasure.from_pairs([(1.0, 0.25), (2.0, 0.5)]),
               AtomicMeasure(((1.0, 0.25), (2.0, 0.5))),
-              AtomicMeasure((), zero_mass=0.5)):
+              AtomicMeasure((), zero_mass=0.5),
+              AtomicMeasure.on_lattice((1.0,), [1, 2], [0.25, 0.5])):
         assert m.locations() is m.locations()
         assert m.weights() is m.weights()
         assert m.locations().dtype == m.weights().dtype == np.float64
         assert m.locations().tolist() == [loc for loc, _ in m.atoms]
         assert m.weights().tolist() == [wt for _, wt in m.atoms]
-        for arr in (m.locations(), m.weights()):
-            with pytest.raises(ValueError):
-                arr[:] = 3.0
+        for arr in (m.locations(), m.weights(), m.index):
+            if arr is not None:
+                with pytest.raises(ValueError):
+                    arr[:] = 3
         with pytest.raises(AttributeError):
             m.zero_mass = 1.0
 
@@ -254,47 +184,140 @@ def test_moment_refuses_orders_that_are_not_nonnegative_integers(n):
         moment(AtomicMeasure.from_pairs([(2.0, 1.0)]), n)
 
 
-@given(st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.01, 2.0)),
-                min_size=1, max_size=6),
-       st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.01, 2.0)),
-                min_size=1, max_size=6))
+def _lattice_measure(lattice, weights, zero_mass):
+    """weights[k] at the k'th index of ``lattice``, counted from 1 on an
+    arithmetic lattice and from 0 on a geometric one."""
+    n, w = np.arange(len(weights)) + 1, np.asarray(weights, dtype=float)
+    if len(lattice) == 2:
+        n, w = n[::-1] - 1, w[::-1]
+    return AtomicMeasure.on_lattice(lattice, n, w, zero_mass=zero_mass)
+
+
+_LATTICE_WEIGHTS = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6)
+
+
+@given(st.floats(0.1, 2.0), st.floats(0.1, 2.0), _LATTICE_WEIGHTS,
+       _LATTICE_WEIGHTS, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @settings(max_examples=50, deadline=None)
-def test_product_convolve_multiplies_moments(pairs1, pairs2):
-    m1 = AtomicMeasure.from_pairs(pairs1)
-    m2 = AtomicMeasure.from_pairs(pairs2)
+def test_product_convolve_multiplies_moments(h, beta, w1, w2, z1, z2):
+    m1 = _lattice_measure((h, beta), w1, z1)
+    m2 = _lattice_measure((h, beta), w2, z2)
     m = product_convolve(m1, m2)
+    assert m.lattice == (h, beta)
     for n in range(3):
         lhs = moment(m, n).value
         rhs = moment(m1, n).value * moment(m2, n).value
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-@given(st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.01, 2.0)),
-                min_size=1, max_size=5),
-       st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.01, 2.0)),
-                min_size=1, max_size=5),
-       st.floats(0.1, 2.0))
+@given(st.floats(0.1, 2.0), _LATTICE_WEIGHTS, _LATTICE_WEIGHTS,
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.1, 2.0))
 @settings(max_examples=50, deadline=None)
-def test_additive_convolve_multiplies_laplace(pairs1, pairs2, s):
-    m1 = AtomicMeasure.from_pairs(pairs1)
-    m2 = AtomicMeasure.from_pairs(pairs2)
+def test_additive_convolve_multiplies_laplace(h, w1, w2, z1, z2, s):
+    m1 = _lattice_measure((h,), w1, z1)
+    m2 = _lattice_measure((h,), w2, z2)
     m = additive_convolve(m1, m2)
+    assert m.lattice == (h,)
     assert m.laplace(s).value == pytest.approx(
         m1.laplace(s).value * m2.laplace(s).value, rel=1e-12, abs=1e-13)
 
 
 def test_additive_convolve_zero_mass_is_identity_atom():
-    delta0 = AtomicMeasure((), zero_mass=1.0)
-    m = AtomicMeasure.from_pairs([(1.0, 0.5), (2.0, 0.5)])
+    delta0 = AtomicMeasure.on_lattice((1.0,), (), (), zero_mass=1.0)
+    m = AtomicMeasure.on_lattice((1.0,), [1, 2], [0.5, 0.5])
     conv = additive_convolve(delta0, m)
     assert conv.atoms == m.atoms
     assert conv.zero_mass == 0.0
+
+
+_ARITHMETIC = AtomicMeasure.on_lattice((0.5,), [1, 2], [0.5, 0.5])
+_GEOMETRIC = AtomicMeasure.on_lattice((0.5, 1.0), [1, 0], [0.5, 0.5])
+_ON_NO_LATTICE = AtomicMeasure.from_pairs([(0.5, 0.5), (1.0, 0.5)])
+
+
+@pytest.mark.parametrize("convolve, m1, m2", [
+    (additive_convolve, _ON_NO_LATTICE, _ON_NO_LATTICE),
+    (additive_convolve, _ARITHMETIC, _ON_NO_LATTICE),
+    (additive_convolve, _ARITHMETIC,
+     AtomicMeasure.on_lattice((0.25,), [1], [1.0])),
+    (additive_convolve, _GEOMETRIC, _GEOMETRIC),
+    (additive_convolve, _ARITHMETIC,
+     DensityMeasure(np.exp, (0.0, 1.0))),
+    (product_convolve, _ON_NO_LATTICE, _ON_NO_LATTICE),
+    (product_convolve, _GEOMETRIC, _ON_NO_LATTICE),
+    (product_convolve, _GEOMETRIC,
+     AtomicMeasure.on_lattice((0.5, 2.0), [0], [1.0])),
+    (product_convolve, _GEOMETRIC,
+     AtomicMeasure.on_lattice((0.25, 1.0), [0], [1.0])),
+    (product_convolve, _ARITHMETIC, _ARITHMETIC),
+], ids=["additive-no-lattice", "additive-one-lattice", "additive-other-h",
+        "additive-geometric", "additive-density", "product-no-lattice",
+        "product-one-lattice", "product-other-beta", "product-other-h",
+        "product-arithmetic"])
+def test_convolutions_refuse_measures_not_on_one_lattice(convolve, m1, m2):
+    with pytest.raises(DomainError, match="on one"):
+        convolve(m1, m2)
+    with pytest.raises(DomainError, match="on one"):
+        convolve(m2, m1)
+
+
+@pytest.mark.parametrize("lattice, index", [
+    ((0.5, 1.0), [-1]), ((0.5,), [2, 1]), ((0.5,), [1, 1]),
+    ((0.5, 1.0), [0, 1]), ((0.5, 1.0), [1, 1])])
+def test_lattice_indices_must_be_nonnegative_and_in_location_order(
+        lattice, index):
+    with pytest.raises(DomainError, match="lattice index"):
+        AtomicMeasure.on_lattice(lattice, index, [1.0] * len(index))
+
+
+def test_lattice_atoms_may_share_a_subnormal_location():
+    # exp(-n h) at n = 2087, 2088 with h = log(1/0.7) both round to the
+    # least subnormal; the indices keep them two atoms
+    h = math.log(1.0 / 0.7)
+    m = AtomicMeasure.on_lattice((h, 1.0), [2088, 2087], [0.25, 0.5])
+    assert m.atoms == ((5e-324, 0.25), (5e-324, 0.5))
+    assert product_convolve(m, AtomicMeasure.on_lattice(
+        (h, 1.0), [0], [1.0])).atoms == m.atoms
+
+
+_H = math.log(1.0 / 0.5)
+_P = QParams(0.5, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("make, lattice", [
+    (lambda: tau_c(_P, 1.0), (_H,)),
+    (lambda: nu_a(0.5, 0.5), (_H,)),
+    (lambda: kappa_of(qratio(0.5, 0.25, 0.5)), (_H,)),
+    (lambda: mu_c(_P, 2.5), (_H, 1.0)),
+    (lambda: sigma_of(qratio(0.5, 0.25, 0.5), 0.5, 0.7), (_H, 0.7)),
+], ids=["tau_c", "nu_a", "qratio-kappa", "mu_c", "sigma_of-qratio"])
+def test_lattice_measures_store_the_lattice_formula(make, lattice):
+    m = make()
+    assert m.lattice == lattice
+    n = m.index
+    # the formula of each constructor, n log(1/q) or exp(-beta n log(1/q))
+    want = n * _H if len(lattice) == 1 else np.exp(-lattice[1] * (n * _H))
+    assert m.locations().tobytes() == want.tobytes()
+    # ascending locations: ascending index on n h, descending on e^{-beta n h}
+    step = 1 if len(lattice) == 1 else -1
+    assert (np.diff(n) * step > 0).all() and len(n) == len(m.atoms) > 10
 
 
 def test_pushforward_exp_neg():
     m = AtomicMeasure.from_pairs([(math.log(2.0), 1.0)])
     image = pushforward(m, "exp-neg", 1.0)
     assert image.atoms[0][0] == pytest.approx(0.5)
+
+
+def test_pushforward_maps_the_arithmetic_lattice_to_the_geometric_one():
+    m = AtomicMeasure.on_lattice((0.5,), [1, 3], [0.25, 0.5], zero_mass=0.125)
+    image = pushforward(m, "exp-neg", 2.0)
+    assert image.lattice == (0.5, 2.0)
+    assert image.index.tolist() == [3, 1, 0]
+    assert image.atoms == ((math.exp(-3.0), 0.5), (math.exp(-1.0), 0.25),
+                           (1.0, 0.125))
+    # an image is on no lattice of its own
+    assert pushforward(image, "exp-neg").lattice is None
 
 
 def test_pushforward_exp_neg_underflow_and_zero_mass():
@@ -337,10 +360,14 @@ def test_float_sums_do_not_depend_on_builtin_sum(monkeypatch):
 
 
 @pytest.mark.parametrize("mapping, param", [("neg-log", None),
-                                            ("scale", 2.0)])
+                                            ("scale", 2.0),
+                                            ("exp-neg", math.inf),
+                                            ("exp-neg", math.nan)])
 def test_pushforward_refuses_any_map_but_exp_neg(mapping, param):
     m = AtomicMeasure.from_pairs([(0.5, 1.0)])
-    with pytest.raises(DomainError, match="unknown pushforward map"):
+    message = ("beta must be positive" if mapping == "exp-neg"
+               else "unknown pushforward map")
+    with pytest.raises(DomainError, match=message):
         pushforward(m, mapping, param)
 
 
@@ -375,8 +402,10 @@ def test_a_sum_over_atoms_past_binary64_is_a_range_error(evaluate):
 
 
 def test_truncation_error_propagates_through_product():
-    m1 = AtomicMeasure.from_pairs([(1.0, 1.0)], truncation_error=1e-10)
-    m2 = AtomicMeasure.from_pairs([(1.0, 1.0)], truncation_error=1e-11)
+    m1 = AtomicMeasure.on_lattice((1.0, 1.0), [0], [1.0],
+                                  truncation_error=1e-10)
+    m2 = AtomicMeasure.on_lattice((1.0, 1.0), [0], [1.0],
+                                  truncation_error=1e-11)
     m = product_convolve(m1, m2)
     assert m.truncation_error >= 1e-10
 
