@@ -198,7 +198,7 @@ def sigma_of(f, alpha, beta):
         return pushforward(AtomicMeasure.on_lattice(
             kappa.lattice, kappa.index,
             kappa.weights() * np.exp(-alpha * x) / (x * -np.expm1(-beta * x)),
-            truncation_error=kappa.truncation_error), "exp-neg", beta)
+            truncation_error=kappa.truncation_error), beta)
 
     dens_kappa = kappa.density
 

@@ -116,13 +116,15 @@ def stieltjes_check(s, N):
     """Test H0 = (s_{i+j}) and H1 = (s_{i+j+1}) for PSD up to order N.
 
     The tolerance PSD_TOL is relative to the rescaled matrices whose
-    diagonal is 1.  Requires s_n defined up to n = 2N + 1.
+    diagonal is 1.  Requires s_n defined up to n = 2N + 1, each finite
+    and nonnegative, else a :class:`DomainError`.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     values = [s(n) for n in range(2 * N + 2)]
-    if any(v < 0 for v in values):
-        raise DomainError("Stieltjes moment sequences must be nonnegative")
+    if not all(0 <= v < math.inf for v in values):
+        raise DomainError("Stieltjes moment sequences must be finite and "
+                          "nonnegative")
     if any(v == 0.0 for v in values):
         # degenerate (zero-containing) sequences: test the raw matrices,
         # whose entries are bounded by max(values)
@@ -202,7 +204,8 @@ def trichotomy_classify(s, N):
 
 
 def power_sequence(s, c):
-    """The sequence n -> s_n^c, computed in log domain, with 0^c = 0."""
-    if c <= 0:
-        raise DomainError("exponent must be positive")
+    """The sequence n -> s_n^c, computed in log domain, with 0^c = 0, for
+    0 < c < inf."""
+    if not 0 < c < math.inf:
+        raise DomainError("exponent must be positive and finite")
     return MomentSequence(log_fn=lambda n: c * s.log(n))

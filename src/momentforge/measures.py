@@ -7,7 +7,9 @@ on an interval or a half-line.  Every way to build an atomic measure checks
 its input, whose locations must ascend; the measure stores its locations
 and weights once, as read-only float64 arrays, and derives its ``atoms``
 pairs from them when they are read.  A measure built :meth:`on a lattice
-<AtomicMeasure.on_lattice>` also records the lattice and each atom's index.
+<AtomicMeasure.on_lattice>` also records the lattice and each atom's index;
+on the geometric lattice it alone moves the weight of an atom whose
+location underflows to 0 into ``truncation_error``.
 :func:`integral` is the one place that chooses between a sum over the
 atoms and quadrature over the density's support.  It returns a
 :class:`MellinValue`, the value with its absolute error estimate, and so
@@ -16,7 +18,8 @@ do :func:`moment` (of one order, or of a sequence of orders in one call),
 do ``bernstein.psi`` and ``bernstein.lk_log_moment``.  The catalog's
 moment and Mellin evaluators still pass on the value alone.
 Product and additive convolution convolve the weights of two measures on
-one lattice by index; the exp-neg pushforward maps a lattice to a lattice.
+one lattice by index; the exp-neg pushforward maps the arithmetic lattice
+to the geometric one.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -116,17 +119,33 @@ class AtomicMeasure:
                    truncation_error=0.0):
         """``weights`` at integer ``index`` >= 0: at index * h, ascending, on
         the arithmetic ``lattice`` (h,), at exp(-beta * (index * h)),
-        descending, on the geometric one (h, beta); h, beta > 0.  Two
-        indices may share a subnormal location."""
+        descending, on the geometric one (h, beta); h and beta must be
+        positive and finite.  On the geometric lattice an index whose
+        location underflows to 0 is dropped and its weight joins
+        ``truncation_error``, these weights added in ascending index
+        order.  Two indices may share a subnormal location."""
+        if not all(0 < v < math.inf for v in lattice):
+            raise DomainError("lattice h and beta must be positive and finite")
         index = np.asarray(index, dtype=np.int64)
-        step = np.diff(index) * (1 if len(lattice) == 1 else -1)
+        weights = np.asarray(weights, dtype=float)
+        # the location order: index ascends on n h, descends on e^{-beta n h}
+        step = (index[1:] - index[:-1] if len(lattice) == 1
+                else index[:-1] - index[1:])
         if not ((index >= 0).all() and (step > 0).all()):
             raise DomainError("lattice index must be >= 0, in location order")
         x = index * lattice[0]
+        if len(lattice) > 1:
+            # the indices whose location underflows to 0, the largest, lead
+            x = np.exp(-lattice[1] * x)
+            kept = x > 0.0
+            lost = weights[~kept][::-1]
+            if not (lost >= 0).all():
+                raise DomainError("lattice weights must be >= 0")
+            truncation_error = truncation_error + _in_order(lost)
+            x, index, weights = x[kept], index[kept], weights[kept]
         m = object.__new__(cls)
-        m._fill(np.exp(-lattice[1] * x) if len(lattice) > 1 else x,
-                np.asarray(weights, dtype=float), zero_mass,
-                truncation_error, tuple(lattice), index)
+        m._fill(x, weights, zero_mass, truncation_error, tuple(lattice),
+                index)
         return m
 
     def _fill(self, loc, wt, zero_mass, truncation_error, lattice, index):
@@ -375,34 +394,22 @@ def additive_convolve(m1, m2):
                                     truncation_error=_dropped_mass(m1, m2))
 
 
-def pushforward(m, mapping, param=None):
-    """Image of an atomic measure under x -> exp(-beta x).
-
-    ``mapping`` must be ``exp-neg``, and ``param`` is 0 < beta < inf (1
-    when None).  Weights are preserved; mass whose image underflows to 0
-    moves into ``truncation_error``, and the mass at 0 becomes an atom at
-    1.  The arithmetic lattice (h,) maps to the geometric lattice
-    (h, beta), 0 to index 0; any other measure's image is on no lattice.
+def pushforward(m, beta=1.0):
+    """Image of an atomic measure on the arithmetic lattice (h,) under
+    x -> exp(-beta x), 0 < beta < inf: the same weights at the same
+    indices of the geometric lattice (h, beta), the mass at 0 at index 0,
+    location 1.  Mass whose image underflows to 0 joins
+    ``truncation_error``, as :meth:`AtomicMeasure.on_lattice` rules.  Any
+    other measure is a :class:`DomainError`.
     """
-    if not isinstance(m, AtomicMeasure):
-        raise DomainError("pushforward is defined for atomic measures")
-    if mapping != "exp-neg":
-        raise DomainError("unknown pushforward map %r" % mapping)
-    beta = 1.0 if param is None else float(param)
-    if not 0 < beta < math.inf:
-        raise DomainError("beta must be positive and finite")
-    # the mass at 0 first; the images lie in (0, 1], and reversed they ascend
-    image = np.exp(-beta * np.append(0.0, m.locations()))
-    weights = np.append(m.zero_mass, m.weights())
-    kept = image > 0.0
-    dropped = m.truncation_error + _in_order(weights[~kept])
-    if m.lattice is None or len(m.lattice) != 1:
-        return AtomicMeasure.from_pairs(
-            np.column_stack((image[kept], weights[kept]))[::-1],
-            truncation_error=dropped)
+    if not (isinstance(m, AtomicMeasure) and m.lattice is not None
+            and len(m.lattice) == 1):
+        raise DomainError("pushforward needs an atomic measure on an "
+                          "arithmetic lattice")
     return AtomicMeasure.on_lattice(
-        m.lattice + (beta,), np.append(0, m.index)[kept][::-1],
-        weights[kept][::-1], truncation_error=dropped)
+        m.lattice + (beta,), np.append(0, m.index)[::-1],
+        np.append(m.zero_mass, m.weights())[::-1],
+        truncation_error=m.truncation_error)
 
 
 class MomentSequence:
@@ -446,7 +453,8 @@ class MomentSequence:
             return float(self._fn(n))
         log_sn = self.log(n)
         try:
-            value = math.exp(log_sn)
+            # math.exp(inf) is inf, where exp(710) raises OverflowError
+            value = math.exp(min(log_sn, 710.0))
         except OverflowError:
             raise RangeError("moment s_%d overflows binary64" % n) from None
         if value == 0.0 and log_sn > -math.inf:

@@ -10,8 +10,9 @@ tau_c and mu_c at one (a, b, q) share the c-free part of their Cauchy
 bound and their weight recurrence, each cut at its own N.  tau_c and nu_a
 lie on the lattice n h, h = log(1/q), and mu_c, the exp-neg image of
 tau_c's lattice, on e^{-n h}; each records the index n of its atoms, which
-the convolutions add.  mu_abq and sigma_abgamma, never convolved, are
-built from ascending pairs.
+the convolutions add.  mu_abq is built as mu_c is, on the same lattice,
+so the two convolve.  sigma_abgamma, whose atoms gamma q^k lie on no
+e^{-n h}, is built from ascending pairs.
 """
 
 import cmath
@@ -93,24 +94,30 @@ def qpoch(z, q, n=math.inf):
     return value
 
 
-def _require_representable(lost, tol):
-    """Refuse a measure on {q^k} whose atoms at locations q^k that
-    underflow to 0 carry more than tol: that mass would join a tail the
-    cut already bounds by tol."""
+def _exp_neg_image(lattice, tol):
+    """The :func:`measures.pushforward` of ``lattice``, an arithmetic
+    lattice k log(1/q), onto {q^k}.  Atoms whose location q^k underflows
+    to 0 join the tail that the cut bounds by tol in truncation_error,
+    which is then at most 2 tol; a :class:`BudgetError` when their mass
+    alone exceeds tol."""
+    mu = pushforward(lattice)
+    lost = mu.truncation_error - lattice.truncation_error
     if lost > tol:
         raise BudgetError(
             "the atoms whose location q^k underflows to 0 carry mass %.3g, "
             "above tol = %g" % (lost, tol))
+    return mu
 
 
 def mu_abq(p, tol=DEFAULT_TOL):
     """The q-Beta probability on {q^k}: atoms at q^k with weight
     ((a;q)_inf/(b;q)_inf) ((b/a;q)_k/(q;q)_k) a^k, for 0 <= b < a < 1.
 
-    Truncated where the geometric tail majorant drops below tol; atoms
-    whose location q^k underflows to 0 join that tail in truncation_error,
-    which is then at most 2 tol.  Raises :class:`BudgetError` when their
-    mass alone exceeds tol.
+    Truncated where the geometric tail majorant drops below tol.  Built
+    as :func:`mu_c` is, on its lattice: the weights on k log(1/q), w_0 as
+    the mass at 0, mapped by :func:`_exp_neg_image`, so atoms whose
+    location q^k underflows to 0 join truncation_error, which is then at
+    most 2 tol, and their mass alone above tol is a :class:`BudgetError`.
     """
     p.require_ordered()
     a, b, q = p.a, p.b, p.q
@@ -119,17 +126,14 @@ def mu_abq(p, tol=DEFAULT_TOL):
     # w_k <= prefactor a^k / (q;q)_inf
     N, tail = geometric_cut(
         math.log(prefactor / ((1.0 - a) * qpoch(q, q))), math.log(a), tol)
-    qk = q ** np.arange(N + 1)
+    k = np.arange(N + 1)
+    qk = q ** k
     ratio_poch = np.cumprod(np.append(1.0, 1.0 - (b / a) * qk[:-1]))
     q_poch = np.cumprod(np.append(1.0, 1.0 - qk[1:]))
-    weights = prefactor * ratio_poch / q_poch * a ** np.arange(N + 1)
-    kept = qk > 0.0
-    lost = weights[~kept].sum()
-    _require_representable(lost, tol)
-    # reversed, as from_pairs takes locations in ascending order
-    return AtomicMeasure.from_pairs(
-        np.column_stack((qk[kept], weights[kept]))[::-1],
-        truncation_error=tail + lost)
+    weights = prefactor * ratio_poch / q_poch * a ** k
+    return _exp_neg_image(AtomicMeasure.on_lattice(
+        (math.log(1.0 / q),), k[1:], weights[1:], zero_mass=weights[0],
+        truncation_error=tail), tol)
 
 
 def qbinomial_check(a, z, q):
@@ -296,17 +300,12 @@ def mu_c(p, c):
     there and not a bound, misses more of it than it would at tau_c's
     cut.  :func:`mellin_qbeta` is the closed form.
 
-    As for :func:`mu_abq`, atoms whose image underflows join
-    truncation_error, which is then at most 2 DEFAULT_TOL, and
-    :class:`BudgetError` is raised when their mass alone exceeds
+    It lies on the lattice of :func:`mu_abq`, and :func:`_exp_neg_image`
+    rules on the atoms whose image underflows for both, here at
     DEFAULT_TOL.  A w_0 below the normal range of binary64 is a
     :class:`RangeError`.
     """
-    lattice = _tau_lattice(p, c, 0)
-    mu = pushforward(lattice, "exp-neg")
-    _require_representable(mu.truncation_error - lattice.truncation_error,
-                           DEFAULT_TOL)
-    return mu
+    return _exp_neg_image(_tau_lattice(p, c, 0), DEFAULT_TOL)
 
 
 def qbeta_moment_sequence(p, c=1.0):

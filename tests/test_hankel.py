@@ -63,6 +63,21 @@ def test_negative_values_rejected():
         stieltjes_check(s, 1)
 
 
+def _factorials_with_s3(value):
+    return MomentSequence(
+        fn=lambda n: value if n == 3 else math.factorial(n))
+
+
+@pytest.mark.parametrize("s", [
+    _factorials_with_s3(math.nan), _factorials_with_s3(math.inf),
+    # what power_sequence(factorial_seq(), nan) built before it refused nan
+    MomentSequence(log_fn=lambda n: math.nan * math.lgamma(n + 1.0))],
+    ids=["s3-nan", "s3-inf", "nan-power"])
+def test_non_finite_moments_get_no_verdict(s):
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        stieltjes_check(s, 4)
+
+
 def test_zero_containing_sequence_uses_raw_path():
     s = MomentSequence.dirac_zero(2.0)
     assert stieltjes_check(s, 4).is_psd
@@ -132,6 +147,12 @@ def test_power_sequence_inverts(c, n):
 def test_power_sequence_rejects_nonpositive_exponent():
     with pytest.raises(DomainError):
         power_sequence(factorial_seq(), 0.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_power_sequence_rejects_a_non_finite_exponent(c):
+    with pytest.raises(DomainError, match="positive and finite"):
+        power_sequence(factorial_seq(), c)
 
 
 def test_power_sequence_keeps_the_symmetric_zero_pattern():

@@ -304,29 +304,31 @@ def test_lattice_measures_store_the_lattice_formula(make, lattice):
 
 
 def test_pushforward_exp_neg():
-    m = AtomicMeasure.from_pairs([(math.log(2.0), 1.0)])
-    image = pushforward(m, "exp-neg", 1.0)
+    m = AtomicMeasure.on_lattice((math.log(2.0),), [1], [1.0])
+    image = pushforward(m)
     assert image.atoms[0][0] == pytest.approx(0.5)
 
 
 def test_pushforward_maps_the_arithmetic_lattice_to_the_geometric_one():
     m = AtomicMeasure.on_lattice((0.5,), [1, 3], [0.25, 0.5], zero_mass=0.125)
-    image = pushforward(m, "exp-neg", 2.0)
+    image = pushforward(m, 2.0)
     assert image.lattice == (0.5, 2.0)
     assert image.index.tolist() == [3, 1, 0]
     assert image.atoms == ((math.exp(-3.0), 0.5), (math.exp(-1.0), 0.25),
                            (1.0, 0.125))
-    # an image is on no lattice of its own
-    assert pushforward(image, "exp-neg").lattice is None
+    # an image is on a geometric lattice, which pushforward refuses
+    with pytest.raises(DomainError, match="arithmetic lattice"):
+        pushforward(image)
 
 
 def test_pushforward_exp_neg_underflow_and_zero_mass():
-    m = AtomicMeasure.from_pairs([(1.0, 0.25), (1000.0, 0.5)],
+    m = AtomicMeasure.on_lattice((1.0,), [1, 1000], [0.25, 0.5],
                                  zero_mass=0.125, truncation_error=1e-12)
-    image = pushforward(m, "exp-neg", 1.0)
+    image = pushforward(m, 1.0)
     # e^{-1000} underflows: its mass moves into the truncation error, and
     # the mass at 0 becomes an atom at e^0 = 1
     assert image.atoms == ((math.exp(-1.0), 0.25), (1.0, 0.125))
+    assert image.index.tolist() == [1, 0]
     assert image.zero_mass == 0.0
     assert image.truncation_error == 1e-12 + 0.5
 
@@ -350,7 +352,7 @@ def test_float_sums_do_not_depend_on_builtin_sum(monkeypatch):
 
     def sums():
         return (nu_a(0.5, 0.5).total_mass, mu_c(p, 1.0).truncation_error,
-                pushforward(tau_c(p, 1.0), "exp-neg").truncation_error,
+                pushforward(tau_c(p, 1.0)).truncation_error,
                 verify.render_report(verify.run_suite("hermite")))
 
     before = sums()
@@ -359,16 +361,47 @@ def test_float_sums_do_not_depend_on_builtin_sum(monkeypatch):
     assert before[0] == 1.2420620948124117
 
 
-@pytest.mark.parametrize("mapping, param", [("neg-log", None),
-                                            ("scale", 2.0),
-                                            ("exp-neg", math.inf),
-                                            ("exp-neg", math.nan)])
-def test_pushforward_refuses_any_map_but_exp_neg(mapping, param):
-    m = AtomicMeasure.from_pairs([(0.5, 1.0)])
-    message = ("beta must be positive" if mapping == "exp-neg"
-               else "unknown pushforward map")
-    with pytest.raises(DomainError, match=message):
-        pushforward(m, mapping, param)
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+def test_pushforward_refuses_a_beta_that_is_not_positive_and_finite(beta):
+    with pytest.raises(DomainError, match="beta must be positive"):
+        pushforward(_ARITHMETIC, beta)
+
+
+@pytest.mark.parametrize("m", [_ON_NO_LATTICE, _GEOMETRIC,
+                               DensityMeasure(np.exp, (0.0, 1.0))],
+                         ids=["no-lattice", "geometric", "density"])
+def test_pushforward_refuses_what_is_not_on_an_arithmetic_lattice(m):
+    with pytest.raises(DomainError, match="arithmetic lattice"):
+        pushforward(m)
+
+
+def test_pushforward_takes_no_map_name():
+    with pytest.raises(TypeError):
+        pushforward(_ARITHMETIC, "exp-neg", 1.0)
+
+
+@pytest.mark.parametrize("lattice", [
+    (-0.5, 1.0), (0.5, -1.0), (0.0, 1.0), (0.5, 0.0), (math.nan, 1.0),
+    (0.5, math.inf), (-0.5,), (0.0,), (math.inf,)])
+def test_lattice_key_must_be_positive_and_finite(lattice):
+    index = [3, 1, 0] if len(lattice) == 2 else [0, 1, 3]
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        AtomicMeasure.on_lattice(lattice, index, [0.25, 0.5, 0.25])
+
+
+def test_geometric_lattice_moves_underflowing_weights_into_truncation_error():
+    # exp(-n) underflows past n = 745; those indices lead and are dropped,
+    # their weights added to truncation_error from the smallest index up,
+    # in which order each 2^-53 rounds away
+    tiny = 2.0 ** -53
+    m = AtomicMeasure.on_lattice((1.0, 1.0), [3000, 2000, 800, 1],
+                                 [tiny, tiny, 1.0, 0.125],
+                                 truncation_error=1e-12)
+    assert m.atoms == ((math.exp(-1.0), 0.125),)
+    assert m.index.tolist() == [1]
+    assert m.truncation_error == 1e-12 + 1.0 != 1e-12 + (1.0 + 2 * tiny)
+    with pytest.raises(DomainError, match="weights must be >= 0"):
+        AtomicMeasure.on_lattice((1.0, 1.0), [800, 1], [-0.5, 0.125])
 
 
 def test_json_roundtrip():
@@ -381,6 +414,12 @@ def test_json_roundtrip():
 def test_moment_sequence_log_fn():
     s = MomentSequence(log_fn=lambda n: n * math.log(3.0))
     assert s(2) == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("log_sn", [math.inf, 710.0])
+def test_moment_sequence_past_binary64_is_a_range_error(log_sn):
+    with pytest.raises(RangeError, match="overflows binary64"):
+        MomentSequence(log_fn=lambda n: log_sn)(1)
 
 
 def test_moment_sequence_log_of_a_zero_value_is_minus_inf():

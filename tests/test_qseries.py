@@ -228,8 +228,8 @@ def _tau_c_reference(p, c, order):
                                 1e-14 / max(1.0, (N + 1) * log1q) ** order)
     j = np.arange(1, N + 1)
     w = _exp_series(c * (a ** j - b ** j) / (1.0 - q ** j), math.exp(log_w0))
-    return AtomicMeasure.from_pairs(np.column_stack((j * log1q, w[1:])),
-                                    zero_mass=w[0], truncation_error=tail)
+    return AtomicMeasure.on_lattice((log1q,), j, w[1:], zero_mass=w[0],
+                                    truncation_error=tail)
 
 
 # 187 and 255 atoms of the lattices of these mu_c, and 2235 and 2324 of
@@ -252,7 +252,7 @@ def test_semigroup_lattices_equal_the_one_c_at_a_time_build(a, b, q, c):
     # mu_c is the image of the lattice cut with no amplification
     mu = mu_c(p, c)
     lattice = _tau_c_reference(p, c, 0)
-    image = pushforward(lattice, "exp-neg", 1.0)
+    image = pushforward(lattice)
     assert mu.atoms == image.atoms
     assert mu.zero_mass == image.zero_mass == 0.0
     assert mu.truncation_error == image.truncation_error
@@ -268,7 +268,7 @@ def test_mu_moments_match_the_image_of_the_amplified_lattice(a, b, q, c):
     # mu_c's own cut moves no moment by more than its dropped mass
     p = QParams(a, b, q)
     mu = mu_c(p, c)
-    longer = pushforward(_tau_c_reference(p, c, 8), "exp-neg", 1.0)
+    longer = pushforward(_tau_c_reference(p, c, 8))
     orders = np.arange(11)
     gap = np.abs(moment(mu, orders).value - moment(longer, orders).value)
     assert (gap <= mu.truncation_error).all(), gap.max()
@@ -369,6 +369,30 @@ def test_mu_product_semigroup():
         for n in range(7):
             assert moment(conv, n).value == pytest.approx(
                 moment(direct, n).value, abs=1e-10)
+
+
+def test_product_convolve_moves_indices_past_underflow_into_the_error():
+    # mu_c's indices run to 1074, whose q^n is the least subnormal; the
+    # product's run to 2148, and the mass past 1074 joins its error
+    p = QParams(0.97, 0.5, 0.5)
+    m = mu_c(p, 0.5)
+    assert m.index[0] == 1074
+    conv = product_convolve(m, m)
+    direct = mu_c(p, 1.0)
+    assert abs(conv.total_mass - 1.0) <= conv.truncation_error + 1e-12
+    orders = np.arange(7)
+    gap = np.abs(moment(conv, orders).value - moment(direct, orders).value)
+    assert (gap <= conv.truncation_error + direct.truncation_error
+            + 1e-15).all(), gap.max()
+
+
+def test_mu_abq_and_mu_c_lie_on_one_lattice_and_convolve():
+    conv = product_convolve(mu_abq(P), mu_c(P, 1.0))
+    seq = qbeta_moment_sequence(P)
+    orders = np.arange(9)
+    gap = np.abs(moment(conv, orders).value
+                 - np.array([seq(n) ** 2 for n in orders]))
+    assert (gap <= conv.truncation_error + 1e-14).all(), gap.max()
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
