@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedError
 from .measures import (AtomicMeasure, DensityMeasure, MomentSequence,
-                       _mellin_value, geometric_cut, integral, pushforward)
+                       _mellin_value, _orders, geometric_cut, integral,
+                       pushforward)
 
 #: the tolerance of the integrals over kappa and sigma behind :func:`psi`
 #: and :func:`lk_log_moment`
@@ -50,9 +51,10 @@ class LevyKhinchinRep(NamedTuple):
 # catalog constructors
 
 def affine(a):
-    """f(s) = a + s with a > 0; kappa has density e^{-a x}."""
-    if a <= 0:
-        raise DomainError("affine catalog entry needs a > 0 (use linear())")
+    """f(s) = a + s with 0 < a < inf; kappa has density e^{-a x}."""
+    if not 0 < a < math.inf:
+        raise DomainError("affine catalog entry needs a positive and finite "
+                          "(use linear() for a = 0)")
     return BernsteinFunction(
         "affine:%g" % a, lambda s: a + s,
         lambda: DensityMeasure(lambda x: np.exp(-a * x), (0.0, math.inf)))
@@ -68,9 +70,10 @@ def linear():
 
 
 def ratio(a, b):
-    """f(s) = (a + s)/(b + s), 0 < a < b; kappa density e^{-ax} - e^{-bx}."""
-    if not 0 < a < b:
-        raise DomainError("ratio catalog entry needs 0 < a < b")
+    """f(s) = (a + s)/(b + s), 0 < a < b < inf; kappa density e^{-ax} -
+    e^{-bx}."""
+    if not 0 < a < b < math.inf:
+        raise DomainError("ratio catalog entry needs 0 < a < b < inf")
     return BernsteinFunction(
         "ratio:%g:%g" % (a, b), lambda s: (a + s) / (b + s),
         lambda: DensityMeasure(
@@ -221,7 +224,8 @@ def log_moment_via_rep(f, alpha, beta, n):
 
 
 def psi(f, alpha, beta, z):
-    """The Mellin exponent: psi(n) = -log s_n, defined for Re z >= 0.
+    """The Mellin exponent: psi(n) = -log s_n, defined for finite z with
+    Re z >= 0.
 
     psi(z) = -z log f(alpha) + integral of
     ((1 - e^{-z beta x}) - z (1 - e^{-beta x})) e^{-alpha x}
@@ -234,8 +238,8 @@ def psi(f, alpha, beta, z):
     _require_alpha_beta(alpha, beta)
     z = np.asarray(z)
     z = z.astype(complex if np.iscomplexobj(z) else float)
-    if (z.real < 0).any():
-        raise DomainError("psi requires Re z >= 0")
+    if not (np.isfinite(z).all() and (z.real >= 0).all()):
+        raise DomainError("psi requires a finite z with Re z >= 0")
     kappa = kappa_of(f)
     head = -z * _log_start(f, alpha)
     A = (z - z * z) / 2.0
@@ -275,10 +279,12 @@ def lk_log_moment(rep, n):
     without one).
 
     ``n`` may be a sequence of orders; they share one integral and give
-    arrays."""
-    orders = np.asarray(n)
+    arrays.  Each must be a nonnegative integer, by :func:`measures.moment`'s
+    rule, else a DomainError."""
+    orders = _orders(n)
     log_s = rep.a * orders + rep.b * orders * orders
     if rep.sigma is None or not orders.any():
         return _mellin_value(log_s, 0.0)
-    r = integral(rep.sigma, lambda u: _stable_centered_power(u, n), REP_TOL)
+    ks = orders.astype(int)
+    r = integral(rep.sigma, lambda u: _stable_centered_power(u, ks), REP_TOL)
     return _mellin_value(log_s + r.value, r.abs_error)

@@ -1,10 +1,14 @@
 """Moment-sequence testing: Hankel positivity, Carleman diagnostics,
 power transforms and the three-case zero-pattern classifier.
 
-The positive-semidefiniteness test works on diagonally rescaled Hankel
-matrices so that factorial-type sequences remain testable in binary64 at
-order N = 8; the Carleman check is an explicitly heuristic pattern
-diagnostic, never a proof of (in)determinacy.
+Every function here reads a sequence one way only, as its logs
+``s.log(n)``, so a moment past binary64 is still read, and
+:class:`measures.MomentSequence` alone refuses a nan or negative moment.
+The positive-semidefiniteness test builds one diagonally rescaled Hankel
+matrix from those logs for every sequence, zero moments included, so that
+factorial-type sequences remain testable in binary64 at order N = 8; the
+Carleman check is an explicitly heuristic pattern diagnostic, never a
+proof of (in)determinacy.
 """
 
 import math
@@ -64,7 +68,11 @@ def _min_pivot_pivoted_cholesky(matrix, tol):
     """Return (failed_index, pivot) on failure, else (None, min pivot seen).
 
     Pivoted outer-product Cholesky; the matrix is destroyed.  Failure means
-    the largest remaining diagonal entry drops below -tol.
+    the largest remaining diagonal entry drops below -tol.  Once it is at
+    most tol the factorisation stops and reads the whole remaining block:
+    a PSD block has |a_ij| <= sqrt(a_ii a_jj) <= tol, so any entry larger
+    than tol in modulus is a failure too (Higham 1990), reported with the
+    pivot less that entry, which is negative.
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
@@ -77,13 +85,10 @@ def _min_pivot_pivoted_cholesky(matrix, tol):
         if pivot < -tol:
             return k, pivot
         if pivot <= tol:
-            # remaining block is numerically zero on the diagonal; any
-            # diagonal entry below -tol would have been caught above
-            remaining = np.min(np.diag(a[k:, k:]))
-            min_pivot = min(min_pivot, remaining)
-            if remaining < -tol:
-                return k, remaining
-            break
+            largest = np.max(np.abs(a[k:, k:]))
+            if largest > tol:
+                return k, pivot - largest
+            return None, min(min_pivot, np.min(diag))
         if j != k:
             a[[k, j], :] = a[[j, k], :]
             a[:, [k, j]] = a[:, [j, k]]
@@ -93,54 +98,51 @@ def _min_pivot_pivoted_cholesky(matrix, tol):
 
 
 def _scaled_hankel(log_s, N, shift):
-    """Hankel matrix (s_{i+j+shift}) with diagonal brought to 1.
+    """Hankel matrix (s_{i+j+shift}) with each positive diagonal entry
+    brought to 1, from the logs ``log_s`` (finite or -inf).
 
-    Entry (i, j) becomes exp(log s_{i+j+shift} - (log s_{2i+shift}
-    + log s_{2j+shift}) / 2), taming the dynamic range of factorial-type
-    sequences.
+    Entry (i, j) is exp(log s_{i+j+shift} - (d_i + d_j) / 2), with d_i =
+    log s_{2i+shift}, which tames the dynamic range of factorial-type
+    sequences.  Where s_{2i+shift} = 0, d_i is one fixed scale, the
+    largest finite log in ``log_s`` (0 if there is none), in place of the
+    -inf that would make the row nan; its diagonal entry is then 0.  The
+    operations are those of a scalar loop, so a positive sequence gets the
+    same entries bit for bit.
     """
-    a = np.empty((N + 1, N + 1))
-    for i in range(N + 1):
-        for j in range(N + 1):
-            expo = (log_s[i + j + shift]
-                    - 0.5 * (log_s[2 * i + shift] + log_s[2 * j + shift]))
-            if expo > 700.0:
-                raise RangeError(
-                    "scaled Hankel entry overflows binary64; retry with a "
-                    "log-domain representation")
-            a[i, j] = math.exp(expo)
-    return a
+    log_s = np.array(log_s)
+    i = np.arange(N + 1)
+    d = log_s[2 * i + shift]
+    d[d == -math.inf] = max(log_s[log_s > -math.inf], default=0.0)
+    expo = log_s[i[:, None] + i + shift] - 0.5 * (d[:, None] + d)
+    if expo.max() > 700.0:
+        raise RangeError(
+            "scaled Hankel entry overflows binary64; retry with a "
+            "log-domain representation")
+    # math.exp, not np.exp, which may round the last bit differently
+    return np.reshape([math.exp(e) for e in expo.ravel().tolist()],
+                      expo.shape)
 
 
 def stieltjes_check(s, N):
     """Test H0 = (s_{i+j}) and H1 = (s_{i+j+1}) for PSD up to order N.
 
-    The tolerance PSD_TOL is relative to the rescaled matrices whose
-    diagonal is 1.  Requires s_n defined up to n = 2N + 1, each finite
-    and nonnegative, else a :class:`DomainError`.
+    Reads s only as log s_0 .. log s_{2N+1}, once, and tests the
+    matrices :func:`_scaled_hankel` builds from them, one rule for every
+    sequence, zero moments included.  The tolerance PSD_TOL is relative
+    to those matrices, whose positive diagonal entries are 1.  A log of
+    +inf is a :class:`DomainError`, and so, from :class:`MomentSequence`,
+    are a negative or nan moment.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    values = [s(n) for n in range(2 * N + 2)]
-    if not all(0 <= v < math.inf for v in values):
+    log_s = [s.log(n) for n in range(2 * N + 2)]
+    if math.inf in log_s:
         raise DomainError("Stieltjes moment sequences must be finite and "
                           "nonnegative")
-    if any(v == 0.0 for v in values):
-        # degenerate (zero-containing) sequences: test the raw matrices,
-        # whose entries are bounded by max(values)
-        scale = max(values)
-
-        def matrix(shift):
-            return np.array([[values[i + j + shift] for j in range(N + 1)]
-                             for i in range(N + 1)]) / scale
-    else:
-        log_s = [s.log(n) for n in range(2 * N + 2)]
-
-        def matrix(shift):
-            return _scaled_hankel(log_s, N, shift)
     worst = math.inf
     for shift, name in ((0, "H0"), (1, "H1")):
-        failed, pivot = _min_pivot_pivoted_cholesky(matrix(shift), PSD_TOL)
+        failed, pivot = _min_pivot_pivoted_cholesky(
+            _scaled_hankel(log_s, N, shift), PSD_TOL)
         if failed is not None:
             return HankelVerdict(FAILED_AT, N, PSD_TOL, failed, name, pivot)
         worst = min(worst, pivot)
@@ -184,12 +186,13 @@ def carleman_diagnostic(s, N):
 def trichotomy_classify(s, N):
     """The label of the zero pattern of s_0..s_N among the three allowed
     cases: ALL_POSITIVE, DIRAC_AT_ZERO or SYMMETRIC_ZERO_ODD.  s_n counts
-    as zero at or below 1e-13 times the largest of them."""
-    values = [s(n) for n in range(N + 1)]
-    if values[0] <= 0:
+    as zero where its log is at or below log(1e-13) plus the largest of
+    them, -inf included."""
+    log_s = [s.log(n) for n in range(N + 1)]
+    if log_s[0] == -math.inf:
         raise DomainError("s_0 must be positive")
-    threshold = 1e-13 * max(values)
-    is_zero = [abs(v) <= threshold for v in values]
+    threshold = math.log(1e-13) + max(log_s)
+    is_zero = [v <= threshold for v in log_s]
     if not any(is_zero[1:]):
         return ALL_POSITIVE
     if all(is_zero[1:]):

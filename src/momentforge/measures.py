@@ -55,7 +55,7 @@ def geometric_cut(log_head, log_ratio, tol):
         least = float
     else:
         log_head = np.asarray(log_head, dtype=float)
-        least = _least
+        least = np.min
     log_head = log_head + 1e-12
     steps = least((log_head - math.log(tol)) / -log_ratio)
     if not steps <= _MAX_TERMS:
@@ -63,10 +63,6 @@ def geometric_cut(log_head, log_ratio, tol):
                           "its tail by %g" % (_MAX_TERMS, tol))
     N = max(0, math.ceil(steps) - 1)
     return N, math.exp(least(log_head + (N + 1) * log_ratio))
-
-
-def _least(values):
-    return float(values.min())
 
 
 def _in_order(values):
@@ -288,6 +284,16 @@ def _mellin_value(value, abs_error):
     return MellinValue(np.asarray(value).item(), float(abs_error))
 
 
+def _orders(n, name="moment order"):
+    """``n`` as a float array: one order or a sequence of them, each a
+    nonnegative integer, else a :class:`DomainError` that calls it
+    ``name``."""
+    ks = np.asarray(n, dtype=float)
+    if ks.ndim > 1 or not all(k >= 0 and k.is_integer() for k in ks.flat):
+        raise DomainError("%s must be a nonnegative integer" % name)
+    return ks
+
+
 def moment(m, n, tol=1e-12):
     """n'th moment of a measure, with its error estimate, as a MellinValue.
 
@@ -295,10 +301,7 @@ def moment(m, n, tol=1e-12):
     call, and the value and the error are then arrays with one entry per
     order.  The error is the one :func:`integral` reports.
     """
-    orders = np.asarray(n, dtype=float)
-    if not (orders.ndim <= 1 and np.isfinite(orders).all()
-            and (orders >= 0).all() and (orders == np.floor(orders)).all()):
-        raise DomainError("moment order must be a nonnegative integer")
+    orders = _orders(n)
     ks = np.atleast_1d(orders).tolist()
 
     def powers(x):
@@ -412,12 +415,23 @@ def pushforward(m, beta=1.0):
         truncation_error=m.truncation_error)
 
 
+def _read(fn, n):
+    """float(fn(n)), a :class:`DomainError` where that is nan."""
+    value = float(fn(n))
+    if math.isnan(value):
+        raise DomainError("moment s_%d is nan, not finite and nonnegative" % n)
+    return value
+
+
 class MomentSequence:
     """Indexed access to a positive moment sequence, log-capable.
 
     Values are generated either from ``log_fn`` (preferred, overflow-safe)
-    or from ``fn``; the sequence holds nothing else.  The degenerate
-    Stieltjes sequence c*delta_{0n} is supported through :meth:`dirac_zero`.
+    or from ``fn``; the sequence holds nothing else.  It is the one place
+    that refuses a moment value: a nan from either is a
+    :class:`DomainError`, in :meth:`__call__` and :meth:`log` alike.  The
+    degenerate Stieltjes sequence c*delta_{0n} is supported through
+    :meth:`dirac_zero`.
     """
 
     def __init__(self, fn=None, log_fn=None):
@@ -448,9 +462,13 @@ class MomentSequence:
 
     def __call__(self, n):
         """s_n; a :class:`RangeError` when it leaves binary64, above or,
-        from a finite log, below.  A log of -inf is s_n = 0."""
+        from a finite log, below: ``fn`` gives +-inf or the log is past
+        709.78.  A log of -inf is s_n = 0."""
         if self._fn is not None:
-            return float(self._fn(n))
+            value = _read(self._fn, n)
+            if abs(value) == math.inf:
+                raise RangeError("moment s_%d overflows binary64" % n)
+            return value
         log_sn = self.log(n)
         try:
             # math.exp(inf) is inf, where exp(710) raises OverflowError
@@ -462,10 +480,13 @@ class MomentSequence:
         return value
 
     def log(self, n):
-        """log s_n: -inf where s_n = 0, a DomainError where s_n < 0."""
+        """log s_n: -inf where s_n = 0, +inf where ``fn`` gives inf, a
+        DomainError where s_n < 0.  Unlike :meth:`__call__` it reads a
+        moment past binary64 from ``log_fn``, so a reader of logs needs no
+        other value."""
         if self._log_fn is not None:
-            return float(self._log_fn(n))
-        value = self(n)
+            return _read(self._log_fn, n)
+        value = _read(self._fn, n)
         if value < 0:
             raise DomainError("log of nonpositive moment s_%d" % n)
         return math.log(value) if value else -math.inf

@@ -25,8 +25,8 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import BudgetError, DomainError, RangeError
-from .measures import (AtomicMeasure, MomentSequence, geometric_cut,
-                       pushforward)
+from .measures import (AtomicMeasure, MomentSequence, _orders,
+                       geometric_cut, pushforward)
 from .semigroups import _checked_make, _mellin_exp
 
 DEFAULT_TOL = 1e-14
@@ -351,14 +351,13 @@ def hp_coefficients(p_, q, K):
     Exponentiates log h_p = sum_m L_m z^m by the power-series recurrence
     n c_n = sum_{j<=n} j L_j c_{n-j} (Knuth, TAOCP vol. 2, 4.7).  Every
     term is nonnegative, so the coefficients are too, and c_n does not
-    depend on K.
+    depend on K, which must be a nonnegative integer.
     """
     if not 0 <= p_ < 1:
         raise DomainError("p must lie in [0, 1)")
     if not 0 < q < 1:
         raise DomainError("q must lie in (0, 1)")
-    if K < 0:
-        raise DomainError("K must be nonnegative")
+    K = int(_orders(K, "K"))
     with np.errstate(over="ignore", invalid="ignore"):
         c = _exp_series(_hp_log_terms(p_, q, K))
     finite = np.isfinite(c)
@@ -381,9 +380,12 @@ def sigma_abgamma(p, K=None):
     whose weights overflow, are refused.  ``truncation_error`` is that
     bound divided by the sum of the kept weights, both evaluated in
     binary64 with no allowance for their rounding: an estimate of the
-    dropped mass, not a proven bound.
+    dropped mass, not a proven bound.  A K given must be a nonnegative
+    integer.
     """
     p.require_ordered()
+    if K is not None:
+        K = int(_orders(K, "K"))
     a, b, q = p.a, p.b, p.q
     gamma = qpoch(b, q) / qpoch(a, q)
     # sum_{k>K} c_k a^k <= h_p(r) (a/r)^{K+1} / (1 - a/r) for every radius

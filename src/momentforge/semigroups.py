@@ -106,8 +106,8 @@ class GammaFamily(namedtuple("GammaFamily", "a c")):
     _make = _checked_make
 
     def __new__(cls, a, c=1.0):
-        if a <= 0 or c <= 0:
-            raise DomainError("GammaFamily needs a > 0 and c > 0")
+        if not (0 < a < math.inf and 0 < c < math.inf):
+            raise DomainError("GammaFamily needs a and c positive and finite")
         return super().__new__(cls, a, c)
 
 
@@ -119,10 +119,10 @@ class BetaFamily(namedtuple("BetaFamily", "a b c")):
     _make = _checked_make
 
     def __new__(cls, a, b, c=1.0):
-        if not 0 < a < b:
-            raise DomainError("BetaFamily needs 0 < a < b")
-        if c <= 0:
-            raise DomainError("BetaFamily needs c > 0")
+        if not 0 < a < b < math.inf:
+            raise DomainError("BetaFamily needs 0 < a < b < inf")
+        if not 0 < c < math.inf:
+            raise DomainError("BetaFamily needs c positive and finite")
         return super().__new__(cls, a, b, c)
 
 
@@ -135,8 +135,8 @@ class LogNormalQFamily(namedtuple("LogNormalQFamily", "q c")):
     def __new__(cls, q, c=1.0):
         if not 0 < q < 1:
             raise DomainError("LogNormalQFamily needs 0 < q < 1")
-        if c <= 0:
-            raise DomainError("LogNormalQFamily needs c > 0")
+        if not 0 < c < math.inf:
+            raise DomainError("LogNormalQFamily needs c positive and finite")
         return super().__new__(cls, q, c)
 
 

@@ -291,6 +291,22 @@ def test_psi_refuses_a_sequence_with_negative_real_part():
         psi(affine(1.0), 1.0, 1.0, [0.5, 2.0, -0.25 + 1j])
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, [1.0, math.nan]])
+def test_psi_refuses_a_non_finite_z(z):
+    with pytest.raises(DomainError, match="finite z"):
+        psi(ratio(1.0, 2.0), 1.0, 1.0, z)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, math.nan, math.inf, [1, -2]])
+@pytest.mark.parametrize("entry", [
+    lambda n: log_moment_via_rep(ratio(1.0, 2.0), 1.0, 1.0, n),
+    lambda n: lk_log_moment(LevyKhinchinRep(0.5, 0.0, None), n),
+], ids=["log_moment_via_rep", "lk_log_moment"])
+def test_log_moments_need_nonnegative_integer_orders(entry, n):
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        entry(n)
+
+
 def test_centered_powers_in_one_pass_match_each_order():
     u = np.linspace(0.0, 2.0, 41)
     together = _stable_centered_power(u, [3, 0, 15, 1])

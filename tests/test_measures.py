@@ -422,6 +422,24 @@ def test_moment_sequence_past_binary64_is_a_range_error(log_sn):
         MomentSequence(log_fn=lambda n: log_sn)(1)
 
 
+def test_moment_sequence_refuses_an_infinite_value_from_fn():
+    with pytest.raises(RangeError, match="s_1 overflows binary64"):
+        MomentSequence(fn=lambda n: math.inf)(1)
+    with pytest.raises(RangeError, match="s_1 overflows binary64"):
+        MomentSequence(fn=lambda n: -math.inf)(1)
+    # its log is +inf, which a reader of logs can still refuse by itself
+    assert MomentSequence(fn=lambda n: math.inf).log(1) == math.inf
+
+
+@pytest.mark.parametrize("s", [MomentSequence(log_fn=lambda n: math.nan),
+                               MomentSequence(fn=lambda n: math.nan)],
+                         ids=["log_fn", "fn"])
+def test_moment_sequence_refuses_a_nan_value(s):
+    for read in (s, s.log):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            read(1)
+
+
 def test_moment_sequence_log_of_a_zero_value_is_minus_inf():
     assert MomentSequence(fn=[1.0, 0.0].__getitem__).log(1) == -math.inf
     with pytest.raises(DomainError):

@@ -432,6 +432,16 @@ def test_mellin_qbeta_strip():
         mellin_qbeta(p, 1.0, edge - 0.5)
 
 
+@pytest.mark.parametrize("K", [-1, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda K: hp_coefficients(0.5, 0.5, K),
+    lambda K: sigma_abgamma(QParams(0.5, 0.25, 0.5), K=K),
+], ids=["hp_coefficients", "sigma_abgamma"])
+def test_term_counts_must_be_nonnegative_integers(entry, K):
+    with pytest.raises(DomainError, match="K must be a nonnegative integer"):
+        entry(K)
+
+
 def test_hp_leading_coefficients():
     series = hp_coefficients(0.3, 0.5, 10)
     cs = series.coefficients

@@ -6,8 +6,8 @@ import pytest
 
 from momentforge import (BetaFamily, DomainError, GammaFamily,
                          LogNormalQFamily, MomentSequence, UnsupportedError,
-                         beta_density, beta_mellin, gamma_density,
-                         gamma_mellin, mellin, moment, t_transform,
+                         affine, beta_density, beta_mellin, gamma_density,
+                         gamma_mellin, mellin, moment, ratio, t_transform,
                          vc_density, vc_mellin)
 from momentforge.errors import QuadratureError, RangeError
 from momentforge.semigroups import _loggamma
@@ -128,6 +128,21 @@ def test_t_transform_constant_is_involution_fixed_point():
     s = t_transform(lambda n: 1.0)
     for n in range(5):
         assert s(n) == 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GammaFamily(math.nan), lambda: GammaFamily(1.0, math.inf),
+    lambda: BetaFamily(1.0, math.inf), lambda: BetaFamily(1.0, 2.0, math.nan),
+    lambda: LogNormalQFamily(0.5, math.nan),
+    lambda: LogNormalQFamily(0.5, math.inf),
+    lambda: affine(math.nan), lambda: affine(math.inf),
+    lambda: ratio(1.0, math.inf),
+], ids=["gamma-a-nan", "gamma-c-inf", "beta-b-inf", "beta-c-nan",
+        "lognormal-c-nan", "lognormal-c-inf", "affine-nan", "affine-inf",
+        "ratio-b-inf"])
+def test_non_finite_family_parameters_are_refused(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 def test_family_validation():
