@@ -190,6 +190,11 @@ def sigma_of(f, alpha, beta):
 
     For atomic kappa, on an arithmetic lattice as qratio's is, the
     exp-neg pushforward of kappa reweighted atom by atom; else a density.
+    The atoms kappa drops lie past its last index, as qratio's do, and the
+    factor e^{-alpha x}/(x (1 - e^{-beta x})) decreases in x.  So sigma's
+    ``truncation_error`` is kappa's times that factor at the first dropped
+    lattice point, raised by a relative 1e-12 for its rounding, and bounds
+    the mass sigma drops.
     """
     _require_alpha_beta(alpha, beta)
     if alpha == 0 and f(0.0) <= 0:
@@ -198,10 +203,13 @@ def sigma_of(f, alpha, beta):
     kappa = kappa_of(f)
     if isinstance(kappa, AtomicMeasure):
         x = kappa.locations()
+        x_0 = (int(kappa.index[-1]) + 1) * kappa.lattice[0]
+        factor = math.exp(-alpha * x_0) / (x_0 * -math.expm1(-beta * x_0))
         return pushforward(AtomicMeasure.on_lattice(
             kappa.lattice, kappa.index,
             kappa.weights() * np.exp(-alpha * x) / (x * -np.expm1(-beta * x)),
-            truncation_error=kappa.truncation_error), beta)
+            truncation_error=kappa.truncation_error * factor * (1.0 + 1e-12)),
+            beta)
 
     dens_kappa = kappa.density
 

@@ -2,8 +2,9 @@
 power transforms and the three-case zero-pattern classifier.
 
 Every function here reads a sequence one way only, as its logs
-``s.log(n)``, so a moment past binary64 is still read, and
-:class:`measures.MomentSequence` alone refuses a nan or negative moment.
+``s.log(n)`` through :func:`_logs`, so a moment past binary64 is still
+read.  :class:`measures.MomentSequence` refuses a nan or negative moment,
+and :func:`_logs` an infinite one.
 The positive-semidefiniteness test builds one diagonally rescaled Hankel
 matrix from those logs for every sequence, zero moments included, so that
 factorial-type sequences remain testable in binary64 at order N = 8; the
@@ -123,22 +124,28 @@ def _scaled_hankel(log_s, N, shift):
                       expo.shape)
 
 
+def _logs(s, orders):
+    """[log s_n for n in orders]; a log of +inf is a :class:`DomainError`,
+    as are, from :class:`MomentSequence`, a negative or nan moment."""
+    logs = [s.log(n) for n in orders]
+    if math.inf in logs:
+        raise DomainError("Stieltjes moment sequences must be finite and "
+                          "nonnegative")
+    return logs
+
+
 def stieltjes_check(s, N):
     """Test H0 = (s_{i+j}) and H1 = (s_{i+j+1}) for PSD up to order N.
 
     Reads s only as log s_0 .. log s_{2N+1}, once, and tests the
     matrices :func:`_scaled_hankel` builds from them, one rule for every
     sequence, zero moments included.  The tolerance PSD_TOL is relative
-    to those matrices, whose positive diagonal entries are 1.  A log of
-    +inf is a :class:`DomainError`, and so, from :class:`MomentSequence`,
-    are a negative or nan moment.
+    to those matrices, whose positive diagonal entries are 1.  An
+    infinite, negative or nan moment is a :class:`DomainError` (_logs).
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-    log_s = [s.log(n) for n in range(2 * N + 2)]
-    if math.inf in log_s:
-        raise DomainError("Stieltjes moment sequences must be finite and "
-                          "nonnegative")
+    log_s = _logs(s, range(2 * N + 2))
     worst = math.inf
     for shift, name in ((0, "H0"), (1, "H1")):
         failed, pivot = _min_pivot_pivoted_cholesky(
@@ -157,12 +164,14 @@ def carleman_diagnostic(s, N):
     Both estimated from log-log slopes over the upper half of the range;
     anything in between is reported as inconclusive.  This is a heuristic
     reading of a one-sided sufficient condition, never a certificate.
+    An infinite, negative or nan moment is a :class:`DomainError`
+    (_logs), and so are a zero moment and a finite log so large that its
+    term underflows to 0.
     """
     if N < 8:
         raise DomainError("need N >= 8 for a slope estimate")
     terms = []
-    for n in range(1, N + 1):
-        log_sn = s.log(n)
+    for n, log_sn in enumerate(_logs(s, range(1, N + 1)), 1):
         if log_sn == -math.inf:
             raise DomainError("log of nonpositive moment s_%d" % n)
         terms.append(math.exp(-log_sn / (2.0 * n)))
@@ -187,8 +196,9 @@ def trichotomy_classify(s, N):
     """The label of the zero pattern of s_0..s_N among the three allowed
     cases: ALL_POSITIVE, DIRAC_AT_ZERO or SYMMETRIC_ZERO_ODD.  s_n counts
     as zero where its log is at or below log(1e-13) plus the largest of
-    them, -inf included."""
-    log_s = [s.log(n) for n in range(N + 1)]
+    them, -inf included; an infinite, negative or nan moment is a
+    :class:`DomainError` (_logs)."""
+    log_s = _logs(s, range(N + 1))
     if log_s[0] == -math.inf:
         raise DomainError("s_0 must be positive")
     threshold = math.log(1e-13) + max(log_s)

@@ -35,6 +35,7 @@ generating_G is a 1 x 1 grid.
 
 Each point runs as its canonical point (|t|, sgn(t) x), once for all the
 points that share it, as G(-t, -x) = G(t, x) holds bit for bit here too.
+Its term count is fixed once, at its first point in row order.
 The default scan grid's 3078 points with t != 0 are 1539 canonical
 points: 1035 end in phase 1, and the 504 of phase 2 run 64,629 integer
 steps of their 136,979.
@@ -946,21 +947,37 @@ def _tail_bound(t, x, n_top):
                     - math.log1p(-at))
 
 
-def _evaluate_grid(t_grid, x_grid, tol):
-    """GenFunValue rows, one per t, over the grid t_grid x x_grid.
+def _canonical_key(t, x):
+    """(|t|, sgn(t) x), the canonical point of (t, x) and (-t, -x), t != 0;
+    0.0 and -0.0 give equal keys."""
+    return abs(t), x if t > 0.0 else -x
 
-    The term count of every point is fixed first, in row order.  Every
-    point with t != 0 is summed as its canonical point (|t|, sgn(t) x),
-    once for all the points that share it: each step below reads only
-    |t|, x^2, x t and t^2, which (t, x) and (-t, -x) share, so
-    G(-t, -x) = G(t, x) bit for bit.  A canonical point runs with the t
-    and x of its first point in column order, which a RangeError names.
-    Each |t| takes _float_row once, to its largest count (the backward
-    pass reads only |t~_k| + u g_k and |t~_(N+1)|), and each |x| takes
-    _float_column once, as far as its points with t != 0 read it, and
-    keeps only its _column_bound: x and -x share it, since |h~_k| and E_k
-    depend on |x| alone (the recurrence is odd in x, bit for bit).  Then
-    two phases over the canonical points, in that order:
+
+def _evaluate_grid(t_grid, x_grid, tol):
+    """The GenFunValue of every point of the grid t_grid x x_grid, as one
+    tuple in row order.
+
+    Every point with t != 0 is summed as its canonical point
+    (|t|, sgn(t) x), once for all the points that share it: each step
+    below reads only |t|, x^2, x t and t^2, which (t, x) and (-t, -x)
+    share, so G(-t, -x) = G(t, x) bit for bit.  One map, keyed by
+    canonical point, carries each through two passes over the grid:
+
+    * The row pass checks |t| < 1 for each row, then a finite x at each
+      point, and fixes the term count N of each canonical point at its
+      first point in row order.  The points that share it share N, so a
+      BudgetError names the first point over budget in row order.  A
+      point with t = 0 has G = 1 and takes no count.  Each |t| takes
+      _float_row once, to its largest N (the backward pass reads only
+      |t~_k| + u g_k and |t~_(N+1)|), and each |x| takes _float_column
+      once, to its largest N - 1, and keeps only its _column_bound: x and
+      -x share it, since |h~_k| and E_k depend on |x| alone (the
+      recurrence is odd in x, bit for bit).
+    * The column pass takes each count out of the map at its canonical
+      point's first point in column order, which leaves the map empty.
+      That point runs, with its own t and x, which a RangeError names.
+
+    Then two phases over the canonical points, in that order:
 
     1. Every point takes the backward recurrence in binary64: in one
        batched pass (_backward_batch) where their term counts add up to
@@ -969,40 +986,36 @@ def _evaluate_grid(t_grid, x_grid, tol):
     2. Where that bound passes tol/4, the point is summed in fixed point
        (_exact_point).
 
-    Every point that shares a canonical point gets its value, bounds and
-    term count, with its own t and x.  The rows' arrays and the column
-    bounds are held throughout.
+    The map then takes the value, bounds and term count of each canonical
+    point, and every grid point reads its own from it, with its own t and
+    x; a point with t = 0 gets G = 1 from one term.  The rows' arrays and
+    the column bounds are held throughout.
     """
     ts = [float(t) for t in t_grid]
     xs = [float(x) for x in x_grid]
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be a finite positive number")
-    counts = []
-    # how far each |x| reads its column bound: N - 1 for its largest N
-    reads = {}
-    # the indices of the rows of each |t| != 0
-    t_rows = {}
-    for i, t in enumerate(ts):
+    # N of each canonical point
+    canonical = {}
+    # the largest N of each |t| != 0, and how far each |x| reads its
+    # column bound: N - 1 for its largest N
+    tops, reads = {}, {}
+    for t in ts:
         if not abs(t) < 1.0:
             raise DomainError("generating_G needs |t| < 1, got t = %g" % t)
-        row = []
         for x in xs:
             _require_finite(x, "generating_G")
-            n_top = _terms_needed(t, x, tol)
+            key = _canonical_key(t, x)
+            if t == 0.0 or key in canonical:
+                continue
+            n_top = canonical[key] = _terms_needed(t, x, tol)
             if n_top > _MAX_TERMS:
                 raise BudgetError(
                     "reaching tol = %g at (t, x) = (%g, %g) needs %d "
                     "terms, budget is %d" % (tol, t, x, n_top, _MAX_TERMS))
-            row.append(n_top)
-            if t != 0.0:
-                reads[abs(x)] = max(reads.get(abs(x), 0), n_top - 1)
-        counts.append(row)
-        if t != 0.0:
-            t_rows.setdefault(abs(t), []).append(i)
-    # each to the largest N of its rows
-    rows = {at: _float_row(at, max((n for i in indices for n in counts[i]),
-                                   default=0))
-            for at, indices in t_rows.items()}
+            tops[abs(t)] = max(tops.get(abs(t), 0), n_top)
+            reads[abs(x)] = max(reads.get(abs(x), 0), n_top - 1)
+    rows = {at: _float_row(at, n_top) for at, n_top in tops.items()}
     # the column bounds one after another, and (start, sigma) of each
     bounds = np.empty(sum(reads.values()))
     kept, size = {}, 0
@@ -1011,27 +1024,14 @@ def _evaluate_grid(t_grid, x_grid, tol):
         bounds[size:size + read] = m
         kept[ax] = size, sigma
         size += read
-    # the indices of each x's columns; 0.0 and -0.0 share a key, as they
-    # share their canonical points
-    x_cols = {}
-    for j, x in enumerate(xs):
-        x_cols.setdefault(x, []).append(j)
-    grid = [[None] * len(xs) for _ in ts]
     # (start, sigma, row, t, x, n_top) of each canonical point, at its
-    # first point
+    # first point in column order
     points = []
-    seen = set()
-    for j, x in enumerate(xs):
-        for i, t in enumerate(ts):
-            if t == 0.0:
-                grid[i][j] = GenFunValue(t, x, 1.0, 0.0, 1)
-                continue
-            canonical = abs(t), x if t > 0.0 else -x
-            if canonical not in seen:
-                seen.add(canonical)
-                points.append(kept[abs(x)] + (rows[abs(t)], t, x,
-                                              counts[i][j]))
-    del seen
+    for x in xs:
+        for t in ts:
+            n_top = canonical.pop(_canonical_key(t, x), None)
+            if n_top is not None:
+                points.append(kept[abs(x)] + (rows[abs(t)], t, x, n_top))
     steps = [point[5] for point in points]
     if sum(steps) > _BATCH_RATIO * max(steps, default=0):
         records = _backward_batch(bounds, points, tol)
@@ -1044,14 +1044,11 @@ def _evaluate_grid(t_grid, x_grid, tol):
         if cut is not None:
             weights = _weights((bounds[start:], sigma), row, n_top)
             value, roundoff = _exact_point(t, x, n_top, weights, cut, tol)
-        tail = _tail_bound(t, x, n_top)
-        # every point (t', x') with |t'| = |t| and sgn(t') x' = sgn(t) x
-        for i in t_rows[abs(t)]:
-            mirror = (ts[i] > 0.0) != (t > 0.0)
-            for j in x_cols.get(-x if mirror else x, ()):
-                grid[i][j] = GenFunValue(ts[i], xs[j], value, tail,
-                                         n_top + 1, roundoff)
-    return grid
+        canonical[_canonical_key(t, x)] = (
+            value, _tail_bound(t, x, n_top), n_top + 1, roundoff)
+    return tuple(GenFunValue(t, x, *canonical[_canonical_key(t, x)])
+                 if t != 0.0 else GenFunValue(t, x, 1.0, 0.0, 1)
+                 for t in ts for x in xs)
 
 
 def generating_G(t, x, tol=1e-10):
@@ -1064,15 +1061,16 @@ def generating_G(t, x, tol=1e-10):
     the path taken is ``roundoff_bound``.  This is the 1 x 1 grid of
     positivity_scan.
     """
-    return _evaluate_grid([t], [x], tol)[0][0]
+    return _evaluate_grid([t], [x], tol)[0]
 
 
 def positivity_scan(t_grid, x_grid, tol=1e-10):
     """Evaluate G with certified bounds on a grid; all_positive is true iff
     certified_lower = value - tail_bound - roundoff_bound > 0 at every
-    grid point."""
-    points = tuple(g for row in _evaluate_grid(t_grid, x_grid, tol)
-                   for g in row)
+    grid point.  ``points`` is the tuple of _evaluate_grid, one
+    GenFunValue per grid point in row order (t outer, x inner), each
+    mirror pair counted and summed once."""
+    points = _evaluate_grid(t_grid, x_grid, tol)
     if not points:
         raise DomainError("empty scan grid")
     return ScanReport(min(g.certified_lower for g in points), points)

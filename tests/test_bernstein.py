@@ -178,6 +178,24 @@ def test_sigma_qratio_is_atomic_probability_like():
     assert all(wt > 0 for _, wt in sigma.atoms)
 
 
+@pytest.mark.parametrize("a, b, q, alpha, beta", [
+    (0.05, 0.0, 0.999, 0.0, 1.0),
+    (0.01, 0.0, 0.99, 0.0, 1.0),
+    (0.2, 0.1, 0.9999, 3.0, 0.01),
+])
+def test_sigma_truncation_error_bounds_its_dropped_mass(a, b, q, alpha, beta):
+    # the sigma atoms of a long kappa cut at locations the default cut
+    # lacks are the mass sigma drops; the reweighting exceeds 1 near 0,
+    # so kappa's own truncation_error falls short of it
+    sigma = sigma_of(qratio(a, b, q), alpha, beta)
+    kept = {loc for loc, _ in sigma.atoms}
+    dropped = sum(wt for loc, wt in sigma_of(qratio(a, b, q, 1e-40), alpha,
+                                              beta).atoms
+                  if loc not in kept)
+    assert dropped > 0.0
+    assert sigma.truncation_error >= dropped
+
+
 def test_sigma_density_moment_condition():
     # total sigma mass may diverge near 1, but int (1 - u)^2 dsigma must
     # be finite for the representation integral to converge

@@ -211,6 +211,16 @@ def test_trichotomy_refuses_a_negative_moment():
         trichotomy_classify(_head(1.0, -1.0, 1.0, -1.0), 3)
 
 
+def test_trichotomy_refuses_an_infinite_moment():
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        trichotomy_classify(_factorials_with_s3(math.inf), 6)
+
+
+def test_carleman_refuses_an_infinite_moment():
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        carleman_diagnostic(_factorials_with_s3(math.inf), 40)
+
+
 def test_carleman_factorial_divergent():
     diag = carleman_diagnostic(factorial_seq(), 40)
     assert diag.verdict == hankel.DIVERGENT

@@ -444,6 +444,37 @@ def test_a_mirror_pair_past_binary64_names_its_first_point():
         positivity_scan([0.7, -0.7], [47.0, -47.0])
 
 
+def test_the_default_grid_counts_each_mirror_pair_once(monkeypatch):
+    counts = []
+    terms_needed = hermite._terms_needed
+
+    def counted(t, x, tol):
+        counts.append((t, x))
+        return terms_needed(t, x, tol)
+
+    monkeypatch.setattr(hermite, "_terms_needed", counted)
+    positivity_scan(DEFAULT_T, DEFAULT_X)
+    # the 3078 points with t != 0 are 1539 mirror pairs; t = 0 takes none
+    assert len(counts) == len({(abs(t), math.copysign(1.0, t) * x)
+                               for t, x in counts}) == 1539
+
+
+def test_a_bad_x_in_the_first_row_comes_before_a_bad_t_after_it():
+    with pytest.raises(DomainError, match="needs a finite x"):
+        positivity_scan([0.5, 1.5], [1.0, math.nan])
+
+
+def test_a_point_over_budget_comes_before_a_bad_t_after_it():
+    with pytest.raises(BudgetError, match=r"\(t, x\) = \(0\.5, 600\)"):
+        positivity_scan([0.5, 1.5], [600.0])
+
+
+def test_the_budget_error_names_its_first_point_in_row_order():
+    # (0.99, 70) is over budget too, and first in column order
+    with pytest.raises(BudgetError, match=r"\(t, x\) = \(0\.5, 600\)"):
+        positivity_scan([0.5, 0.99], [70.0, 600.0])
+
+
 def _batch_input(ts, xs, tol):
     """(bounds, points) of _backward_batch for the points (t, x), t != 0,
     each x column's bound laid out whole in bounds, and the
